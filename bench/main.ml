@@ -1348,13 +1348,13 @@ let a10_load () =
                 (match q with
                 | Some q ->
                     Slif_obs.Counter.add
-                      (Printf.sprintf "bench.a10.load.c%d.req_per_s" requested)
+                      (Printf.sprintf "bench.a10.load.c%d.req_per_s" clients)
                       (int_of_float req_per_s);
                     Slif_obs.Counter.add
-                      (Printf.sprintf "bench.a10.load.c%d.p50_us" requested)
+                      (Printf.sprintf "bench.a10.load.c%d.p50_us" clients)
                       (int_of_float q.q_p50);
                     Slif_obs.Counter.add
-                      (Printf.sprintf "bench.a10.load.c%d.p99_us" requested)
+                      (Printf.sprintf "bench.a10.load.c%d.p99_us" clients)
                       (int_of_float q.q_p99);
                     Slif_util.Table.add_row table
                       [
@@ -1369,7 +1369,7 @@ let a10_load () =
                 | None ->
                     Slif_util.Table.add_row table
                       [ string_of_int clients; "0"; "-"; "-"; "-"; "-"; note ]);
-                (requested, req_per_s))
+                (clients, req_per_s))
               levels
           in
           Slif_util.Table.print table;

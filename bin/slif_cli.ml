@@ -754,7 +754,8 @@ let serve_cmd =
   let max_connections =
     Arg.(value & opt (some int) None
          & info [ "max-connections" ] ~docv:"N"
-             ~doc:"Refuse connections beyond $(docv) concurrent clients.")
+             ~doc:"Refuse connections beyond $(docv) concurrent clients (default and \
+                   ceiling: 1000, which keeps every polled fd below select's limit).")
   in
   let max_graph_mb =
     Arg.(value & opt (some int) None
@@ -846,20 +847,18 @@ let stats_cmd =
     let inum j name =
       match mem name j with J.Int n -> n | J.Float f -> int_of_float f | _ -> 0
     in
-    let fetch c op =
-      match Client.request c (J.Obj [ ("op", J.String op) ]) with
-      | Ok json -> json
-      | Error msg -> failf "%s request failed: %s" op msg
-    in
     let render () =
       let c = connect () in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-      let health = fetch c "health" in
-      let stats = fetch c "stats" in
-      let lru = mem "lru" health in
+      let stats =
+        match Client.request c (J.Obj [ ("op", J.String "stats") ]) with
+        | Ok json -> json
+        | Error msg -> failf "stats request failed: %s" msg
+      in
+      let lru = mem "lru" stats in
       Printf.printf "uptime %.1fs  requests %d  errors %d  inflight %d  lru %d/%d\n"
-        (fnum health "uptime_s") (inum health "requests") (inum health "errors")
-        (inum health "inflight") (inum lru "size") (inum lru "capacity");
+        (fnum stats "uptime_s") (inum stats "requests") (inum stats "errors")
+        (inum stats "inflight") (inum lru "size") (inum lru "capacity");
       (match mem "gc" stats with
       | J.Obj _ as gc ->
           Printf.printf
@@ -885,7 +884,7 @@ let stats_cmd =
             (inum f "records") (inum f "dropped") rings (inum f "retained")
             (inum f "retained_live") (inum f "dump_bytes")
       | _ -> ());
-      (match mem "last_error" health with
+      (match mem "last_error" stats with
       | J.String msg -> Printf.printf "last error: %s\n" msg
       | _ -> ());
       (match mem "latency_us" stats with

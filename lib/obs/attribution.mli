@@ -6,12 +6,12 @@
     scaling report can answer "where did the cores go":
 
     - [Task_run] — executing pool task bodies (gross, including any GC
-      pauses, lock waits and engine copies that happened inside);
+      pauses, lock waits and engine acquires that happened inside);
     - [Queue_wait] — pool-internal queue machinery: waiting on and
       holding the pool's queue lock between tasks;
     - [Lock_wait] — blocked acquiring an instrumented {!Lockprof} lock;
     - [Gc] — runtime/GC pauses ({!Gcprof} timing, process-wide);
-    - [Copy] — [Specsyn.Engine.copy] per-task clone cost;
+    - [Copy] — [Specsyn.Engine.acquire] per-task replica rescoring cost;
     - [Idle] — parked on the pool's condition variable with no work.
 
     Producers ({!Slif_util.Pool}, {!Lockprof}, the engine) call {!add}

@@ -29,12 +29,12 @@
     on the worker that executes it, so the [server.request.<op>] span
     and every {!Slif_obs.Event} line emitted while serving it share the
     id.  Per-op latency is recorded in always-on lifetime histograms
-    plus a sliding window; per-worker requests and batch items feed
-    {!Slif_obs.Family} counters, per-shard LRU hit/miss/occupancy and
-    queue depth/wait are exported by [stats] and [metrics] regardless of
-    the registry switch.  Requests slower than [slow_ms] are logged to
-    stderr and the event log at [Warn]; [SIGUSR1] dumps the live
-    telemetry to stderr without stopping the loop.
+    plus a sliding window; every control op samples the daemon into one
+    {!Telemetry.t} and renders [stats], [health] or [metrics] from it,
+    regardless of the registry switch.  Requests slower than [slow_ms]
+    are logged to stderr and the event log at [Warn]; [SIGUSR1] writes
+    the [stats] reply to stderr ({!Telemetry.dump}) without stopping
+    the loop.
 
     The flight recorder is the black box: every span and event also
     lands in {!Slif_obs.Flight}'s always-on per-domain rings, and any
@@ -67,7 +67,9 @@ type config = {
       (** unread response bytes per connection before the slow reader is
           disconnected with a protocol error *)
   max_connections : int option;
-      (** concurrent connections; extras get an error response and a close *)
+      (** concurrent connections, clamped to {!default_max_connections}
+          ([None] means that cap); an extra connection is answered with
+          one error of kind ["connection_limit"] and closed at once *)
   max_graph_mb : int option;
       (** admission control for store-file targets: reject (typed error
           kind ["graph_too_large"]) any load whose decoded graph would
@@ -91,11 +93,14 @@ val default_max_line_bytes : int
 val default_max_outq_bytes : int
 (** 32 MB. *)
 
+val default_max_connections : int
+(** 1000: every polled fd stays below [select]'s FD_SETSIZE of 1024. *)
+
 val default_config : addr -> config
 (** lru_capacity 8 over 8 shards, 1 worker, jobs 1, no cache dir, no
     request limit, no slow-log, 64 MB line cap, 4096 batch items, 32 MB
-    outq cap, unlimited connections, no graph budget, 32 retained
-    traces, no trace dir. *)
+    outq cap, {!default_max_connections} connections, no graph budget,
+    32 retained traces, no trace dir. *)
 
 val run : ?on_ready:(Unix.sockaddr -> unit) -> config -> unit
 (** Bind, listen and serve until a [shutdown] request (or the request

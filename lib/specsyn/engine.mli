@@ -53,22 +53,6 @@ val create :
 val of_problem : Search.problem -> Slif.Partition.t -> t
 (** {!create} with the problem's weights and constraints. *)
 
-val copy : t -> t
-(** An engine over a {!Slif.Partition.copy} of the current partition with
-    the same weights and constraints, sharing no mutable cell with the
-    original.  Costs one full initial scoring (the aggregates are
-    rebuilt, which also bumps the partitions-scored counter like
-    {!create}).  Raises [Invalid_argument] while a transaction is
-    pending.
-
-    @deprecated as the parallel-sweep isolation primitive.  A copy per
-    task rebuilds the incident lists and the estimator on every clone
-    and was the dominant per-task overhead of the old sweeps; the
-    share-nothing architecture keeps one engine per domain and
-    {!acquire}s it per work item instead (DESIGN.md §13).  [copy]
-    remains for callers that genuinely need two live engines over
-    snapshots of the same state. *)
-
 val acquire : t -> Slif.Partition.t -> unit
 (** [acquire t part] re-points the engine (and its estimator) at [part]
     — a fresh total partition of the same SLIF — zeroes the aggregates

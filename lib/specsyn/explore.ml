@@ -87,8 +87,8 @@ let run ?(jobs = 1) ?(chunk = 0) ?constraints ?weights ?(algos = default_algos)
            domain builds an allocation's graph, problem and engine
            replica the first time it meets it and reuses them for every
            later work item of that allocation — replacing today's
-           rebuild-per-task (and the Engine.copy-per-task design before
-           it) with one [Engine.acquire] per candidate. *)
+           rebuild-per-task (and the engine-clone-per-task design
+           before it) with one [Engine.acquire] per candidate. *)
         let ctxs = Slif_util.Pool.local pool (fun () -> Hashtbl.create 8) in
         let ctx_for ai =
           let tbl = Slif_util.Pool.get ctxs in

@@ -217,30 +217,31 @@ let test_pool_chunks () =
    shutdown, and each [get] returns the calling domain's own value. *)
 let test_pool_local_lifecycle () =
   let inits = Atomic.make 0 and teardowns = Atomic.make 0 in
+  let foreign_teardowns = Atomic.make 0 in
   Pool.with_pool ~jobs:4 ~oversubscribe:true (fun pool ->
       let slot =
         Pool.local pool
           ~teardown:(fun dom ->
             Atomic.incr teardowns;
-            if dom <> (Domain.self () :> int) then
-              Alcotest.fail "teardown ran on a foreign domain")
+            if dom <> (Domain.self () :> int) then Atomic.incr foreign_teardowns)
           (fun () ->
             Atomic.incr inits;
             (Domain.self () :> int))
       in
-      let doms =
+      (* Alcotest's output path is not domain-safe: tasks only report
+         (their domain, the slot they saw), the submitting domain asserts. *)
+      let pairs =
         Pool.map pool
-          (fun _ ->
-            let v = Pool.get slot in
-            Alcotest.(check int) "slot belongs to this domain"
-              (Domain.self () :> int)
-              v;
-            v)
+          (fun _ -> ((Domain.self () :> int), Pool.get slot))
           (List.init 64 Fun.id)
       in
-      let distinct = List.length (List.sort_uniq compare doms) in
+      List.iter
+        (fun (dom, v) -> Alcotest.(check int) "slot belongs to this domain" dom v)
+        pairs;
+      let distinct = List.length (List.sort_uniq compare (List.map fst pairs)) in
       Alcotest.(check int) "one init per participating domain" distinct
         (Atomic.get inits));
+  Alcotest.(check int) "no teardown on a foreign domain" 0 (Atomic.get foreign_teardowns);
   Alcotest.(check int) "every initialized slot torn down" (Atomic.get inits)
     (Atomic.get teardowns)
 
@@ -350,35 +351,6 @@ let test_random_part_differential () =
     "evaluated" serial.Specsyn.Search.evaluated parallel.Specsyn.Search.evaluated;
   check_same_partition "random best" serial.Specsyn.Search.part
     parallel.Specsyn.Search.part
-
-(* --- Engine.copy isolation ----------------------------------------------- *)
-
-let test_engine_copy_isolation () =
-  let problem = Lazy.force fuzzy_problem in
-  let part =
-    Specsyn.Search.seed_partition (Slif.Graph.slif problem.Specsyn.Search.graph)
-  in
-  let original = Specsyn.Engine.of_problem problem part in
-  let c0 = Specsyn.Engine.cost original in
-  let dup = Specsyn.Engine.copy original in
-  Alcotest.(check (float 1e-9)) "copy scores identically" c0 (Specsyn.Engine.cost dup);
-  let rng = Prng.create 99 in
-  for _ = 1 to 25 do
-    match Specsyn.Engine.random_move dup rng with
-    | None -> ()
-    | Some m ->
-        ignore (Specsyn.Engine.propose dup m);
-        Specsyn.Engine.commit dup
-  done;
-  Alcotest.(check (float 1e-9)) "original untouched" c0 (Specsyn.Engine.cost original);
-  match Specsyn.Engine.random_move dup rng with
-  | None -> ()
-  | Some m ->
-      ignore (Specsyn.Engine.propose dup m);
-      (match Specsyn.Engine.copy dup with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "copy during a pending transaction should raise");
-      Specsyn.Engine.rollback dup
 
 (* --- Engine.acquire bit-exactness ----------------------------------------- *)
 
@@ -521,7 +493,6 @@ let suite =
       test_annealing_restarts_differential;
     Alcotest.test_case "random restarts pool == serial" `Quick
       test_random_part_differential;
-    Alcotest.test_case "engine copy shares no state" `Quick test_engine_copy_isolation;
     Alcotest.test_case "engine acquire rescoring is bit-exact" `Quick
       test_engine_acquire_bit_exact;
     Alcotest.test_case "replica memos are domain-private" `Quick

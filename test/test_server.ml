@@ -791,6 +791,19 @@ let test_sigusr1_dump () =
               end
             in
             wait_dump 100;
+            (* The dump is the stats reply line between the markers. *)
+            let ic = open_in err_path in
+            let rec stats_line () =
+              match input_line ic with
+              | "--- slif serve telemetry ---" -> input_line ic
+              | _ -> stats_line ()
+            in
+            let line = Fun.protect ~finally:(fun () -> close_in ic) stats_line in
+            (match Json.parse line with
+            | Ok json ->
+                Alcotest.(check bool) "dump carries the stats counters" true
+                  (Json.member "requests" json <> None && Json.member "by_op" json <> None)
+            | Error e -> Alcotest.failf "dump line is not JSON (%s): %s" e line);
             (* Still serving after the dump. *)
             ignore (request_exn client [ ("op", Json.String "health") ])))
   end
