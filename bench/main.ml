@@ -1594,7 +1594,7 @@ let a12 () =
   let table =
     Slif_util.Table.create
       ~header:
-        [ "nodes"; "gen(s)"; "graph(s)"; "est us/node"; "moves/s"; "v1 B/node";
+        [ "nodes"; "gen(s)"; "graph(s)"; "est us/node"; "moves/s"; "q/move"; "v1 B/node";
           "v2 B/node"; "lazy open(ms)" ]
   in
   List.iter
@@ -1617,18 +1617,23 @@ let a12 () =
       in
       let est_us_per_node = t_est *. 1e6 /. float_of_int n in
       (* Exploration proxy at scale: incremental engine move throughput
-         (a full greedy sweep is quadratic and would dominate the run). *)
+         (a full greedy sweep is quadratic and would dominate the run).
+         Like a search, and like slifbench, 3 of 4 moves are rolled back. *)
       let engine = Specsyn.Engine.create graph part in
+      let engine_est = Specsyn.Engine.estimate engine in
       let rng = Slif_util.Prng.create 42 in
+      let commit_rng = Slif_util.Prng.create 43 in
       let n_moves = if bench_fast then 200 else 2_000 in
       let applied = ref 0 in
+      let q0 = Slif.Estimate.stats_queries engine_est in
       let (), t_moves =
         Slif_obs.Clock.time (fun () ->
             for _ = 1 to n_moves do
               match Specsyn.Engine.random_move engine rng with
               | Some m ->
                   ignore (Specsyn.Engine.propose engine m);
-                  Specsyn.Engine.commit engine;
+                  if Slif_util.Prng.int commit_rng 4 = 0 then Specsyn.Engine.commit engine
+                  else Specsyn.Engine.rollback engine;
                   incr applied
               | None -> ()
             done)
@@ -1636,6 +1641,19 @@ let a12 () =
       let moves_per_s =
         if t_moves > 0.0 then float_of_int !applied /. t_moves else 0.0
       in
+      let queries_per_move =
+        (Slif.Estimate.stats_queries engine_est - q0) / max 1 !applied
+      in
+      (* The maintained cost must be the oracle's on a fresh estimator,
+         bit for bit. *)
+      let oracle =
+        Specsyn.Cost.total ~constraints:Specsyn.Cost.no_constraints
+          (Specsyn.Search.estimator graph (Specsyn.Engine.partition engine))
+      in
+      if Int64.bits_of_float oracle <> Int64.bits_of_float (Specsyn.Engine.cost engine) then
+        failwith
+          (Printf.sprintf "a12: engine cost %h differs from the oracle's %h at %d nodes"
+             (Specsyn.Engine.cost engine) oracle n);
       let v1 = Slif_store.Store.slif_to_string slif in
       let v2 = Slif_store.Store.slif_to_string ~version:2 slif in
       let v1_bpn = float_of_int (String.length v1) /. float_of_int n in
@@ -1662,6 +1680,7 @@ let a12 () =
       Slif_obs.Counter.add (tag "graph_ms") (int_of_float (t_graph *. 1e3));
       Slif_obs.Counter.add (tag "est_ns_per_node") (int_of_float (est_us_per_node *. 1e3));
       Slif_obs.Counter.add (tag "moves_per_s") (int_of_float moves_per_s);
+      Slif_obs.Counter.add (tag "queries_per_move") queries_per_move;
       Slif_obs.Counter.add (tag "v1_bytes_per_node") (int_of_float v1_bpn);
       Slif_obs.Counter.add (tag "v2_bytes_per_node") (int_of_float v2_bpn);
       Slif_obs.Counter.add (tag "lazy_open_us") (int_of_float (t_open *. 1e6));
@@ -1672,6 +1691,7 @@ let a12 () =
           Printf.sprintf "%.3f" t_graph;
           Printf.sprintf "%.3f" est_us_per_node;
           Printf.sprintf "%.0f" moves_per_s;
+          string_of_int queries_per_move;
           Printf.sprintf "%.1f" v1_bpn;
           Printf.sprintf "%.1f" v2_bpn;
           Printf.sprintf "%.2f" (t_open *. 1e3);

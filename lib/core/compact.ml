@@ -22,8 +22,7 @@ type t = {
   in_off : int array;
   in_chan : int array;
   tech_names : string array;
-  proc_tech : int array;
-  mem_tech : int array;
+  comp_tech : int array;
   bus_width : int array;
   bus_ts : float array;
   bus_td : float array;
@@ -61,8 +60,11 @@ let make (s : Types.t) =
         incr next_tech;
         i
   in
-  let proc_tech = Array.map (fun (p : Types.processor) -> intern p.p_tech) s.procs in
-  let mem_tech = Array.map (fun (m : Types.memory) -> intern m.m_tech) s.mems in
+  let comp_tech =
+    Array.append
+      (Array.map (fun (p : Types.processor) -> intern p.p_tech) s.procs)
+      (Array.map (fun (m : Types.memory) -> intern m.m_tech) s.mems)
+  in
   Array.iter
     (fun (b : Types.bus) ->
       List.iter (fun (tn, _) -> ignore (intern tn)) b.b_ts_by_tech;
@@ -203,17 +205,12 @@ let make (s : Types.t) =
     in_off;
     in_chan;
     tech_names;
-    proc_tech;
-    mem_tech;
+    comp_tech;
     bus_width;
     bus_ts;
     bus_td;
     bus_td_default;
   }
-
-let comp_tech_id t = function
-  | Partition.Cproc p -> t.proc_tech.(p)
-  | Partition.Cmem m -> t.mem_tech.(m)
 
 let ict_ix t id tech =
   let stop = t.ict_off.(id + 1) in

@@ -50,8 +50,9 @@ type t = {
   in_chan : int array;
   (* Interned technologies. *)
   tech_names : string array;
-  proc_tech : int array;  (** tech id per processor *)
-  mem_tech : int array;  (** tech id per memory *)
+  comp_tech : int array;
+      (** tech id per component, by {!Partition.comp_index}: processors
+          first, then memories *)
   (* Buses, with ts/td resolved for every (bus, tech [pair]) up front. *)
   bus_width : int array;
   bus_ts : float array;  (** [(bus * n_techs) + tech] — {!Types.bus_ts} *)
@@ -67,10 +68,6 @@ val kind_message : int
 val make : Types.t -> t
 (** One O(nodes + channels + weight entries) pass; no further allocation
     is needed to answer adjacency or weight queries. *)
-
-val comp_tech_id : t -> Partition.comp -> int
-(** Interned technology of a component (always present: every processor
-    and memory technology is interned by {!make}). *)
 
 val ict_ix : t -> int -> int -> int
 (** [ict_ix t node tech] is the index into [ict_val] of the node's ict

@@ -129,7 +129,14 @@ let node_ict_tid t id tid =
   let ix = Compact.ict_ix t.cg id tid in
   if ix >= 0 then t.cg.Compact.ict_val.(ix) else no_ict_weight t id tid
 
-let node_ict t id comp = node_ict_tid t id (Compact.comp_tech_id t.cg comp)
+(* The interned technology of the node's component, read off the
+   partition's unboxed slot; an unassigned node fails as GetBvComp does. *)
+let node_tech t id =
+  let k = Partition.comp_index t.part id in
+  if k < 0 then ignore (Partition.comp_of_exn t.part id : Partition.comp);
+  t.cg.Compact.comp_tech.(k)
+
+let node_ict t id = node_ict_tid t id (node_tech t id)
 
 (* Transfer time of channel [c] (by id): [ceil(bits/width)] bus transfers
    at ts (same component) or td (cross-component / port).  The ts/td
@@ -141,7 +148,7 @@ let transfer_time_by_id t c =
   let bus = Partition.bus_of_exn t.part c in
   let transfers = Slif_util.Bitmath.ceil_div cg.Compact.chan_bits.(c) cg.Compact.bus_width.(bus) in
   let src = cg.Compact.chan_src.(c) in
-  let st = Compact.comp_tech_id cg (Partition.comp_of_exn t.part src) in
+  let st = node_tech t src in
   let d = cg.Compact.chan_dst.(c) in
   let nt = cg.Compact.n_techs in
   let bdt =
@@ -151,7 +158,7 @@ let transfer_time_by_id t c =
       (* External pins have no technology: the default td applies. *)
       cg.Compact.bus_td_default.(bus)
     else
-      let dt = Compact.comp_tech_id cg (Partition.comp_of_exn t.part d) in
+      let dt = node_tech t d in
       cg.Compact.bus_td.((((bus * nt) + st) * nt) + dt)
   in
   float_of_int transfers *. bdt
@@ -164,7 +171,7 @@ let chan_cost_by_id t exec c =
   let d = cg.Compact.chan_dst.(c) in
   let dst_time =
     if d < 0 then 0.0
-    else if Compact.is_var cg d then node_ict t d (Partition.comp_of_exn t.part d)
+    else if Compact.is_var cg d then node_ict t d
     else if
       (* Messages do not serialize the receiver (DESIGN.md §5). *)
       cg.Compact.chan_kind.(c) = Compact.kind_message
@@ -233,8 +240,7 @@ let exectime_us t id =
       if depth > t.recursion_depth then 0.0
       else begin
         t.visit.(id) <- depth + 1;
-        let comp = Partition.comp_of_exn t.part id in
-        let ict = node_ict t id comp in
+        let ict = node_ict t id in
         let value = ict +. comm_time t exec id in
         t.visit.(id) <- depth;
         if not t.cyclic then begin
@@ -262,11 +268,14 @@ let chan_bitrate_mbps t (c : Types.channel) =
   if src_time <= 0.0 then 0.0
   else freq t c *. float_of_int c.c_bits /. src_time
 
+(* A pairwise sum over every channel id, off-bus channels contributing
+   0.0: the shape the move engine maintains per bus, so its bitrates are
+   this value to the bit. *)
 let bus_bitrate_mbps t bus =
-  List.fold_left
-    (fun acc cid -> acc +. chan_bitrate_by_id t cid)
-    0.0
-    (Partition.chans_of_bus t.part bus)
+  Slif_util.Sumtree.sum t.cg.Compact.n_chans (fun c ->
+      match Partition.bus_of t.part c with
+      | Some b when b = bus -> chan_bitrate_by_id t c
+      | _ -> 0.0)
 
 let bus_bitrate_capacity_limited_mbps t bus =
   let s = Graph.slif t.graph in
@@ -291,8 +300,7 @@ let exectime_scaled t factors id =
     if depth > t.recursion_depth then 0.0
     else begin
       t.visit.(id) <- depth + 1;
-      let comp = Partition.comp_of_exn t.part id in
-      let ict = node_ict t id comp in
+      let ict = node_ict t id in
       let comm = ref 0.0 in
       for k = cg.Compact.out_off.(id) to cg.Compact.out_off.(id + 1) - 1 do
         let c = cg.Compact.out_chan.(k) in
@@ -301,7 +309,7 @@ let exectime_scaled t factors id =
         let d = cg.Compact.chan_dst.(c) in
         let dst_time =
           if d < 0 then 0.0
-          else if Compact.is_var cg d then node_ict t d (Partition.comp_of_exn t.part d)
+          else if Compact.is_var cg d then node_ict t d
           else if cg.Compact.chan_kind.(c) = Compact.kind_message then 0.0
           else exec d
         in
@@ -357,7 +365,9 @@ let no_size_weight t id tid =
 let size t comp =
   Slif_obs.Counter.incr "estimate.size_calls";
   let cg = t.cg in
-  let tid = Compact.comp_tech_id cg comp in
+  let k = Partition.index_of_comp t.part comp in
+  if k < 0 then invalid_arg "Estimate.size: no such component";
+  let tid = cg.Compact.comp_tech.(k) in
   List.fold_left
     (fun acc id ->
       let ix = Compact.size_ix cg id tid in
@@ -365,19 +375,20 @@ let size t comp =
     0.0
     (Partition.nodes_of_comp t.part comp)
 
-let crosses t comp (c : Types.channel) =
-  let src_in = Partition.comp_of t.part c.c_src = Some comp in
+let crosses t k (c : Types.channel) =
+  let src_in = Partition.comp_index t.part c.c_src = k in
   let dst_in =
     match c.c_dst with
     | Types.Dport _ -> false
-    | Types.Dnode d -> Partition.comp_of t.part d = Some comp
+    | Types.Dnode d -> Partition.comp_index t.part d = k
   in
   src_in <> dst_in
 
 let cut_chans t comp =
   sync t;
   let s = Graph.slif t.graph in
-  Array.to_list s.Types.chans |> List.filter (crosses t comp)
+  let k = Partition.index_of_comp t.part comp in
+  if k < 0 then [] else Array.to_list s.Types.chans |> List.filter (crosses t k)
 
 let io_pins t comp =
   Slif_obs.Counter.incr "estimate.io_pins_calls";

@@ -58,7 +58,15 @@ val chan_bitrate_by_id : t -> int -> float
     channel records. *)
 
 val bus_bitrate_mbps : t -> int -> float
-(** Equation 3: sum of the bus's channel bitrates. *)
+(** Equation 3: sum of the bus's channel bitrates.
+
+    The sum is pairwise over all channel ids, in the fixed tree shape of
+    {!Slif_util.Sumtree}; channels on other buses (or unassigned)
+    contribute [0.0], which is exact for non-negative rates.  Pairwise
+    summation errs by O(log n) ulps where the ascending-id left fold it
+    replaces erred by O(n).  It is also the shape the move engine
+    maintains per bus, so the engine's bitrates equal this value to the
+    bit. *)
 
 val bus_bitrate_capacity_limited_mbps : t -> int -> float
 (** Bitrate clipped to the bus's capacity when one is declared — the
@@ -88,6 +96,10 @@ val io_pins : t -> Partition.comp -> int
 
 val cut_chans : t -> Partition.comp -> Types.channel list
 (** The channels crossing the component boundary (CutChans). *)
+
+val crosses : t -> int -> Types.channel -> bool
+(** [crosses t k c]: exactly one endpoint of [c] lies on the component
+    with index [k] ({!Partition.comp_index}) — the CutChans rule. *)
 
 (* --- Cache control ----------------------------------------------------- *)
 

@@ -7,6 +7,13 @@
     exactly-one property structural; {!Validate} checks the remaining
     rules.
 
+    The slots are unboxed [int array]s: a node holds its component's
+    index ({!comp_index}: processors first, then memories) and a channel
+    its bus id, with [-1] for unassigned.  The accessors return values
+    preallocated by {!create} and shared by every {!copy}, so
+    {!comp_of}, {!comp_of_exn}, {!bus_of} and {!same_component_nodes}
+    never allocate.
+
     Assignments bump a version counter so estimator caches can notice
     staleness cheaply. *)
 
@@ -36,6 +43,14 @@ val assign_node : t -> node:int -> comp -> unit
 val unassign_node : t -> node:int -> unit
 val assign_chan : t -> chan:int -> bus:int -> unit
 
+val comp_index : t -> int -> int
+(** The node's component index — [p] for [Cproc p], [n_procs + m] for
+    [Cmem m] — or [-1] when unassigned. *)
+
+val index_of_comp : t -> comp -> int
+(** A component's index in the same numbering, or [-1] when the
+    specification has no such component. *)
+
 val comp_of : t -> int -> comp option
 val comp_of_exn : t -> int -> comp
 (** Raises [Invalid_argument] when the node is unassigned — the paper's
@@ -49,7 +64,10 @@ val is_total : t -> bool
 (** Every node and every channel is assigned. *)
 
 val nodes_of_comp : t -> comp -> int list
+(** Ascending node ids; [[]] for a component the specification lacks. *)
+
 val chans_of_bus : t -> int -> int list
+(** Ascending channel ids; [[]] for a bus the specification lacks. *)
 
 val same_component_nodes : t -> int -> int -> bool
 (** Whether two nodes are currently mapped to the same component; false
@@ -65,7 +83,8 @@ val comp_name : Types.t -> comp -> string
 val comp_tech : Types.t -> comp -> Types.tech_name
 
 val assign_all_chans : t -> bus:int -> unit
-(** Convenience: map every channel to the given bus. *)
+(** Convenience: map every channel to the given bus.  Raises
+    [Invalid_argument] when there are channels and no such bus. *)
 
 val assignments : t -> (int * comp) list
 (** Every assigned node as [(node id, component)], ascending by id — the

@@ -12,6 +12,7 @@ type undo =
   | U_chan of int * int                  (* chan, previous bus *)
   | U_float of float array * int * float
   | U_int of int array * int * int
+  | U_rate of int * int * float          (* bus, chan, previous leaf *)
 
 type txn = {
   saved_version : int;
@@ -31,13 +32,16 @@ type t = {
      (matching Cost.evaluate's sweep order). *)
   comp_size : float array;          (* eqs. 4-5: summed size weights *)
   cut_count : int array array;      (* [comp][bus] boundary-crossing channels *)
-  chan_rate : float array;          (* eq. 2 per channel *)
+  (* Eqs. 2-3: one pairwise-sum tree per bus with a leaf per channel id,
+     holding the channel's rate on the bus it is mapped to and 0.0 on
+     every other — the shape Estimate.bus_bitrate_mbps sums in, so each
+     root is the oracle's bus bitrate to the bit. *)
+  bus_rate : Slif_util.Sumtree.t array;
   (* Violation terms, one cell per constrained object; totals are summed
      on demand so untouched cells never drift. *)
   size_viol : float array;          (* per component *)
   io_viol : float array;            (* per component (memories stay 0) *)
   time_viol : float array;          (* per deadline *)
-  bitrate_viol : float array;       (* per bus *)
   (* Move generation. *)
   proc_comps : Slif.Partition.comp array;
   all_comps : Slif.Partition.comp array;
@@ -53,15 +57,6 @@ let partition t = t.part
 let estimate t = t.est
 let pending t = t.txn <> None
 let moves_scored t = t.scored
-
-(* --- Component indexing --------------------------------------------------- *)
-
-let ci t = function
-  | Slif.Partition.Cproc p -> p
-  | Slif.Partition.Cmem m -> t.n_procs + m
-
-let comp_of_index t k =
-  if k < t.n_procs then Slif.Partition.Cproc k else Slif.Partition.Cmem (k - t.n_procs)
 
 (* --- Per-term recomputation (each mirrors one Cost.evaluate term) --------- *)
 
@@ -104,21 +99,6 @@ let time_viol_of t i =
   let node, deadline = t.deadlines.(i) in
   Cost.excess (Slif.Estimate.exectime_us t.est node) (Some deadline)
 
-(* Channels are summed in ascending id order, the same order
-   Partition.chans_of_bus feeds Cost.evaluate, so the totals agree to the
-   last bit when the per-channel rates do. *)
-let bitrate_viol_of t b =
-  let s = slif t in
-  match s.Slif.Types.buses.(b).Slif.Types.b_capacity_mbps with
-  | None -> 0.0
-  | Some cap ->
-      let rate = ref 0.0 in
-      Array.iteri
-        (fun c _ ->
-          if Slif.Partition.bus_of t.part c = Some b then rate := !rate +. t.chan_rate.(c))
-        s.Slif.Types.chans;
-      Cost.excess !rate (Some cap)
-
 (* --- Journaled writes ----------------------------------------------------- *)
 
 let journal t u = match t.txn with None -> () | Some txn -> txn.undos <- u :: txn.undos
@@ -131,19 +111,15 @@ let seti t arr i v =
   journal t (U_int (arr, i, arr.(i)));
   arr.(i) <- v
 
-(* --- Crossing bookkeeping ------------------------------------------------- *)
+(* Only the leaf is journaled: rollback rewrites it through
+   [Sumtree.set], which recomputes the ancestors from the restored
+   leaves, so they come back bit-exact by construction. *)
+let set_rate t b chan v =
+  let tree = t.bus_rate.(b) in
+  journal t (U_rate (b, chan, Slif_util.Sumtree.leaf tree chan));
+  Slif_util.Sumtree.set tree chan v
 
-(* Whether the channel crosses the boundary of component index [k] under
-   the partition's current mapping (same rule as Estimate.crosses). *)
-let crosses t k (c : Slif.Types.channel) =
-  let comp = comp_of_index t k in
-  let src_in = Slif.Partition.comp_of t.part c.c_src = Some comp in
-  let dst_in =
-    match c.c_dst with
-    | Slif.Types.Dport _ -> false
-    | Slif.Types.Dnode d -> Slif.Partition.comp_of t.part d = Some comp
-  in
-  src_in <> dst_in
+(* --- Crossing bookkeeping ------------------------------------------------- *)
 
 (* Add [delta] to the crossing count of every incident channel of [node]
    that currently crosses component [k]. *)
@@ -152,7 +128,7 @@ let shift_cuts_at_node t k node delta =
   Array.iter
     (fun cid ->
       let c = s.Slif.Types.chans.(cid) in
-      if crosses t k c then begin
+      if Slif.Estimate.crosses t.est k c then begin
         let b = Slif.Partition.bus_of_exn t.part cid in
         seti t t.cut_count.(k) b (t.cut_count.(k).(b) + delta)
       end)
@@ -161,37 +137,32 @@ let shift_cuts_at_node t k node delta =
 (* Component indices whose boundary the channel currently crosses (at most
    two: the source's and the destination's). *)
 let crossed_comps t (c : Slif.Types.channel) =
-  let a = ci t (Slif.Partition.comp_of_exn t.part c.c_src) in
+  let a = Slif.Partition.comp_index t.part c.c_src in
   match c.c_dst with
   | Slif.Types.Dport _ -> [ a ]
   | Slif.Types.Dnode d ->
-      let b = ci t (Slif.Partition.comp_of_exn t.part d) in
+      let b = Slif.Partition.comp_index t.part d in
       if a = b then [] else [ a; b ]
 
 (* --- Delta refresh after an invalidation --------------------------------- *)
 
 (* Recompute the bitrates of all channels sourced at nodes of the
-   invalidation set [set] (their execution times may have changed) and
-   return the buses whose aggregate rate moved. *)
+   invalidation set [set] (their execution times may have changed). *)
 let refresh_rates t set =
   let cg = Slif.Graph.compact t.graph in
-  let touched = ref [] in
   List.iter
     (fun id ->
       if not t.mark.(id) then begin
         t.mark.(id) <- true;
         for k = cg.Slif.Compact.out_off.(id) to cg.Slif.Compact.out_off.(id + 1) - 1 do
           let cid = cg.Slif.Compact.out_chan.(k) in
+          let b = Slif.Partition.bus_of_exn t.part cid in
           let r = Slif.Estimate.chan_bitrate_by_id t.est cid in
-          if r <> t.chan_rate.(cid) then begin
-            setf t t.chan_rate cid r;
-            touched := Slif.Partition.bus_of_exn t.part cid :: !touched
-          end
+          if r <> Slif_util.Sumtree.leaf t.bus_rate.(b) cid then set_rate t b cid r
         done
       end)
     set;
-  List.iter (fun id -> t.mark.(id) <- false) set;
-  !touched
+  List.iter (fun id -> t.mark.(id) <- false) set
 
 let refresh_time t set =
   List.iter (fun id -> t.mark.(id) <- true) set;
@@ -199,10 +170,6 @@ let refresh_time t set =
     (fun i (node, _) -> if t.mark.(node) then setf t t.time_viol i (time_viol_of t i))
     t.deadlines;
   List.iter (fun id -> t.mark.(id) <- false) set
-
-let refresh_bitrate t buses =
-  let buses = List.sort_uniq compare buses in
-  List.iter (fun b -> setf t t.bitrate_viol b (bitrate_viol_of t b)) buses
 
 let refresh_comp_viol t comps =
   List.iter
@@ -227,7 +194,8 @@ let apply_node t txn node to_ =
   | _ -> ());
   let from = Slif.Partition.comp_of_exn t.part node in
   if from <> to_ then begin
-    let ki = ci t from and kj = ci t to_ in
+    let ki = Slif.Partition.index_of_comp t.part from in
+    let kj = Slif.Partition.index_of_comp t.part to_ in
     (* Size weights first: a missing weight must fail before any state
        changes. *)
     let w_from = size_weight t node (Slif.Partition.comp_tech s from) in
@@ -248,10 +216,9 @@ let apply_node t txn node to_ =
        channel bitrates and dependent deadlines are refreshed. *)
     let set = Slif.Graph.transitive_callers t.graph node in
     invalidate t txn set;
-    let touched_buses = refresh_rates t set in
+    refresh_rates t set;
     refresh_comp_viol t (if ki = kj then [ ki ] else [ ki; kj ]);
-    refresh_time t set;
-    refresh_bitrate t touched_buses
+    refresh_time t set
   end
 
 let apply_chan t txn chan to_bus =
@@ -273,15 +240,18 @@ let apply_chan t txn chan to_bus =
       ks;
     Slif.Partition.assign_chan t.part ~chan ~bus:to_bus;
     txn.undos <- U_chan (chan, from_bus) :: txn.undos;
+    (* The rate leaves its old bus's tree for the new one's. *)
+    let rate = Slif_util.Sumtree.leaf t.bus_rate.(from_bus) chan in
+    set_rate t from_bus chan 0.0;
+    set_rate t to_bus chan rate;
     (* The new bus changes the channel's transfer time, hence the source
        node's execution time and everything upstream of it — the
        fine-grained invalidation that replaces invalidate_all. *)
     let set = Slif.Graph.transitive_callers t.graph c.c_src in
     invalidate t txn set;
-    let touched_buses = refresh_rates t set in
+    refresh_rates t set;
     refresh_comp_viol t ks;
-    refresh_time t set;
-    refresh_bitrate t (from_bus :: to_bus :: touched_buses)
+    refresh_time t set
   end
 
 let rec apply t txn = function
@@ -293,11 +263,23 @@ let rec apply t txn = function
 
 let sum arr = Array.fold_left ( +. ) 0.0 arr
 
+(* Read off the tree roots in Cost.evaluate's bus order. *)
+let bitrate_violation t =
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun b (bus : Slif.Types.bus) ->
+      match bus.Slif.Types.b_capacity_mbps with
+      | None -> ()
+      | Some cap ->
+          acc := !acc +. Cost.excess (Slif_util.Sumtree.total t.bus_rate.(b)) (Some cap))
+    (slif t).Slif.Types.buses;
+  !acc
+
 let breakdown t =
   let size_violation = sum t.size_viol in
   let io_violation = sum t.io_viol in
   let time_violation = sum t.time_viol in
-  let bitrate_violation = sum t.bitrate_viol in
+  let bitrate_violation = bitrate_violation t in
   {
     Cost.size_violation;
     io_violation;
@@ -311,7 +293,8 @@ let breakdown t =
   }
 
 let cost t = (breakdown t).Cost.total
-let comp_size t comp = t.comp_size.(ci t comp)
+let comp_size t comp = t.comp_size.(Slif.Partition.index_of_comp t.part comp)
+let bus_bitrate t b = Slif_util.Sumtree.total t.bus_rate.(b)
 
 (* --- Transactions --------------------------------------------------------- *)
 
@@ -321,7 +304,8 @@ let rollback_txn t txn =
       | U_node (node, comp) -> Slif.Partition.assign_node t.part ~node comp
       | U_chan (chan, bus) -> Slif.Partition.assign_chan t.part ~chan ~bus
       | U_float (arr, i, v) -> arr.(i) <- v
-      | U_int (arr, i, v) -> arr.(i) <- v)
+      | U_int (arr, i, v) -> arr.(i) <- v
+      | U_rate (b, chan, v) -> Slif_util.Sumtree.set t.bus_rate.(b) chan v)
     txn.undos;
   Slif.Partition.restore_version t.part txn.saved_version;
   (* The memo entries recomputed under the proposed placement are stale
@@ -372,7 +356,7 @@ let init_aggregates t =
   Array.iteri
     (fun i _ ->
       let comp = Slif.Partition.comp_of_exn t.part i in
-      let k = ci t comp in
+      let k = Slif.Partition.comp_index t.part i in
       t.comp_size.(k) <-
         t.comp_size.(k) +. size_weight t i (Slif.Partition.comp_tech s comp))
     s.Slif.Types.nodes;
@@ -381,17 +365,20 @@ let init_aggregates t =
       let bus = Slif.Partition.bus_of_exn t.part c.c_id in
       List.iter
         (fun k -> t.cut_count.(k).(bus) <- t.cut_count.(k).(bus) + 1)
-        (crossed_comps t c);
-      t.chan_rate.(c.c_id) <- Slif.Estimate.chan_bitrate_mbps t.est c)
+        (crossed_comps t c))
     s.Slif.Types.chans;
+  Array.iteri
+    (fun b tree ->
+      Slif_util.Sumtree.load tree (fun c ->
+          if Slif.Partition.bus_of_exn t.part c = b then
+            Slif.Estimate.chan_bitrate_by_id t.est c
+          else 0.0))
+    t.bus_rate;
   for k = 0 to t.n_comps - 1 do
     t.size_viol.(k) <- size_viol_of t k;
     t.io_viol.(k) <- io_viol_of t k
   done;
   Array.iteri (fun i _ -> t.time_viol.(i) <- time_viol_of t i) t.deadlines;
-  for b = 0 to Array.length t.bitrate_viol - 1 do
-    t.bitrate_viol.(b) <- bitrate_viol_of t b
-  done;
   (* Building the aggregates scores the partition in full. *)
   Slif_obs.Counter.incr "search.partitions_scored"
 
@@ -452,11 +439,10 @@ let create ?(weights = Cost.default_weights) ?(constraints = Cost.no_constraints
       n_comps;
       comp_size = Array.make n_comps 0.0;
       cut_count = Array.init n_comps (fun _ -> Array.make n_buses 0);
-      chan_rate = Array.make n_chans 0.0;
+      bus_rate = Array.init n_buses (fun _ -> Slif_util.Sumtree.create n_chans);
       size_viol = Array.make n_comps 0.0;
       io_viol = Array.make n_comps 0.0;
       time_viol = Array.make (Array.length deadlines) 0.0;
-      bitrate_viol = Array.make n_buses 0.0;
       proc_comps;
       all_comps;
       incident;

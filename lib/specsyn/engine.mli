@@ -10,7 +10,10 @@
     - per-component size sums (eqs. 4-5),
     - per-component x per-bus counts of boundary-crossing channels, from
       which I/O pins follow (eq. 6),
-    - per-channel bitrates and their per-bus sums (eqs. 2-3),
+    - channel bitrates and their per-bus sums (eqs. 2-3), as one
+      pairwise-sum tree per bus ({!Slif_util.Sumtree}) whose leaf [c]
+      holds channel [c]'s rate on the bus it is mapped to and [0.0] on
+      every other,
     - per-deadline execution-time slack (eq. 1, via the memoizing
       {!Slif.Estimate}) —
 
@@ -18,16 +21,25 @@
     buses and deadlines the move actually perturbs.  A node move touches
     its source and destination components; a channel move touches the two
     buses and invalidates only the channel's source node and its
-    transitive accessors (replacing the old [invalidate_all]).
+    transitive accessors (replacing the old [invalidate_all]).  Each
+    changed channel rate rewrites one leaf and its O(log n) ancestors, and
+    a bus's bitrate is its tree's root, so no step of a move scans every
+    channel.
+
+    Summation order is part of the contract: {!Slif.Estimate.bus_bitrate_mbps}
+    sums over the same fixed tree shape, and every other term is summed
+    in {!Cost.evaluate}'s order, so the engine's costs are bitwise the
+    oracle's, not merely close.
 
     The API is transactional: {!propose} applies a move and returns the
     would-be total cost, then exactly one of {!commit} or {!rollback}
     resolves it.  Rollback replays an undo journal, restoring the exact
     prior partition (mapping and version) and aggregate state — every
-    touched cell is written back to its previous bit pattern, so no
+    touched cell is written back to its previous bit pattern (tree
+    leaves are journaled and their ancestors recomputed), so no
     floating-point drift accumulates over long searches.  {!Cost.evaluate}
     on a fresh estimator remains the oracle the engine is property-tested
-    against (test/test_engine.ml). *)
+    against, bit for bit (test/test_engine.ml). *)
 
 type move =
   | Move_node of { node : int; to_ : Slif.Partition.comp }
@@ -90,6 +102,11 @@ val comp_size : t -> Slif.Partition.comp -> float
 (** The maintained size aggregate of one component (eqs. 4-5) — what
     {!Slif.Estimate.size} would recompute by sweeping the component's
     members.  O(1). *)
+
+val bus_bitrate : t -> int -> float
+(** The maintained bitrate of one bus (eq. 3): the root of its
+    pairwise-sum tree, bitwise {!Slif.Estimate.bus_bitrate_mbps} on a
+    fresh estimator.  O(1). *)
 
 (* --- Transactions ------------------------------------------------------- *)
 

@@ -1,7 +1,10 @@
 (* The transactional move engine, property-tested against the Cost.evaluate
-   oracle on every bundled specification. *)
+   oracle on every bundled specification and on synthetic graphs of every
+   small bus-tree shape.  Agreement is bitwise, not within a tolerance. *)
 
-let checkf = Alcotest.(check (float 1e-9))
+let check_bits label expected actual =
+  if Int64.bits_of_float expected <> Int64.bits_of_float actual then
+    Alcotest.failf "%s: expected %h, got %h (not bitwise equal)" label expected actual
 
 let annotated_of_spec (spec : Specs.Registry.spec) =
   let sem = Vhdl.Sem.build (Vhdl.Parser.parse spec.Specs.Registry.source) in
@@ -30,27 +33,56 @@ let problem_for spec alloc =
   Specsyn.Search.problem ~constraints:(constraints_for s) graph
 
 (* The oracle: a full sweep on a fresh estimator over the live partition. *)
-let oracle (problem : Specsyn.Search.problem) part =
-  Specsyn.Cost.evaluate ~weights:problem.Specsyn.Search.weights
-    ~constraints:problem.Specsyn.Search.constraints
-    (Specsyn.Search.estimator problem.Specsyn.Search.graph part)
+let oracle_with (problem : Specsyn.Search.problem) part =
+  let est = Specsyn.Search.estimator problem.Specsyn.Search.graph part in
+  ( est,
+    Specsyn.Cost.evaluate ~weights:problem.Specsyn.Search.weights
+      ~constraints:problem.Specsyn.Search.constraints est )
 
+let oracle problem part = snd (oracle_with problem part)
+
+(* Every cost term and every bus's raw bitrate (the tree root, whether or
+   not the bus is over capacity) equal the oracle's to the bit. *)
 let check_against_oracle label problem eng =
   let b = Specsyn.Engine.breakdown eng in
-  let o = oracle problem (Specsyn.Engine.partition eng) in
-  checkf (label ^ ": size") o.Specsyn.Cost.size_violation b.Specsyn.Cost.size_violation;
-  checkf (label ^ ": io") o.Specsyn.Cost.io_violation b.Specsyn.Cost.io_violation;
-  checkf (label ^ ": time") o.Specsyn.Cost.time_violation b.Specsyn.Cost.time_violation;
-  checkf (label ^ ": bitrate") o.Specsyn.Cost.bitrate_violation
+  let est, o = oracle_with problem (Specsyn.Engine.partition eng) in
+  check_bits (label ^ ": size") o.Specsyn.Cost.size_violation b.Specsyn.Cost.size_violation;
+  check_bits (label ^ ": io") o.Specsyn.Cost.io_violation b.Specsyn.Cost.io_violation;
+  check_bits (label ^ ": time") o.Specsyn.Cost.time_violation b.Specsyn.Cost.time_violation;
+  check_bits (label ^ ": bitrate") o.Specsyn.Cost.bitrate_violation
     b.Specsyn.Cost.bitrate_violation;
-  checkf (label ^ ": total") o.Specsyn.Cost.total b.Specsyn.Cost.total
+  check_bits (label ^ ": total") o.Specsyn.Cost.total b.Specsyn.Cost.total;
+  Array.iteri
+    (fun i _ ->
+      check_bits
+        (Printf.sprintf "%s: bus %d bitrate" label i)
+        (Slif.Estimate.bus_bitrate_mbps est i)
+        (Specsyn.Engine.bus_bitrate eng i))
+    (Slif.Graph.slif problem.Specsyn.Search.graph).Slif.Types.buses
 
-let engine_for spec alloc =
-  let problem = problem_for spec alloc in
+let engine_of_problem problem =
   let part =
     Specsyn.Search.seed_partition (Slif.Graph.slif problem.Specsyn.Search.graph)
   in
   (problem, Specsyn.Engine.of_problem problem part)
+
+let engine_for spec alloc = engine_of_problem (problem_for spec alloc)
+
+(* A synthetic graph cut down to its first [n_chans] channels, so each bus
+   tree has exactly that many leaves. *)
+let synth_problem n_chans =
+  let s =
+    Slif_synth.Synth.generate
+      (Slif_synth.Synth.default_params ~seed:5 ~nodes:96 Slif_synth.Synth.Mixed)
+  in
+  if Array.length s.Slif.Types.chans < n_chans then
+    Alcotest.failf "synthetic graph has only %d channels" (Array.length s.Slif.Types.chans);
+  let s = { s with Slif.Types.chans = Array.sub s.Slif.Types.chans 0 n_chans } in
+  Specsyn.Search.problem ~constraints:(constraints_for s) (Slif.Graph.make s)
+
+(* Channel counts covering the tree shapes: the smallest trees, and one
+   below, at and above a power of two. *)
+let synth_chan_counts = [ 1; 2; 3; 5; 31; 32; 33; 63; 64; 65 ]
 
 (* Allocations with capacity pressure (size and pin caps on the paper's
    processor+ASIC architecture) and with several buses and a memory, so
@@ -73,9 +105,51 @@ let test_create_matches_oracle () =
         (allocs ()))
     Specs.Registry.all
 
-(* The tentpole property: over random move sequences on every spec, the
-   incrementally maintained total equals the oracle after every propose,
-   commit and rollback, and rollback restores the exact prior partition. *)
+(* The tentpole property: over random move sequences, the incrementally
+   maintained cost equals the oracle bitwise after every propose, commit
+   and rollback, and rollback restores the exact prior partition. *)
+let random_moves_match_oracle label problem eng ~steps =
+  let rng = Slif_util.Prng.create 42 in
+  for step = 1 to steps do
+    match Specsyn.Engine.random_move eng rng with
+    | None -> ()
+    | Some move ->
+        let part_before = Slif.Partition.copy (Specsyn.Engine.partition eng) in
+        let version_before = Slif.Partition.version (Specsyn.Engine.partition eng) in
+        let cost_before = Specsyn.Engine.cost eng in
+        let proposed = Specsyn.Engine.propose eng move in
+        let tag = Printf.sprintf "%s step %d" label step in
+        check_bits (tag ^ " propose") proposed (Specsyn.Engine.cost eng);
+        check_against_oracle (tag ^ " pending") problem eng;
+        if Slif_util.Prng.bool rng then begin
+          Specsyn.Engine.commit eng;
+          check_against_oracle (tag ^ " committed") problem eng
+        end
+        else begin
+          Specsyn.Engine.rollback eng;
+          let part = Specsyn.Engine.partition eng in
+          Alcotest.(check int)
+            (tag ^ " version restored") version_before
+            (Slif.Partition.version part);
+          Array.iteri
+            (fun i _ ->
+              Alcotest.(check bool)
+                (tag ^ " node mapping restored") true
+                (Slif.Partition.comp_of part i
+                = Slif.Partition.comp_of part_before i))
+            (Slif.Partition.slif part).Slif.Types.nodes;
+          Array.iteri
+            (fun i _ ->
+              Alcotest.(check bool)
+                (tag ^ " chan mapping restored") true
+                (Slif.Partition.bus_of part i = Slif.Partition.bus_of part_before i))
+            (Slif.Partition.slif part).Slif.Types.chans;
+          (* The journal wrote every touched cell back. *)
+          check_bits (tag ^ " cost restored") cost_before (Specsyn.Engine.cost eng);
+          check_against_oracle (tag ^ " rolled back") problem eng
+        end
+  done
+
 let test_random_moves_match_oracle () =
   List.iter
     (fun spec ->
@@ -83,52 +157,72 @@ let test_random_moves_match_oracle () =
         (fun alloc ->
           let label = spec.Specs.Registry.spec_name ^ "/" ^ alloc.Specsyn.Alloc.alloc_name in
           let problem, eng = engine_for spec alloc in
-          let rng = Slif_util.Prng.create 42 in
-          for step = 1 to 40 do
-            match Specsyn.Engine.random_move eng rng with
-            | None -> ()
-            | Some move ->
-                let part_before = Slif.Partition.copy (Specsyn.Engine.partition eng) in
-                let version_before =
-                  Slif.Partition.version (Specsyn.Engine.partition eng)
-                in
-                let cost_before = Specsyn.Engine.cost eng in
-                let proposed = Specsyn.Engine.propose eng move in
-                let tag = Printf.sprintf "%s step %d" label step in
-                checkf (tag ^ " propose") proposed (Specsyn.Engine.cost eng);
-                check_against_oracle (tag ^ " pending") problem eng;
-                if Slif_util.Prng.bool rng then begin
-                  Specsyn.Engine.commit eng;
-                  check_against_oracle (tag ^ " committed") problem eng
-                end
-                else begin
-                  Specsyn.Engine.rollback eng;
-                  let part = Specsyn.Engine.partition eng in
-                  Alcotest.(check int)
-                    (tag ^ " version restored") version_before
-                    (Slif.Partition.version part);
-                  Array.iteri
-                    (fun i _ ->
-                      Alcotest.(check bool)
-                        (tag ^ " node mapping restored") true
-                        (Slif.Partition.comp_of part i
-                        = Slif.Partition.comp_of part_before i))
-                    (Slif.Partition.slif part).Slif.Types.nodes;
-                  Array.iteri
-                    (fun i _ ->
-                      Alcotest.(check bool)
-                        (tag ^ " chan mapping restored") true
-                        (Slif.Partition.bus_of part i = Slif.Partition.bus_of part_before i))
-                    (Slif.Partition.slif part).Slif.Types.chans;
-                  (* Bit-exact, not just within tolerance: the journal wrote
-                     every touched cell back. *)
-                  Alcotest.(check bool)
-                    (tag ^ " cost restored exactly") true
-                    (Specsyn.Engine.cost eng = cost_before)
-                end
-          done)
+          random_moves_match_oracle label problem eng ~steps:40)
         (allocs ()))
     Specs.Registry.all
+
+let test_synth_tree_shapes_match_oracle () =
+  List.iter
+    (fun n ->
+      let problem, eng = engine_of_problem (synth_problem n) in
+      let label = Printf.sprintf "synth/%d chans" n in
+      check_against_oracle (label ^ " created") problem eng;
+      random_moves_match_oracle label problem eng ~steps:60)
+    synth_chan_counts
+
+(* Channel moves between buses, including a group that re-busses the same
+   channel twice: the rate leaves one tree, enters another and comes back,
+   and the pending, rolled-back and committed states all match the oracle
+   bitwise. *)
+let test_rebus_moves_match_oracle () =
+  let cases =
+    ( "fuzzy/proc_asic_mem",
+      engine_for (Specs.Registry.find_exn "fuzzy") (Specsyn.Alloc.proc_asic_mem ()) )
+    :: List.map
+         (fun n -> (Printf.sprintf "synth/%d chans" n, engine_of_problem (synth_problem n)))
+         synth_chan_counts
+  in
+  List.iter
+    (fun (label, (problem, eng)) ->
+      let s = Slif.Graph.slif problem.Specsyn.Search.graph in
+      let n_buses = Array.length s.Slif.Types.buses in
+      if n_buses < 2 then Alcotest.failf "%s: needs two buses" label;
+      let last = Array.length s.Slif.Types.chans - 1 in
+      let home c = Slif.Partition.bus_of_exn (Specsyn.Engine.partition eng) c in
+      let other c = (home c + 1) mod n_buses in
+      let try_move tag move ~keep =
+        let cost_before = Specsyn.Engine.cost eng in
+        let proposed = Specsyn.Engine.propose eng move in
+        check_bits (tag ^ " proposed") proposed (Specsyn.Engine.cost eng);
+        check_against_oracle (tag ^ " pending") problem eng;
+        Specsyn.Engine.rollback eng;
+        check_bits (tag ^ " rolled back") cost_before (Specsyn.Engine.cost eng);
+        check_against_oracle (tag ^ " rolled back") problem eng;
+        if keep then begin
+          ignore (Specsyn.Engine.propose eng move);
+          Specsyn.Engine.commit eng;
+          check_against_oracle (tag ^ " committed") problem eng
+        end
+      in
+      List.iter
+        (fun c ->
+          let tag = Printf.sprintf "%s chan %d" label c in
+          let away = other c and back = home c in
+          try_move (tag ^ " move")
+            (Specsyn.Engine.Move_chan { chan = c; to_bus = away })
+            ~keep:true;
+          let back_and_forth =
+            Specsyn.Engine.Move_group
+              [
+                Specsyn.Engine.Move_chan { chan = c; to_bus = back };
+                Specsyn.Engine.Move_node { node = 0; to_ = Slif.Partition.Cproc 1 };
+                Specsyn.Engine.Move_chan { chan = c; to_bus = away };
+                Specsyn.Engine.Move_chan { chan = c; to_bus = back };
+              ]
+          in
+          try_move (tag ^ " twice in a group") back_and_forth ~keep:true)
+        (List.sort_uniq compare [ 0; last / 2; last ]))
+    cases
 
 let test_group_moves_atomic () =
   let problem, eng = engine_for (Specs.Registry.find_exn "fuzzy") (Specsyn.Alloc.proc_asic_mem ()) in
@@ -145,7 +239,7 @@ let test_group_moves_atomic () =
   ignore (Specsyn.Engine.propose eng (Specsyn.Engine.Move_group moves));
   check_against_oracle "group pending" problem eng;
   Specsyn.Engine.rollback eng;
-  Alcotest.(check bool) "group rollback exact" true (Specsyn.Engine.cost eng = cost_before);
+  check_bits "group rollback" cost_before (Specsyn.Engine.cost eng);
   ignore (Specsyn.Engine.propose eng (Specsyn.Engine.Move_group moves));
   Specsyn.Engine.commit eng;
   check_against_oracle "group committed" problem eng
@@ -250,7 +344,7 @@ let test_engine_algorithms_agree_with_oracle () =
   let spec = Specs.Registry.find_exn "fuzzy" in
   let problem = problem_for spec (Specsyn.Alloc.proc_asic_mem ()) in
   let check_sol name (sol : Specsyn.Search.solution) =
-    checkf name (oracle problem sol.Specsyn.Search.part).Specsyn.Cost.total
+    check_bits name (oracle problem sol.Specsyn.Search.part).Specsyn.Cost.total
       sol.Specsyn.Search.cost
   in
   check_sol "greedy" (Specsyn.Greedy.run problem);
@@ -278,4 +372,7 @@ let suite =
     Alcotest.test_case "moves_to reaches its target" `Quick test_moves_to_reaches_target;
     Alcotest.test_case "algorithm costs equal oracle costs" `Quick
       test_engine_algorithms_agree_with_oracle;
+    Alcotest.test_case "every small bus-tree shape matches oracle" `Quick
+      test_synth_tree_shapes_match_oracle;
+    Alcotest.test_case "re-bussing moves match oracle" `Quick test_rebus_moves_match_oracle;
   ]

@@ -114,6 +114,121 @@ let test_validate_variable_on_memory_ok () =
   Slif.Partition.assign_node part ~node:variable.Slif.Types.n_id (Slif.Partition.Cmem 0);
   Alcotest.(check bool) "still proper" true (Slif.Validate.is_proper part)
 
+(* The accessors read unboxed slots and return shared preallocated values:
+   a loop over them allocates nothing on the minor heap. *)
+let test_accessors_do_not_allocate () =
+  let s, part = fixture () in
+  Slif.Partition.assign_node part ~node:0 (Slif.Partition.Cproc 1);
+  let n_nodes = Array.length s.Slif.Types.nodes and n_chans = Array.length s.Slif.Types.chans in
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 100 do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let nothing = words (fun () -> ()) in
+  let check name f =
+    Alcotest.(check (float 0.0)) (name ^ " allocates nothing") nothing (words f)
+  in
+  check "comp_of" (fun () ->
+      for i = 0 to n_nodes - 1 do
+        ignore (Sys.opaque_identity (Slif.Partition.comp_of part i))
+      done);
+  check "comp_of_exn" (fun () ->
+      for i = 0 to n_nodes - 1 do
+        ignore (Sys.opaque_identity (Slif.Partition.comp_of_exn part i))
+      done);
+  check "bus_of" (fun () ->
+      for i = 0 to n_chans - 1 do
+        ignore (Sys.opaque_identity (Slif.Partition.bus_of part i))
+      done);
+  check "same_component_nodes" (fun () ->
+      for i = 0 to n_nodes - 1 do
+        ignore (Sys.opaque_identity (Slif.Partition.same_component_nodes part 0 i))
+      done);
+  (* Shared, yet equal to freshly built values. *)
+  Alcotest.(check bool) "comp_of value" true
+    (Slif.Partition.comp_of part 0 = Some (Slif.Partition.Cproc 1));
+  Alcotest.(check bool) "bus_of value" true (Slif.Partition.bus_of part 0 = Some 0)
+
+let comp =
+  Alcotest.testable
+    (fun ppf -> function
+      | Slif.Partition.Cproc p -> Format.fprintf ppf "Cproc %d" p
+      | Slif.Partition.Cmem m -> Format.fprintf ppf "Cmem %d" m)
+    ( = )
+
+let test_enumerations () =
+  let s = Helpers.proc_asic_components (Lazy.force Helpers.tiny_slif) in
+  let part = Slif.Partition.create s in
+  let n_chans = Array.length s.Slif.Types.chans in
+  Alcotest.(check (list (pair int comp))) "nothing assigned" [] (Slif.Partition.assignments part);
+  Slif.Partition.assign_node part ~node:2 (Slif.Partition.Cmem 0);
+  Slif.Partition.assign_node part ~node:0 (Slif.Partition.Cproc 1);
+  Slif.Partition.assign_chan part ~chan:(n_chans - 1) ~bus:0;
+  Alcotest.(check (list (pair int comp)))
+    "assignments ascend by node id"
+    [ (0, Slif.Partition.Cproc 1); (2, Slif.Partition.Cmem 0) ]
+    (Slif.Partition.assignments part);
+  Alcotest.(check (list (pair int int)))
+    "chan_assignments" [ (n_chans - 1, 0) ] (Slif.Partition.chan_assignments part);
+  Alcotest.(check (list int)) "chans_of_bus" [ n_chans - 1 ] (Slif.Partition.chans_of_bus part 0);
+  Alcotest.(check (list int)) "chans_of_bus, no such bus" [] (Slif.Partition.chans_of_bus part 7);
+  Alcotest.(check (list int)) "chans_of_bus, negative" [] (Slif.Partition.chans_of_bus part (-1));
+  Alcotest.(check bool) "partial" false (Slif.Partition.is_total part);
+  Alcotest.(check int) "comp_index" (-1) (Slif.Partition.comp_index part 1);
+  Alcotest.(check int) "memory index follows the processors" 2
+    (Slif.Partition.comp_index part 2);
+  Alcotest.(check int) "index_of_comp agrees" 2
+    (Slif.Partition.index_of_comp part (Slif.Partition.Cmem 0));
+  Alcotest.(check int) "index_of_comp, no such memory" (-1)
+    (Slif.Partition.index_of_comp part (Slif.Partition.Cmem 1));
+  Slif.Partition.unassign_node part ~node:2;
+  Alcotest.(check (list int)) "unassigned" [ 0 ]
+    (List.map fst (Slif.Partition.assignments part));
+  Array.iteri
+    (fun i _ -> Slif.Partition.assign_node part ~node:i (Slif.Partition.Cproc 0))
+    s.Slif.Types.nodes;
+  Slif.Partition.assign_all_chans part ~bus:0;
+  Alcotest.(check bool) "total" true (Slif.Partition.is_total part);
+  Alcotest.(check (list int))
+    "every channel on bus 0" (List.init n_chans Fun.id) (Slif.Partition.chans_of_bus part 0)
+
+let test_copy_and_restore () =
+  let _, part = fixture () in
+  let copy = Slif.Partition.copy part in
+  Alcotest.(check int) "copy keeps the version" (Slif.Partition.version part)
+    (Slif.Partition.version copy);
+  let v = Slif.Partition.version copy in
+  Slif.Partition.assign_node copy ~node:1 (Slif.Partition.Cmem 0);
+  Alcotest.(check bool) "original unchanged" true
+    (Slif.Partition.comp_of part 1 = Some (Slif.Partition.Cproc 0));
+  Slif.Partition.assign_node copy ~node:1 (Slif.Partition.Cproc 0);
+  Slif.Partition.restore_version copy v;
+  Alcotest.(check int) "restored" v (Slif.Partition.version copy);
+  Alcotest.check_raises "future version"
+    (Invalid_argument "Partition.restore_version: version from the future") (fun () ->
+      Slif.Partition.restore_version copy (v + 1))
+
+(* Component indices are processors first, then memories; a component
+   past the processors must not alias the first memory. *)
+let test_nodes_of_comp_out_of_range () =
+  let s, part = fixture () in
+  let n_procs = Array.length s.Slif.Types.procs in
+  Slif.Partition.assign_node part ~node:0 (Slif.Partition.Cmem 0);
+  List.iter
+    (fun c -> Alcotest.(check (list int)) "no members" [] (Slif.Partition.nodes_of_comp part c))
+    [
+      Slif.Partition.Cproc n_procs;
+      Slif.Partition.Cproc 99;
+      Slif.Partition.Cproc (-1);
+      Slif.Partition.Cmem 1;
+      Slif.Partition.Cmem (-2);
+    ];
+  Alcotest.(check (list int)) "memory member" [ 0 ]
+    (Slif.Partition.nodes_of_comp part (Slif.Partition.Cmem 0))
+
 let suite =
   [
     Alcotest.test_case "totality" `Quick test_totality;
@@ -127,4 +242,8 @@ let suite =
     Alcotest.test_case "validate reports unassigned objects" `Quick test_validate_unassigned;
     Alcotest.test_case "validate rejects behavior on memory" `Quick test_validate_behavior_on_memory;
     Alcotest.test_case "variables may map to memories" `Quick test_validate_variable_on_memory_ok;
+    Alcotest.test_case "accessors do not allocate" `Quick test_accessors_do_not_allocate;
+    Alcotest.test_case "enumerations" `Quick test_enumerations;
+    Alcotest.test_case "copy and restore_version" `Quick test_copy_and_restore;
+    Alcotest.test_case "nodes_of_comp out of range" `Quick test_nodes_of_comp_out_of_range;
   ]

@@ -61,6 +61,51 @@ let test_table_width_mismatch () =
   Alcotest.check_raises "row width" (Invalid_argument "Table.add_row: row width mismatch")
     (fun () -> Table.add_row t [ "only-one" ])
 
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* After every random leaf write, the maintained root is bitwise the
+   recursive sum over the same shape, for every small length and around
+   powers of two; a bulk [load] of the same leaves agrees too. *)
+let test_sumtree_matches_recursive_sum () =
+  let rng = Prng.create 17 in
+  List.iter
+    (fun n ->
+      let t = Sumtree.create n in
+      let shadow = Array.make n 0.0 in
+      for step = 1 to 4 * n do
+        let i = Prng.int rng n in
+        let v = if Prng.int rng 4 = 0 then 0.0 else Prng.float rng 1e3 in
+        Sumtree.set t i v;
+        shadow.(i) <- v;
+        let expected = Sumtree.sum n (fun i -> shadow.(i)) in
+        if not (same_bits expected (Sumtree.total t)) then
+          Alcotest.failf "n=%d step %d: total %h, recursive sum %h" n step (Sumtree.total t)
+            expected
+      done;
+      let loaded = Sumtree.create n in
+      Sumtree.load loaded (fun i -> shadow.(i));
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d: load agrees" n)
+        true
+        (same_bits (Sumtree.total t) (Sumtree.total loaded)))
+    (List.init 40 (fun i -> i + 1) @ [ 63; 64; 65; 127; 128; 129; 1000 ])
+
+let test_sumtree_edges () =
+  let empty = Sumtree.create 0 in
+  Alcotest.(check (float 0.0)) "empty total" 0.0 (Sumtree.total empty);
+  Alcotest.(check (float 0.0)) "empty sum" 0.0 (Sumtree.sum 0 (fun _ -> 1.0));
+  let one = Sumtree.create 1 in
+  Sumtree.set one 0 2.5;
+  Alcotest.(check (float 0.0)) "single leaf is the total" 2.5 (Sumtree.total one);
+  Alcotest.check_raises "leaf out of range" (Invalid_argument "Sumtree.set: no such leaf")
+    (fun () -> Sumtree.set one 1 0.0);
+  (* The shape: leaves at 3..5 pair as (l1 + l2) + l0. *)
+  Alcotest.(check bool)
+    "three-leaf shape" true
+    (same_bits
+       (Sumtree.sum 3 (fun i -> [| 1e16; 1.0; 1.0 |].(i)))
+       ((1.0 +. 1.0) +. 1e16))
+
 let suite =
   [
     Alcotest.test_case "prng is deterministic per seed" `Quick test_prng_deterministic;
@@ -71,4 +116,7 @@ let suite =
     Alcotest.test_case "prng copy" `Quick test_prng_copy;
     Alcotest.test_case "table renders aligned" `Quick test_table_render;
     Alcotest.test_case "table rejects ragged rows" `Quick test_table_width_mismatch;
+    Alcotest.test_case "sumtree root equals recursive sum" `Quick
+      test_sumtree_matches_recursive_sum;
+    Alcotest.test_case "sumtree edge cases" `Quick test_sumtree_edges;
   ]
