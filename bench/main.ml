@@ -1027,7 +1027,7 @@ let a10 () =
   ignore (Slif_obs.Clock.time_n reps run);
   let t_off = best_of_3 run in
   let t_off_traced =
-    best_of_3 (fun () -> Slif_obs.Registry.with_trace "bench-a10" run)
+    best_of_3 (fun () -> Slif_obs.Flight.with_trace "bench-a10" run)
   in
   Slif_obs.Registry.enable ();
   let t_on = best_of_3 run in
@@ -1706,6 +1706,9 @@ let a12 () =
 let () =
   print_endline "SLIF reproduction benchmark harness";
   print_endline "(see DESIGN.md section 3 for the experiment index)";
+  (* SLIF_BENCH_TRACE exports the whole run from the span rings: size
+     them for every phase before the first one runs. *)
+  if Sys.getenv_opt "SLIF_BENCH_TRACE" <> None then Slif_obs.Flight.set_capacity 200_000;
   Slif_obs.Registry.enable ();
   (* SLIF_BENCH_ONLY=a8,r4 restricts the run to the named phases (the CI
      bench smoke step runs SLIF_BENCH_ONLY=a8 SLIF_BENCH_FAST=1). *)

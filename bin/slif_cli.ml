@@ -992,7 +992,7 @@ let trace_cmd =
       | Error msg -> failf "traces request failed: %s" msg
     in
     (* One retained tree, ASCII-indented by parent-span causality.
-       Events carry id 0 and are leaves by construction; a span whose
+       Events and counter samples carry id 0 and are leaves; a span whose
        parent fell out of the ring window renders as a root. *)
     let render_tree trace =
       let spans = match mem "spans" trace with J.List l -> l | _ -> [] in
@@ -1011,7 +1011,7 @@ let trace_cmd =
       let rec print_rec depth s =
         let indent = String.make (2 * depth) ' ' in
         let label = indent ^ str s "name" in
-        if str s "kind" = "event" then
+        if str s "kind" <> "span" then
           Printf.printf "  %-44s %12s  dom %d\n" label "*" (inum s "dom")
         else begin
           Printf.printf "  %-44s %9.1f us  dom %d\n" label

@@ -79,7 +79,7 @@ let emit ?(level = Info) ?(fields = []) name =
   if Atomic.get active then begin
     (* Trace id and domain come from the calling domain's cell, outside
        the lock. *)
-    let trace = Registry.current_trace () in
+    let trace = Flight.current_trace () in
     let dom = (Domain.self () :> int) in
     let ts_us = Clock.now_us () in
     locked (fun () ->

@@ -2,7 +2,7 @@
 
     One JSON object per line: [ts_us] (monotonic clock), [level],
     [event], the recording domain, the ambient trace id when one is set
-    ({!Registry.with_trace}), then caller fields.  The daemon writes its
+    ({!Flight.with_trace}), then caller fields.  The daemon writes its
     per-request lines and slow-request warnings here ([serve
     --event-log FILE]); the sink is process-global.
 

@@ -1,67 +1,46 @@
-let hist_json (s : Histogram.summary) (q : Histogram.quantiles) =
-  Json.Obj
-    [
-      ("count", Json.Int s.count);
-      ("sum", Json.Float s.sum);
-      ("min", Json.Float s.min);
-      ("max", Json.Float s.max);
-      ("mean", Json.Float s.mean);
-      ("p50", Json.Float q.q_p50);
-      ("p90", Json.Float q.q_p90);
-      ("p99", Json.Float q.q_p99);
-    ]
+(* One snapshot per render, shared by every format. *)
+let snapshot () = (Counter.snapshot (), Histogram.snapshot_full ())
+
+let hist_fields (s : Histogram.summary) (q : Histogram.quantiles) =
+  [
+    ("count", Json.Int s.count);
+    ("sum", Json.Float s.sum);
+    ("min", Json.Float s.min);
+    ("max", Json.Float s.max);
+    ("mean", Json.Float s.mean);
+    ("p50", Json.Float q.q_p50);
+    ("p90", Json.Float q.q_p90);
+    ("p99", Json.Float q.q_p99);
+  ]
 
 let to_json () =
+  let counters, hists = snapshot () in
   Json.Obj
     [
-      ( "counters",
-        Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) (Counter.snapshot ())) );
+      ("counters", Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) counters));
       ( "histograms",
-        Json.Obj
-          (List.map (fun (name, s, q) -> (name, hist_json s q)) (Histogram.snapshot_full ())) );
-      ("dropped_span_events", Json.Int (Registry.dropped_events ()));
+        Json.Obj (List.map (fun (name, s, q) -> (name, Json.Obj (hist_fields s q))) hists) );
+      ("dropped_span_events", Json.Int (Flight.dropped_total ()));
     ]
 
 let write_file path = Json.write_file path (to_json ())
 
 let write_jsonl path =
+  let counters, hists = snapshot () in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      List.iter
-        (fun (name, v) ->
-          Json.to_channel oc
-            (Json.Obj
-               [
-                 ("type", Json.String "counter");
-                 ("name", Json.String name);
-                 ("value", Json.Int v);
-               ]);
-          output_char oc '\n')
-        (Counter.snapshot ());
-      List.iter
-        (fun (name, (s : Histogram.summary), (q : Histogram.quantiles)) ->
-          Json.to_channel oc
-            (Json.Obj
-               [
-                 ("type", Json.String "histogram");
-                 ("name", Json.String name);
-                 ("count", Json.Int s.count);
-                 ("sum", Json.Float s.sum);
-                 ("min", Json.Float s.min);
-                 ("max", Json.Float s.max);
-                 ("mean", Json.Float s.mean);
-                 ("p50", Json.Float q.q_p50);
-                 ("p90", Json.Float q.q_p90);
-                 ("p99", Json.Float q.q_p99);
-               ]);
-          output_char oc '\n')
-        (Histogram.snapshot_full ()))
+      let line kind name fields =
+        Json.to_channel oc
+          (Json.Obj (("type", Json.String kind) :: ("name", Json.String name) :: fields));
+        output_char oc '\n'
+      in
+      List.iter (fun (name, v) -> line "counter" name [ ("value", Json.Int v) ]) counters;
+      List.iter (fun (name, s, q) -> line "histogram" name (hist_fields s q)) hists)
 
 let summary_string () =
-  let counters = Counter.snapshot () in
-  let hists = Histogram.snapshot_full () in
+  let counters, hists = snapshot () in
   if counters = [] && hists = [] then ""
   else begin
     let buf = Buffer.create 512 in

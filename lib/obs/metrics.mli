@@ -6,7 +6,8 @@ val to_json : unit -> Json.t
 (** {v {"counters":{...},
        "histograms":{name:{count,sum,min,max,mean,p50,p90,p99}},
        "dropped_span_events":n} v}
-    The p50/p90/p99 fields are log-bucket estimates
+    [dropped_span_events] counts {!Flight} records lost to rings
+    wrapping.  The p50/p90/p99 fields are log-bucket estimates
     ({!Histogram.quantiles}); a bare lifetime summary without them is no
     longer emitted. *)
 

@@ -15,8 +15,6 @@ type hist = {
   h_buckets : int array;  (* log-spaced; geometry lives in Histogram *)
 }
 
-type counter_sample = { sa_name : string; sa_ts_ns : int64; sa_value : float; sa_dom : int }
-
 (* Counter cells are padded out to [cell_words] machine words (two 64-byte
    cache lines including the array header) with the live value in slot 0.
    Each cell is written by exactly one domain — its owner — but cells from
@@ -32,14 +30,6 @@ type local = {
   dom : int;
   counters : (string, int array) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
-  mutable events : span_event list;  (* newest first *)
-  mutable n_events : int;
-  mutable dropped : int;
-  mutable samples : counter_sample list;  (* newest first *)
-  mutable n_samples : int;
-  mutable depth : int;
-  mutable trace : string option;
-  mutable span : int;  (* innermost open span id (Flight); 0 = none *)
 }
 
 (* The master switch is the only cell every probe reads; an [Atomic] load
@@ -47,7 +37,6 @@ type local = {
    race-free under domains. *)
 let enabled = Atomic.make false
 let epoch = ref 0L
-let max_events = Atomic.make 200_000
 
 (* One [local] per domain that ever probed, handed out through
    domain-local storage so the hot paths never lock.  The cells are also
@@ -61,19 +50,7 @@ let locals : local list ref = ref []
 let key =
   Domain.DLS.new_key (fun () ->
       let l =
-        {
-          dom = (Domain.self () :> int);
-          counters = Hashtbl.create 64;
-          hists = Hashtbl.create 64;
-          events = [];
-          n_events = 0;
-          dropped = 0;
-          samples = [];
-          n_samples = 0;
-          depth = 0;
-          trace = None;
-          span = 0;
-        }
+        { dom = (Domain.self () :> int); counters = Hashtbl.create 64; hists = Hashtbl.create 64 }
       in
       Mutex.lock locals_mu;
       locals := l :: !locals;
@@ -107,86 +84,21 @@ let reset () =
          would silently swallow their writes after the next profiled run
          re-arms the registry. *)
       Hashtbl.iter (fun _ c -> Array.fill c 0 cell_words 0) l.counters;
-      Hashtbl.reset l.hists;
-      l.events <- [];
-      l.n_events <- 0;
-      l.dropped <- 0;
-      l.samples <- [];
-      l.n_samples <- 0;
-      l.depth <- 0;
-      l.span <- 0)
+      Hashtbl.reset l.hists)
     ();
+  Flight.reset ();
   epoch := Clock.now_ns ()
 
 let epoch_ns () = !epoch
 
-let depth () = (local ()).depth
+(* A span timed by the caller goes into the one span store, under the
+   calling domain's ambient trace and open span. *)
+let push_event (_ : local) ev =
+  Flight.record_span
+    ?trace:(Flight.current_trace ())
+    ~args:ev.ev_args ~id:(Flight.next_id ()) ~parent:(Flight.current_span ())
+    ~name:ev.ev_name
+    ~t0_ns:(Int64.to_int (Int64.add !epoch ev.ev_ts_ns))
+    ~dur_ns:(Int64.to_int ev.ev_dur_ns) ()
 
-(* The ambient request identity of the calling domain.  Deliberately
-   independent of [on ()]: the event log tags lines with the trace id
-   even when span/counter recording is off. *)
-let set_trace id = (local ()).trace <- id
-
-let current_trace () = (local ()).trace
-
-let with_trace id f =
-  let l = local () in
-  let saved = l.trace in
-  l.trace <- Some id;
-  Fun.protect ~finally:(fun () -> l.trace <- saved) f
-
-(* The causality context: the innermost open span id, minted by the
-   flight recorder.  Like the trace id it is independent of [on ()] —
-   the always-on flight path is exactly the consumer that needs it when
-   the registry is off. *)
-let current_span () = (local ()).span
-
-let with_causality ?trace ?parent f =
-  let l = local () in
-  let saved_trace = l.trace and saved_span = l.span in
-  (match trace with Some _ -> l.trace <- trace | None -> ());
-  (match parent with Some p -> l.span <- p | None -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      l.trace <- saved_trace;
-      l.span <- saved_span)
-    f
-
-let push_event l ev =
-  if l.n_events >= Atomic.get max_events then l.dropped <- l.dropped + 1
-  else begin
-    l.events <- ev :: l.events;
-    l.n_events <- l.n_events + 1
-  end
-
-let all_events () =
-  fold_locals (fun acc l -> acc @ List.rev l.events) []
-
-(* Timestamped gauge samples for the trace export's counter tracks.
-   Same cell discipline as spans: the producer touches only its own
-   domain, the reader merges.  Shares the span cap so a runaway sampler
-   is bounded by the same knob. *)
-let sample name value =
-  if Atomic.get enabled then begin
-    let l = local () in
-    if l.n_samples >= Atomic.get max_events then l.dropped <- l.dropped + 1
-    else begin
-      l.samples <-
-        {
-          sa_name = name;
-          sa_ts_ns = Int64.sub (Clock.now_ns ()) !epoch;
-          sa_value = value;
-          sa_dom = l.dom;
-        }
-        :: l.samples;
-      l.n_samples <- l.n_samples + 1
-    end
-  end
-
-let all_samples () = fold_locals (fun acc l -> acc @ List.rev l.samples) []
-
-let dropped_events () = fold_locals (fun acc l -> acc + l.dropped) 0
-
-let set_max_events n =
-  if n < 0 then invalid_arg "Registry.set_max_events";
-  Atomic.set max_events n
+let set_max_events = Flight.set_capacity

@@ -1,22 +1,26 @@
-(** Process-global observability state, domain-safe.
+(** Process-global counter and histogram state, domain-safe.
 
     One registry per process: a master switch and, per domain that ever
-    probed, a private cell of counter/histogram tables, a span-event
-    buffer and the span nesting depth.  Probes touch only their own
-    domain's cell (reached through [Domain.DLS], never a lock), so the
-    instrumented hot paths stay race-free when they run inside a
-    {!Slif_util.Pool} worker; exporters merge the cells at read time.
-    Everything funnels through {!on} first, so a disabled registry costs
-    exactly one atomic [bool] load and branch per probe (target: <5%
-    overhead on [bench/main.ml]; measured in its A6 section).
+    probed, a private cell of counter/histogram tables.  Probes touch
+    only their own domain's cell (reached through [Domain.DLS], never a
+    lock), so the instrumented hot paths stay race-free when they run
+    inside a {!Slif_util.Pool} worker; exporters merge the cells at read
+    time.  Everything funnels through {!on} first, so a disabled
+    registry costs exactly one atomic [bool] load and branch per probe
+    (target: <5% overhead on [bench/main.ml]; measured in its A6
+    section).
+
+    Spans are not stored here: {!Flight}, which sits below this module,
+    is the one span store, and {!push_event} forwards into it.  The
+    switch decides whether {!Span.with_} also feeds a duration
+    histogram.
 
     Merge semantics: counters sum across domains; histograms combine
-    count/sum/min/max; span events interleave (the trace export orders
-    them by timestamp and tags each with its domain id).  A domain's cell
-    outlives the domain, so the data of joined pool workers survives
-    until export.  {!enable}, {!disable}, {!reset} and the exporters are
-    meant to be called from quiescent points (no concurrent probes), as
-    the CLI and bench drivers do. *)
+    count/sum/min/max.  A domain's cell outlives the domain, so the data
+    of joined pool workers survives until export.  {!enable},
+    {!disable}, {!reset} and the exporters are meant to be called from
+    quiescent points (no concurrent probes), as the CLI and bench
+    drivers do. *)
 
 val on : unit -> bool
 (** True when recording is enabled.  Every probe in {!Counter},
@@ -24,15 +28,16 @@ val on : unit -> bool
     false. *)
 
 val enable : unit -> unit
-(** Turn recording on.  The first call pins the trace epoch (timestamp
-    zero for exported spans). *)
+(** Turn recording on.  The first call pins the epoch {!span_event}
+    timestamps are relative to. *)
 
 val disable : unit -> unit
 (** Turn recording off; accumulated data is kept for export. *)
 
 val reset : unit -> unit
-(** Zero every domain's counters, histograms and span events and re-pin
-    the epoch.  Does not change the enabled flag. *)
+(** Zero every domain's counters and histograms, empty the {!Flight}
+    rings and re-pin the epoch — so "reset, run, export" exports just
+    the run.  Does not change the enabled flag. *)
 
 (** {2 Internal surface used by the sibling modules} *)
 
@@ -40,8 +45,8 @@ type span_event = {
   ev_name : string;
   ev_ts_ns : int64;  (** start, relative to the epoch *)
   ev_dur_ns : int64;
-  ev_depth : int;  (** nesting depth at entry in its domain; 0 = top level *)
-  ev_dom : int;  (** id of the domain that recorded the span *)
+  ev_depth : int;  (** ignored: nesting is carried by parent ids *)
+  ev_dom : int;  (** ignored: the span lands in the calling domain's ring *)
   ev_args : (string * string) list;
 }
 
@@ -55,13 +60,6 @@ type hist = {
   h_buckets : int array;
       (** log-spaced observation counts; the geometry (base, offset,
           width) is owned by {!Histogram} *)
-}
-
-type counter_sample = {
-  sa_name : string;
-  sa_ts_ns : int64;  (** relative to the epoch, like span timestamps *)
-  sa_value : float;
-  sa_dom : int;  (** domain that took the sample *)
 }
 
 val cell_words : int
@@ -79,17 +77,6 @@ type local = {
       (** padded cells ({!cell_words} words, value in slot 0); zeroed in
           place by {!reset} so resolved {!Counter.cell} handles survive *)
   hists : (string, hist) Hashtbl.t;
-  mutable events : span_event list;  (** newest first *)
-  mutable n_events : int;
-  mutable dropped : int;
-  mutable samples : counter_sample list;  (** newest first *)
-  mutable n_samples : int;
-  mutable depth : int;  (** span nesting depth (maintained by {!Span.with_}) *)
-  mutable trace : string option;  (** ambient request trace id, if any *)
-  mutable span : int;
-      (** innermost open span id (minted by {!Flight.next_id}, maintained
-          by {!Span.with_}); 0 = none.  Children parent under it, and
-          {!with_causality} carries it across domain hops. *)
 }
 
 val local : unit -> local
@@ -101,53 +88,11 @@ val fold_locals : ('a -> local -> 'a) -> 'a -> 'a
     exporters merge.  Takes the registration lock only to snapshot the
     cell list. *)
 
-val depth : unit -> int
-(** Current span nesting depth of the calling domain. *)
-
-val set_trace : string option -> unit
-(** Set (or clear) the calling domain's ambient trace id.  Spans opened
-    while it is set carry a [trace_id] arg, and {!Event.emit} tags its
-    lines with it.  Works whether or not recording is enabled. *)
-
-val current_trace : unit -> string option
-
-val with_trace : string -> (unit -> 'a) -> 'a
-(** Run [f] with the trace id set, restoring the previous id afterwards
-    (even on raise). *)
-
-val current_span : unit -> int
-(** The calling domain's innermost open span id (0 = none).  Like
-    {!current_trace}, live whether or not recording is enabled — the
-    always-on flight recorder is its main consumer. *)
-
-val with_causality : ?trace:string -> ?parent:int -> (unit -> 'a) -> 'a
-(** Run [f] with the ambient trace id and/or parent span id set,
-    restoring both afterwards (even on raise).  This is how request
-    causality crosses a domain hop: the dispatching side captures
-    {!current_trace}/{!current_span}, the executing side re-enters them
-    here, and every span or event recorded inside parents correctly. *)
-
 val push_event : local -> span_event -> unit
-(** Append a completed span to the domain's buffer, dropping it (and
-    counting the drop) past {!set_max_events}. *)
-
-val all_events : unit -> span_event list
-(** Completed spans, per-domain completion order, domains in ascending
-    id order. *)
-
-val dropped_events : unit -> int
-(** Total drops across all domains. *)
-
-val sample : string -> float -> unit
-(** Record a timestamped gauge sample in the calling domain's cell —
-    the trace export turns each name into a Perfetto counter track
-    ([ph:"C"]).  No-op while disabled; bounded by {!set_max_events}
-    (excess samples count as drops). *)
-
-val all_samples : unit -> counter_sample list
-(** All gauge samples, per-domain chronological order, domains in
-    ascending id order. *)
+(** Record a span the caller timed itself (an asynchronous request, say)
+    in the calling domain's {!Flight} ring: absolute start
+    [epoch_ns () + ev_ts_ns], a fresh id, the ambient parent span and
+    trace id, and [ev_args]. *)
 
 val set_max_events : int -> unit
-(** Cap each domain's span buffer (default 200_000 events) so a runaway
-    annealing trace cannot exhaust memory. *)
+(** {!Flight.set_capacity}: size every domain's span ring. *)

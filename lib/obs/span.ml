@@ -1,53 +1,28 @@
-let record ?(args = []) l name ~t0 ~dur ~depth ~id ~parent =
-  (* Every span opened while a request trace id is set carries it, so
-     the Chrome trace can be filtered to one request even though the
-     events stay on their domain's lane.  The flight-recorder span id
-     and parent ride along for tree reconstruction. *)
-  let args =
-    ("span_id", string_of_int id)
-    :: ("parent_id", string_of_int parent)
-    ::
-    (match l.Registry.trace with
-    | Some tid -> ("trace_id", tid) :: args
-    | None -> args)
-  in
-  Registry.push_event l
-    {
-      Registry.ev_name = name;
-      ev_ts_ns = Int64.sub t0 (Registry.epoch_ns ());
-      ev_dur_ns = dur;
-      ev_depth = depth;
-      ev_dom = l.Registry.dom;
-      ev_args = args;
-    };
-  Histogram.observe ("span." ^ name) (Int64.to_float dur /. 1e3)
-
 let with_ ?args name f =
   let fl = Flight.on () in
   let reg = Registry.on () in
   if not (fl || reg) then f ()
   else begin
-    (* All mutation lands in the calling domain's cell: the nesting
-       depth, the open-span id and the event buffer are per-domain, so
-       spans opened inside pool workers never race.  The flight write
-       happens whether or not the registry is armed — that is the
-       always-on black box. *)
-    let l = Registry.local () in
+    (* The open-span id lives in the calling domain's context, so spans
+       opened inside pool workers never race.  The ring write happens
+       whether or not the registry is armed — that is the always-on
+       black box.  Arming adds the duration histogram and keeps [args]:
+       unarmed, a ring slot must not keep the caller's heap data alive
+       until the ring laps it. *)
+    let c = Flight.context () in
     let t0 = Clock.now_ns () in
-    let d = l.Registry.depth in
-    let parent = l.Registry.span in
+    let parent = c.Flight.span in
     let id = Flight.next_id () in
-    l.Registry.depth <- d + 1;
-    l.Registry.span <- id;
+    c.Flight.span <- id;
     let finish () =
-      l.Registry.depth <- d;
-      l.Registry.span <- parent;
+      c.Flight.span <- parent;
       let dur = Int64.sub (Clock.now_ns ()) t0 in
       if fl then
-        Flight.record_span
-          ?trace:l.Registry.trace ~id ~parent ~name
+        Flight.record_span ?trace:c.Flight.trace
+          ?args:(if reg then args else None)
+          ~id ~parent ~name
           ~t0_ns:(Int64.to_int t0) ~dur_ns:(Int64.to_int dur) ();
-      if reg then record ?args l name ~t0 ~dur ~depth:d ~id ~parent
+      if reg then Histogram.observe ("span." ^ name) (Int64.to_float dur /. 1e3)
     in
     match f () with
     | v ->

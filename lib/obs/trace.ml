@@ -1,78 +1,1 @@
-type event = {
-  name : string;
-  ts_us : float;
-  dur_us : float;
-  depth : int;
-  dom : int;
-  args : (string * string) list;
-}
-
-let events () =
-  Registry.all_events ()
-  |> List.map (fun (ev : Registry.span_event) ->
-         {
-           name = ev.ev_name;
-           ts_us = Int64.to_float ev.ev_ts_ns /. 1e3;
-           dur_us = Int64.to_float ev.ev_dur_ns /. 1e3;
-           depth = ev.ev_depth;
-           dom = ev.ev_dom;
-           args = ev.ev_args;
-         })
-  |> List.stable_sort (fun a b -> compare a.ts_us b.ts_us)
-
-let event_json ev =
-  let args =
-    ("depth", Json.Int ev.depth)
-    :: List.map (fun (k, v) -> (k, Json.String v)) ev.args
-  in
-  Json.Obj
-    [
-      ("name", Json.String ev.name);
-      ("cat", Json.String "slif");
-      ("ph", Json.String "X");
-      ("ts", Json.Float ev.ts_us);
-      ("dur", Json.Float ev.dur_us);
-      ("pid", Json.Int 1);
-      (* One trace row per domain: spans from pool workers land on their
-         own timeline instead of overlapping the submitter's. *)
-      ("tid", Json.Int ev.dom);
-      ("args", Json.Obj args);
-    ]
-
-(* Perfetto counter tracks: one "ph":"C" event per gauge sample.  The
-   (pid, name) pair identifies the track, so samples from different
-   domains fold into one line per counter name; the sampling domain is
-   kept as an arg for filtering. *)
-let sample_json (s : Registry.counter_sample) =
-  Json.Obj
-    [
-      ("name", Json.String s.sa_name);
-      ("cat", Json.String "slif");
-      ("ph", Json.String "C");
-      ("ts", Json.Float (Int64.to_float s.sa_ts_ns /. 1e3));
-      ("pid", Json.Int 1);
-      ("tid", Json.Int 0);
-      ("args", Json.Obj [ ("value", Json.Float s.sa_value); ("dom", Json.Int s.sa_dom) ]);
-    ]
-
-let process_name_event =
-  Json.Obj
-    [
-      ("name", Json.String "process_name");
-      ("ph", Json.String "M");
-      ("pid", Json.Int 1);
-      ("args", Json.Obj [ ("name", Json.String "slif") ]);
-    ]
-
-let to_json () =
-  Json.Obj
-    [
-      ( "traceEvents",
-        Json.List
-          ((process_name_event :: List.map event_json (events ()))
-          @ List.map sample_json (Registry.all_samples ())) );
-      ("displayTimeUnit", Json.String "ms");
-      ("droppedSpanEvents", Json.Int (Registry.dropped_events ()));
-    ]
-
-let write_file path = Json.write_file path (to_json ())
+let write_file path = Json.write_file path (Flight.to_chrome ())

@@ -1,23 +1,11 @@
-(** Chrome [trace_event] export of the recorded spans.
+(** Chrome [trace_event] export of the {!Flight} window.
 
     The output is the JSON-object flavor of the trace-event format
-    ({v {"traceEvents":[...]} v}) with one complete ("ph":"X") event per
-    span, timestamps in microseconds relative to the registry epoch.  It
-    loads directly in [chrome://tracing] and {{:https://ui.perfetto.dev}
-    Perfetto}. *)
-
-type event = {
-  name : string;
-  ts_us : float;  (** start, microseconds since the epoch *)
-  dur_us : float;
-  depth : int;
-  dom : int;  (** recording domain — the exported [tid], one row per domain *)
-  args : (string * string) list;
-}
-
-val events : unit -> event list
-(** Recorded spans sorted by start time (the export order). *)
-
-val to_json : unit -> Json.t
+    ({v {"traceEvents":[...]} v}) as {!Flight.to_chrome} renders it:
+    spans as complete ("ph":"X") events with their args, counter
+    samples as ("ph":"C") tracks, timestamps in microseconds from the
+    window's oldest record.  It loads directly in [chrome://tracing] and
+    {{:https://ui.perfetto.dev} Perfetto}.  Call {!Registry.reset}
+    before a run to export just that run. *)
 
 val write_file : string -> unit

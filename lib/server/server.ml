@@ -639,7 +639,8 @@ let span_json t0 (r : Obs.Flight.record) =
         J.String
           (match r.Obs.Flight.fr_kind with
           | Obs.Flight.Span -> "span"
-          | Obs.Flight.Event -> "event") );
+          | Obs.Flight.Event -> "event"
+          | Obs.Flight.Counter -> "counter") );
       ("dom", J.Int r.Obs.Flight.fr_dom);
       ("id", J.Int r.Obs.Flight.fr_id);
       ("parent", J.Int r.Obs.Flight.fr_parent);
@@ -770,7 +771,7 @@ let worker_loop sh env w =
           ~dur_ns:(now_ns - job.jb_enq_ns) ()
       end;
       let out =
-        Obs.Registry.with_causality ~trace:job.jb_tid ~parent:job.jb_root @@ fun () ->
+        Obs.Flight.with_causality ~trace:job.jb_tid ~parent:job.jb_root @@ fun () ->
         let out =
           match execute env job with
           | out -> out
@@ -816,7 +817,7 @@ let worker_loop sh env w =
    position so per-connection ordering holds. *)
 let render_control st ~tid ~root req =
   let module J = Obs.Json in
-  Obs.Registry.with_causality ~trace:tid ~parent:root @@ fun () ->
+  Obs.Flight.with_causality ~trace:tid ~parent:root @@ fun () ->
   let t0 = Obs.Clock.now_us () in
   let op = Protocol.op_name req in
   let resp =
@@ -887,6 +888,18 @@ let listen_socket addr =
       Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
       Unix.listen fd 64;
       fd
+
+(* A reply must hit the wire when it is written, not when the client's
+   next request happens to ACK the previous segment (Nagle against
+   delayed ACK), so TCP connections get TCP_NODELAY.  Unix-domain
+   sockets have no such option. *)
+let accept listen_fd =
+  let fd, peer = Unix.accept listen_fd in
+  (match peer with
+  | Unix.ADDR_INET _ -> (
+      try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
+  | Unix.ADDR_UNIX _ -> ());
+  (fd, peer)
 
 let close_conn st conns c =
   (try Unix.close c.fd with Unix.Unix_error _ -> ());
@@ -1272,7 +1285,7 @@ let run ?on_ready cfg =
           drain ()
         end;
         if List.memq listen_fd readable then begin
-          match Unix.accept listen_fd with
+          match accept listen_fd with
           | fd, _ when st.inflight >= conn_cap ->
               (* Refused before it is ever polled: one best-effort
                  nonblocking write of the typed refusal, then close. *)

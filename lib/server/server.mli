@@ -25,7 +25,7 @@
     requests drain and their responses flush before the sockets close.
 
     Observability: every request is assigned a trace id
-    ([c<conn>-r<serial>]) installed via {!Slif_obs.Registry.with_trace}
+    ([c<conn>-r<serial>]) installed via {!Slif_obs.Flight.with_causality}
     on the worker that executes it, so the [server.request.<op>] span
     and every {!Slif_obs.Event} line emitted while serving it share the
     id.  Per-op latency is recorded in always-on lifetime histograms
@@ -101,6 +101,12 @@ val default_config : addr -> config
     request limit, no slow-log, 64 MB line cap, 4096 batch items, 32 MB
     outq cap, {!default_max_connections} connections, no graph budget,
     32 retained traces, no trace dir. *)
+
+val accept : Unix.file_descr -> Unix.file_descr * Unix.sockaddr
+(** Accept one connection as the daemon does: a TCP connection gets
+    [TCP_NODELAY], so a reply is not held back waiting for the client's
+    next request to ACK the previous one; a Unix-domain one is left as
+    is. *)
 
 val run : ?on_ready:(Unix.sockaddr -> unit) -> config -> unit
 (** Bind, listen and serve until a [shutdown] request (or the request

@@ -295,13 +295,13 @@ let mapi pool f tasks =
          still parents its spans under the submitter's open span. *)
       let profiled = Slif_obs.Registry.on () || Slif_obs.Attribution.on () in
       let fl = Slif_obs.Flight.on () in
-      let sub_trace = Slif_obs.Registry.current_trace () in
-      let sub_span = Slif_obs.Registry.current_span () in
+      let sub_trace = Slif_obs.Flight.current_trace () in
+      let sub_span = Slif_obs.Flight.current_span () in
       let wall0 = if profiled then Slif_obs.Clock.now_us () else 0.0 in
       let t_submit = if profiled then Slif_obs.Clock.now_us () else 0.0 in
       let t_submit_ns = if fl then Int64.to_int (Slif_obs.Clock.now_ns ()) else 0 in
       let run_task i =
-        Slif_obs.Registry.with_causality ?trace:sub_trace
+        Slif_obs.Flight.with_causality ?trace:sub_trace
           ?parent:(if sub_span = 0 then None else Some sub_span)
           (fun () ->
             if fl then begin
@@ -338,9 +338,8 @@ let mapi pool f tasks =
         if profiled then begin
           (* Counter tracks for the trace export: queue drain and task
              completion over time. *)
-          Slif_obs.Registry.sample "pool.queue_depth"
-            (float_of_int (Queue.length pool.queue));
-          Slif_obs.Registry.sample "pool.tasks_completed" (float_of_int pool.completed)
+          Slif_obs.Flight.record_counter "pool.queue_depth" (Queue.length pool.queue);
+          Slif_obs.Flight.record_counter "pool.tasks_completed" pool.completed
         end;
         if !remaining = 0 then Condition.broadcast settled;
         Slif_obs.Lockprof.unlock pool.lock

@@ -147,7 +147,7 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     settled, so failure behavior is deterministic too.
 
     Causality: each task runs under the submitter's ambient trace id and
-    open span id (via {!Slif_obs.Registry.with_causality}), and — with
+    open span id (via {!Slif_obs.Flight.with_causality}), and — with
     the flight recorder on — records a [pool.queue_wait] span parented
     under the submitter's span, so a request's tree stays connected
     across the domain hop. *)

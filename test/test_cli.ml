@@ -108,6 +108,49 @@ let test_obs_flags () =
     | _ -> Alcotest.fail "traceEvents missing from trace export"
   end
 
+(* A --trace file is the flight window: the figure4.spec span keeps its
+   custom [spec] arg, the pool's counter samples become "C" tracks, and
+   every parent id resolves to a span in the same file (0 = root). *)
+let test_trace_args_and_counters () =
+  if not (Lazy.force available) then ()
+  else begin
+    let t = Filename.temp_file "slif" ".trace.json" in
+    let code, _ = run_cli (Printf.sprintf "figure4 -j 2 --trace %s" t) in
+    Alcotest.(check int) "figure4 exit" 0 code;
+    let ic = open_in_bin t in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove t;
+    let module J = Slif_obs.Json in
+    let events =
+      match J.parse text with
+      | Ok json -> (
+          match J.member "traceEvents" json with
+          | Some (J.List l) -> l
+          | _ -> Alcotest.fail "traceEvents missing")
+      | Error msg -> Alcotest.failf "trace is invalid JSON: %s" msg
+    in
+    let str k e = match J.member k e with Some (J.String s) -> s | _ -> "" in
+    let arg k e = Option.bind (J.member "args" e) (J.member k) in
+    let phase ph = List.filter (fun e -> str "ph" e = ph) events in
+    let spans = phase "X" in
+    Alcotest.(check bool) "figure4.spec carries its spec arg" true
+      (List.exists
+         (fun e -> str "name" e = "figure4.spec" && arg "spec" e = Some (J.String "ans"))
+         spans);
+    let tracks = List.sort_uniq compare (List.map (str "name") (phase "C")) in
+    Alcotest.(check (list string)) "pool counter tracks"
+      [ "pool.queue_depth"; "pool.tasks_completed" ] tracks;
+    let ids = List.filter_map (arg "id") spans in
+    List.iter
+      (fun e ->
+        match arg "parent" e with
+        | Some (J.Int 0) -> ()
+        | Some p when List.mem p ids -> ()
+        | _ -> Alcotest.failf "span %s has a dangling parent" (str "name" e))
+      spans
+  end
+
 let test_explore_jobs_differential () =
   if not (Lazy.force available) then ()
   else begin
@@ -310,4 +353,6 @@ let suite =
     Alcotest.test_case "legacy text decision replays" `Slow test_load_legacy_text_decision;
     Alcotest.test_case "golden decision replay" `Slow test_golden_decision_replay;
     Alcotest.test_case "figure4 -j" `Slow test_figure4_jobs;
+    Alcotest.test_case "--trace keeps span args and counter tracks" `Slow
+      test_trace_args_and_counters;
   ]

@@ -112,7 +112,7 @@ let test_span_records_always_on () =
 
 let test_by_trace_and_parent_chain () =
   with_fresh @@ fun () ->
-  Obs.Registry.with_trace "flight-req" (fun () ->
+  Flight.with_trace "flight-req" (fun () ->
       Obs.Span.with_ "flight.req.work" (fun () ->
           Obs.Event.emit "flight.req.mark";
           Obs.Span.with_ "flight.req.step" (fun () -> ())));
@@ -137,7 +137,7 @@ let test_pool_carries_causality () =
      tasks prove a second domain executed one — the cross-domain hop is
      guaranteed, not a scheduling accident. *)
   let started = Atomic.make 0 in
-  Obs.Registry.with_trace "flight-pool" (fun () ->
+  Flight.with_trace "flight-pool" (fun () ->
       Obs.Span.with_ "flight.pool.submit" (fun () ->
           ignore
             (Slif_util.Pool.map pool
@@ -188,7 +188,7 @@ let test_pool_carries_causality () =
 
 let test_chrome_export () =
   with_fresh @@ fun () ->
-  Obs.Registry.with_trace "flight-chrome" (fun () ->
+  Flight.with_trace "flight-chrome" (fun () ->
       Obs.Span.with_ "flight.chrome.span" (fun () -> Obs.Event.emit "flight.chrome.ev"));
   let json = Flight.to_chrome () in
   (* Round-trips through the parser. *)
@@ -218,6 +218,38 @@ let test_chrome_export () =
   | Some (Obs.Json.Int ts) -> Alcotest.(check bool) "timestamps rebased" true (ts >= 0)
   | _ -> Alcotest.fail "first trace event has no ts")
 
+(* Counter samples ride in the dur slot under the ambient parent and
+   export as "C" tracks; span args export next to id/parent. *)
+let test_counters_and_args () =
+  with_fresh @@ fun () ->
+  let id = Flight.next_id () in
+  let t0_ns = Int64.to_int (Obs.Clock.now_ns ()) in
+  Flight.with_causality ~parent:id (fun () -> Flight.record_counter "flight.args.depth" 7);
+  Flight.record_span ~args:[ ("spec", "ether") ] ~id ~parent:0 ~name:"flight.args.span"
+    ~t0_ns ~dur_ns:1 ();
+  let recs = Flight.snapshot () in
+  let find name = List.find (fun (r : Flight.record) -> r.Flight.fr_name = name) recs in
+  let span = find "flight.args.span" and sample = find "flight.args.depth" in
+  Alcotest.(check bool) "counter kind" true (sample.Flight.fr_kind = Flight.Counter);
+  Alcotest.(check int) "value in the dur slot" 7 sample.Flight.fr_dur_ns;
+  Alcotest.(check int) "sample under the open span" span.Flight.fr_id sample.Flight.fr_parent;
+  Alcotest.(check (list (pair string string))) "span args kept" [ ("spec", "ether") ]
+    span.Flight.fr_args;
+  let events =
+    match Obs.Json.member "traceEvents" (Flight.to_chrome ()) with
+    | Some (Obs.Json.List l) -> l
+    | _ -> Alcotest.fail "no traceEvents list"
+  in
+  let named name =
+    List.find (fun e -> Obs.Json.member "name" e = Some (Obs.Json.String name)) events
+  in
+  let arg k e = Option.bind (Obs.Json.member "args" e) (Obs.Json.member k) in
+  Alcotest.(check bool) "counter track" true
+    (Obs.Json.member "ph" (named "flight.args.depth") = Some (Obs.Json.String "C")
+    && arg "value" (named "flight.args.depth") = Some (Obs.Json.Int 7));
+  Alcotest.(check bool) "span arg exported" true
+    (arg "spec" (named "flight.args.span") = Some (Obs.Json.String "ether"))
+
 let suite =
   [
     Alcotest.test_case "record and snapshot" `Quick test_record_and_snapshot;
@@ -230,4 +262,5 @@ let suite =
     Alcotest.test_case "by_trace and the parent chain" `Quick test_by_trace_and_parent_chain;
     Alcotest.test_case "pool hops keep causality" `Quick test_pool_carries_causality;
     Alcotest.test_case "chrome export" `Quick test_chrome_export;
+    Alcotest.test_case "counter samples and span args" `Quick test_counters_and_args;
   ]

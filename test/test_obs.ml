@@ -19,6 +19,11 @@ let read_file path =
   close_in ic;
   s
 
+(* The ring's completed spans, oldest first.  [with_fresh] empties the
+   rings, so these are the test's own spans. *)
+let spans () =
+  List.filter (fun (r : Obs.Flight.record) -> r.fr_kind = Obs.Flight.Span) (Obs.Flight.snapshot ())
+
 let parse_ok what text =
   match Obs.Json.parse text with
   | Ok json -> json
@@ -35,27 +40,26 @@ let test_span_nesting () =
          42)
    in
    Alcotest.(check int) "with_ returns the body's value" 42 result;
-   let events = Obs.Trace.events () in
+   let events = spans () in
    Alcotest.(check (list string))
-     "events sorted by start time" [ "outer"; "inner1"; "inner2" ]
-     (List.map (fun (e : Obs.Trace.event) -> e.name) events);
-   let find name = List.find (fun (e : Obs.Trace.event) -> e.name = name) events in
+     "spans sorted by start time" [ "outer"; "inner1"; "inner2" ]
+     (List.map (fun (r : Obs.Flight.record) -> r.fr_name) events);
+   let find name = List.find (fun (r : Obs.Flight.record) -> r.fr_name = name) events in
    let outer = find "outer" and inner1 = find "inner1" and inner2 = find "inner2" in
-   Alcotest.(check int) "outer at depth 0" 0 outer.depth;
-   Alcotest.(check int) "inner1 nested" 1 inner1.depth;
-   Alcotest.(check int) "inner2 nested" 1 inner2.depth;
+   Alcotest.(check int) "outer is a root" 0 outer.fr_parent;
+   Alcotest.(check int) "inner1 nested" outer.fr_id inner1.fr_parent;
+   Alcotest.(check int) "inner2 nested" outer.fr_id inner2.fr_parent;
    Alcotest.(check bool) "children start after the parent" true
-     (inner1.ts_us >= outer.ts_us && inner2.ts_us >= inner1.ts_us);
+     (inner1.fr_ts_ns >= outer.fr_ts_ns && inner2.fr_ts_ns >= inner1.fr_ts_ns);
    Alcotest.(check bool) "parent spans its children" true
-     (outer.dur_us >= inner1.dur_us +. inner2.dur_us))
+     (outer.fr_dur_ns >= inner1.fr_dur_ns + inner2.fr_dur_ns))
     ()
 
 let test_span_exception () =
   (with_fresh @@ fun () ->
    (try Obs.Span.with_ "failing" (fun () -> failwith "boom") with Failure _ -> ());
-   Alcotest.(check int) "span recorded despite the raise" 1
-     (List.length (Obs.Trace.events ()));
-   Alcotest.(check int) "depth restored" 0 (Obs.Registry.depth ()))
+   Alcotest.(check int) "span recorded despite the raise" 1 (List.length (spans ()));
+   Alcotest.(check int) "open span restored" 0 (Obs.Flight.current_span ()))
     ()
 
 let test_span_histogram () =
@@ -105,19 +109,28 @@ let test_histogram_stats () =
 
 (* --- Disabled mode ------------------------------------------------------- *)
 
+(* Registry off: no counter, histogram or span args (the always-on ring
+   still takes the span).  Registry and flight both off: no record. *)
 let test_disabled_noop () =
   Obs.Registry.reset ();
   Obs.Registry.disable ();
-  let result = Obs.Span.with_ "ghost" (fun () -> Obs.Counter.incr "ghost.count"; 7) in
+  let result =
+    Obs.Span.with_ "ghost" ~args:[ ("k", "v") ] (fun () -> Obs.Counter.incr "ghost.count"; 7)
+  in
   Alcotest.(check int) "with_ still runs the body" 7 result;
   Alcotest.(check int) "no counter recorded" 0 (Obs.Counter.get "ghost.count");
-  Alcotest.(check int) "no span recorded" 0 (List.length (Obs.Trace.events ()));
   Alcotest.(check bool) "no histogram recorded" true
     (Obs.Histogram.summary "span.ghost" = None);
+  Alcotest.(check (list (list (pair string string)))) "span kept, args dropped" [ [] ]
+    (List.map (fun (r : Obs.Flight.record) -> r.fr_args) (spans ()));
+  Obs.Registry.reset ();
+  Obs.Flight.disable ();
+  Fun.protect ~finally:Obs.Flight.enable @@ fun () ->
+  Alcotest.(check int) "fully off: still runs the body" 7 (Obs.Span.with_ "ghost" (fun () -> 7));
   (match try Obs.Span.with_ "ghost2" (fun () -> raise Exit) with Exit -> () with
   | () -> ());
-  Alcotest.(check int) "exceptions pass through untouched" 0
-    (List.length (Obs.Trace.events ()))
+  Alcotest.(check int) "fully off: no record, exceptions pass through" 0
+    (Obs.Flight.records_total ())
 
 let test_instrumented_paths_silent_when_disabled () =
   Obs.Registry.reset ();
@@ -140,13 +153,19 @@ let test_trace_export_valid_json () =
    Sys.remove path;
    match Obs.Json.member "traceEvents" json with
    | Some (Obs.Json.List events) ->
-       (* Metadata event plus the two spans. *)
+       (* The two spans plus the metadata event. *)
        Alcotest.(check int) "event count" 3 (List.length events);
        List.iter
          (fun ev ->
            Alcotest.(check bool) "every event has a name and ph" true
              (Obs.Json.member "name" ev <> None && Obs.Json.member "ph" ev <> None))
-         events
+         events;
+       let outer =
+         List.find (fun ev -> Obs.Json.member "name" ev = Some (Obs.Json.String "outer")) events
+       in
+       Alcotest.(check bool) "span args survive the export" true
+         (Option.bind (Obs.Json.member "args" outer) (Obs.Json.member "spec")
+         = Some (Obs.Json.String "tiny \"quoted\"\n"))
    | _ -> Alcotest.fail "traceEvents missing or not a list")
     ()
 
@@ -245,9 +264,7 @@ let test_pipeline_counters_fire () =
    let slif = Slif.Annotate.run ~techs:Tech.Parts.all sem (Slif.Build.build sem) in
    Alcotest.(check bool) "build.nodes counted" true (Obs.Counter.get "build.nodes" > 0);
    Alcotest.(check bool) "parse span recorded" true
-     (List.exists
-        (fun (e : Obs.Trace.event) -> e.name = "vhdl.parse")
-        (Obs.Trace.events ()));
+     (List.exists (fun (r : Obs.Flight.record) -> r.fr_name = "vhdl.parse") (spans ()));
    let s = Helpers.proc_asic_components slif in
    let graph = Slif.Graph.make s in
    let part = Specsyn.Search.seed_partition s in
@@ -260,17 +277,46 @@ let test_pipeline_counters_fire () =
      (Obs.Counter.get "estimate.memo_miss" > 0))
     ()
 
+(* The ring keeps the newest [capacity] spans and counts the rest as
+   drops; [set_max_events] is the span-store capacity. *)
 let test_event_cap () =
   (with_fresh @@ fun () ->
    Obs.Registry.set_max_events 3;
    Fun.protect
-     ~finally:(fun () -> Obs.Registry.set_max_events 200_000)
+     ~finally:(fun () -> Obs.Flight.set_capacity Obs.Flight.default_capacity)
      (fun () ->
        for _ = 1 to 5 do
          Obs.Span.with_ "spam" (fun () -> ())
        done;
-       Alcotest.(check int) "buffer capped" 3 (List.length (Obs.Trace.events ()));
-       Alcotest.(check int) "drops counted" 2 (Obs.Registry.dropped_events ())))
+       Alcotest.(check int) "ring capped" 3 (List.length (spans ()));
+       Alcotest.(check int) "drops counted" 2 (Obs.Flight.dropped_total ())))
+    ()
+
+(* A span the caller timed itself (slifbench's daemon requests) lands
+   in the ring with the caller's start, duration and args, under the
+   ambient open span. *)
+let test_push_event () =
+  (with_fresh @@ fun () ->
+   let t0 = Int64.add (Obs.Registry.epoch_ns ()) 5_000L in
+   Obs.Span.with_ "push.parent" (fun () ->
+       Obs.Registry.push_event (Obs.Registry.local ())
+         {
+           Obs.Registry.ev_name = "push.child";
+           ev_ts_ns = Int64.sub t0 (Obs.Registry.epoch_ns ());
+           ev_dur_ns = 1_234L;
+           ev_depth = 0;
+           ev_dom = (Obs.Registry.local ()).dom;
+           ev_args = [ ("k", "v") ];
+         });
+   let find name = List.find (fun (r : Obs.Flight.record) -> r.fr_name = name) (spans ()) in
+   match (spans (), find "push.child", find "push.parent") with
+   | [ _; _ ], child, parent ->
+       Alcotest.(check int) "caller's absolute start" (Int64.to_int t0) child.fr_ts_ns;
+       Alcotest.(check int) "caller's duration" 1_234 child.fr_dur_ns;
+       Alcotest.(check (list (pair string string))) "args kept" [ ("k", "v") ] child.fr_args;
+       Alcotest.(check bool) "fresh id" true (child.fr_id > 0 && child.fr_id <> parent.fr_id);
+       Alcotest.(check int) "ambient parent" parent.fr_id child.fr_parent
+   | recs, _, _ -> Alcotest.failf "expected 2 spans, got %d" (List.length recs))
     ()
 
 (* --- Quantiles ------------------------------------------------------------ *)
@@ -423,7 +469,7 @@ let test_event_sampling () =
 
 let test_event_trace_id () =
   with_event_log (fun path ->
-      Obs.Registry.with_trace "t-42" (fun () -> Obs.Event.emit "inside");
+      Obs.Flight.with_trace "t-42" (fun () -> Obs.Event.emit "inside");
       Obs.Event.emit "outside";
       Obs.Event.close_log ();
       match read_jsonl path with
@@ -445,13 +491,11 @@ let test_event_disabled_is_noop () =
 
 let test_span_trace_id_arg () =
   (with_fresh @@ fun () ->
-   Obs.Registry.with_trace "req-7" (fun () -> Obs.Span.with_ "work" (fun () -> ()));
+   Obs.Flight.with_trace "req-7" (fun () -> Obs.Span.with_ "work" (fun () -> ()));
    Obs.Span.with_ "untraced" (fun () -> ());
-   let find name = List.find (fun (e : Obs.Trace.event) -> e.name = name) (Obs.Trace.events ()) in
-   Alcotest.(check (option string)) "span carries the ambient trace id" (Some "req-7")
-     (List.assoc_opt "trace_id" (find "work").args);
-   Alcotest.(check (option string)) "no ambient id, no arg" None
-     (List.assoc_opt "trace_id" (find "untraced").args))
+   let find name = List.find (fun (r : Obs.Flight.record) -> r.fr_name = name) (spans ()) in
+   Alcotest.(check string) "span carries the ambient trace id" "req-7" (find "work").fr_trace;
+   Alcotest.(check string) "no ambient id, none recorded" "" (find "untraced").fr_trace)
     ()
 
 (* --- Prometheus rendering --------------------------------------------------- *)
@@ -597,6 +641,7 @@ let suite =
     Alcotest.test_case "pipeline counters fire when enabled" `Quick
       test_pipeline_counters_fire;
     Alcotest.test_case "span buffer cap" `Quick test_event_cap;
+    Alcotest.test_case "push_event lands in the ring" `Quick test_push_event;
     Alcotest.test_case "quantile estimation accuracy" `Quick test_quantile_estimation;
     Alcotest.test_case "quantiles clamp to the true max" `Quick
       test_quantiles_clamped_to_max;

@@ -458,10 +458,13 @@ let test_obs_stress () =
   | None -> Alcotest.fail "span histogram missing"
   | Some s ->
       Alcotest.(check int) "span count" (domains * spans_per_domain) s.Obs.Histogram.count);
-  let events = Obs.Trace.events () in
+  let events =
+    List.filter (fun (r : Obs.Flight.record) -> r.fr_name = "stress.tick") (Obs.Flight.snapshot ())
+  in
   Alcotest.(check int) "event count" (domains * spans_per_domain) (List.length events);
+  Alcotest.(check int) "no ring dropped a span" 0 (Obs.Flight.dropped_total ());
   let doms =
-    List.sort_uniq compare (List.map (fun (e : Obs.Trace.event) -> e.dom) events)
+    List.sort_uniq compare (List.map (fun (r : Obs.Flight.record) -> r.fr_dom) events)
   in
   Alcotest.(check int) "one lane per domain" domains (List.length doms)
 

@@ -566,11 +566,13 @@ let test_trace_ids_shared () =
       Alcotest.(check bool) "request events logged" true (List.length log_traces >= 2);
       let span_traces =
         List.filter_map
-          (fun (e : Slif_obs.Trace.event) ->
-            if String.length e.name >= 15 && String.sub e.name 0 15 = "server.request." then
-              List.assoc_opt "trace_id" e.args
+          (fun (r : Slif_obs.Flight.record) ->
+            if
+              r.fr_kind = Slif_obs.Flight.Span && r.fr_trace <> ""
+              && String.starts_with ~prefix:"server.request." r.fr_name
+            then Some r.fr_trace
             else None)
-          (Slif_obs.Trace.events ())
+          (Slif_obs.Flight.snapshot ())
       in
       Alcotest.(check bool) "request spans carry trace ids" true
         (List.length span_traces >= 2);
@@ -944,6 +946,34 @@ let test_flight_dump_op () =
 
 (* A listener whose backlog completes the TCP handshake but which never
    reads or replies: connect succeeds, the request stalls. *)
+(* The daemon's accept turns Nagle off on TCP connections (a reply
+   must not wait for the next request's ACK) and leaves Unix-domain
+   connections alone.  The option is read back from the accepted
+   socket, not inferred from a timing. *)
+let test_accept_nodelay () =
+  let accepted domain addr =
+    let listener = Unix.socket domain Unix.SOCK_STREAM 0 in
+    let client = Unix.socket domain Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> List.iter Unix.close [ client; listener ])
+      (fun () ->
+        Unix.bind listener addr;
+        Unix.listen listener 1;
+        Unix.connect client (Unix.getsockname listener);
+        let fd, _ = Server.accept listener in
+        Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+            match Unix.getsockopt fd Unix.TCP_NODELAY with
+            | v -> Some v
+            | exception Unix.Unix_error _ -> None))
+  in
+  Alcotest.(check (option bool)) "TCP: TCP_NODELAY set" (Some true)
+    (accepted Unix.PF_INET (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)));
+  let path = Filename.temp_file "slif_nodelay" ".sock" in
+  Sys.remove path;
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) @@ fun () ->
+  Alcotest.(check (option bool)) "Unix-domain: no TCP option" None
+    (accepted Unix.PF_UNIX (Unix.ADDR_UNIX path))
+
 let test_client_timeout () =
   let srv = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt srv Unix.SO_REUSEADDR true;
@@ -1005,6 +1035,7 @@ let suite =
     Alcotest.test_case "tail retention keeps the cross-domain tree" `Slow
       test_flight_retention;
     Alcotest.test_case "dump op exports the flight window" `Slow test_flight_dump_op;
+    Alcotest.test_case "accept sets TCP_NODELAY on TCP only" `Quick test_accept_nodelay;
     Alcotest.test_case "client timeout on a stalled socket" `Quick test_client_timeout;
     Alcotest.test_case "client rejects non-positive timeout" `Quick
       test_client_timeout_rejects_bad_value;
