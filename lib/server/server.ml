@@ -165,6 +165,13 @@ type state = {
   mutable stop : bool;
 }
 
+(* A store-file target resolves to either a shared lazy v2 handle or a
+   v1 marker (v1 containers can only be decoded whole) that remembers
+   which file it saw, so both revalidate the same way. *)
+type stored =
+  | Lazy of Slif_store.Lazy_store.t
+  | Eager_v1 of Slif_store.Lazy_store.identity
+
 (* The execution environment workers see: configuration, the sharded
    resident set, and the open store-file handles — no acceptor-owned
    mutable accounting.  Handles are keyed by path and shared across
@@ -176,7 +183,7 @@ type state = {
 type exec_env = {
   x_cfg : config;
   x_lru : Slif.Types.t Lru.Sharded.t;
-  x_stores : Slif_store.Lazy_store.t Lru.t;
+  x_stores : stored Lru.t;
   x_stores_lock : Mutex.t;
 }
 
@@ -239,38 +246,46 @@ let source_of_bundled name =
            (String.concat ", "
               (List.map (fun s -> s.Specs.Registry.spec_name) Specs.Registry.all)))
 
-(* A store-file target resolves to either a shared lazy v2 handle or a
-   v1 marker (v1 containers can only be decoded whole). *)
-type stored = Lazy of Slif_store.Lazy_store.t | Eager_v1
-
 let stored_key path = "store:" ^ path
 
 (* Resolve a path to a cached handle, revalidating on every hit: the
    mmap pins the inode it mapped, and [save_slif] replaces stores by
    atomic rename, so a hit whose (dev, ino, size, mtime) no longer
    matches the path means the file was regenerated — drop the stale
-   handle *and* its decoded [store:<path>] LRU entry, then reopen. *)
+   handle *and* its decoded [store:<path>] LRU entry, then reopen.  A
+   path with no handle cached drops the decoded entry too: nothing
+   vouches for it any more. *)
 let store_handle env path =
   Mutex.lock env.x_stores_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock env.x_stores_lock)
     (fun () ->
       let reopen () =
-        match Slif_store.Lazy_store.open_file path with
-        | Ok h ->
-            Lru.add env.x_stores path h;
-            Ok (Lazy h)
-        | Error (Slif_store.Store.Unsupported_version 1) -> Ok Eager_v1
-        | Error err -> Error (Slif_store.Store.error_message err)
+        let opened =
+          match Slif_store.Lazy_store.open_file path with
+          | Ok h -> Ok (Lazy h)
+          | Error (Slif_store.Store.Unsupported_version 1) -> (
+              match Slif_store.Lazy_store.file_identity path with
+              | Some id -> Ok (Eager_v1 id)
+              | None -> Error (path ^ ": store file vanished while opening"))
+          | Error err -> Error (Slif_store.Store.error_message err)
+        in
+        Result.iter (Lru.add env.x_stores path) opened;
+        opened
+      in
+      let stale = function
+        | Lazy h -> Slif_store.Lazy_store.stale h
+        | Eager_v1 id -> Slif_store.Lazy_store.changed path id
       in
       match Lru.find env.x_stores path with
-      | Some h when not (Slif_store.Lazy_store.stale h) -> Ok (Lazy h)
-      | Some _ ->
-          Obs.Counter.incr "server.store.reopen";
-          Lru.remove env.x_stores path;
+      | Some stored when not (stale stored) -> Ok stored
+      | cached ->
+          if Option.is_some cached then begin
+            Obs.Counter.incr "server.store.reopen";
+            Lru.remove env.x_stores path
+          end;
           Lru.Sharded.remove env.x_lru (stored_key path);
-          reopen ()
-      | None -> reopen ())
+          reopen ())
 
 (* Admission control: decode nothing whose decoded form would not fit
    the [--max-graph-mb] budget.  [bytes] is META's decoded-heap estimate
@@ -335,7 +350,7 @@ let resolve env target profile =
                       | Ok (slif, _prov) ->
                           Lru.Sharded.add env.x_lru key slif;
                           Ok (key, slif))
-                  | Eager_v1 -> (
+                  | Eager_v1 _ -> (
                       match Slif_store.Store.read_file path with
                       | Error err -> Error (Slif_store.Store.error_message err)
                       | Ok text -> (
@@ -486,7 +501,7 @@ let fields_of_request env req =
                 J.Int (Slif_store.Lazy_store.decoded_bytes_estimate h) );
               ("file_bytes", J.Int (Slif_store.Lazy_store.file_size h));
             ]
-      | Ok Eager_v1 ->
+      | Ok (Eager_v1 _) ->
           with_target (Protocol.Stored path) None (fun key (slif : Slif.Types.t) ->
               Ok
                 [

@@ -8,12 +8,13 @@
     partitions were scored.
 
     With [restarts > 1] the run anneals that many independent chains and
-    keeps the best (ties: lowest chain index).  Chain [k] draws from the
-    private stream [Slif_util.Prng.derive ~root:params.seed k] over its
-    own cloned partition and engine, so the sweep result is a pure
-    function of [(params, restarts)] — identical with or without a pool,
-    at any [jobs].  A single-restart run keeps the historical stream
-    [Prng.create params.seed]. *)
+    keeps the best (ties: lowest chain index, {!Search.better}).  Chain
+    [k] draws from the private stream
+    [Slif_util.Prng.derive ~root:params.seed k] over its own cloned
+    partition and fresh engine, so the sweep result is a pure function of
+    [(params, restarts)] — identical with or without a pool, at any
+    [jobs] and any [chunk].  A single-restart run keeps the historical
+    stream [Prng.create params.seed]. *)
 
 type params = {
   initial_temp : float;
@@ -30,7 +31,7 @@ val run :
   ?params:params ->
   ?initial:Slif.Partition.t ->
   ?chunk:int ->
-  ?replica:(unit -> Engine.t) ->
+  ?replica:Engine.t ->
   Search.problem ->
   Search.solution
 (** [run problem] anneals [restarts] chains (default 1) from [initial]
@@ -38,12 +39,12 @@ val run :
     chains.  With [?pool], chains run in parallel with identical
     results.
 
-    Multi-restart runs process chains as contiguous index chunks of
-    size [chunk] (default {!Slif_util.Pool.default_chunk}) — coarse
-    work units whose per-chunk winners fold exactly like the chains
-    themselves, so results are byte-identical for every [chunk] and
-    [jobs].  [replica] supplies the calling domain's reusable engine
-    (resolved inside each task); every chain then starts from one
-    {!Engine.acquire} rescoring instead of a full engine build, with
+    Multi-restart runs go through {!Search.restarts}: chains are
+    processed as contiguous index chunks of size [chunk] (default
+    {!Slif_util.Pool.default_chunk}), each chain on a fresh engine, and
+    chunk winners fold exactly like the chains themselves, so results
+    are byte-identical for every [chunk] and [jobs].  [replica] serves
+    the single-chain run only: it starts from one {!Engine.acquire}
+    rescoring ({!Engine.start}) instead of a full engine build, with
     bitwise-identical costs.  Raises [Invalid_argument] when
     [restarts <= 0]. *)

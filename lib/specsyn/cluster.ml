@@ -129,11 +129,4 @@ let run ?(params = default_params) ?replica ~k (problem : Search.problem) =
               load_ref := !load_ref +. size_proxy s.Slif.Types.nodes.(id))
             members)
     ordered;
-  let cost =
-    match replica with
-    | Some eng ->
-        Engine.acquire eng part;
-        Engine.cost eng
-    | None -> Engine.cost (Engine.of_problem problem part)
-  in
-  { Search.part; cost; evaluated = 1 }
+  { Search.part; cost = Engine.cost (Engine.start ?replica problem part); evaluated = 1 }

@@ -492,6 +492,13 @@ let acquire t part =
     Slif_obs.Attribution.add Slif_obs.Attribution.Copy (Slif_obs.Clock.now_us () -. t0)
   end
 
+let start ?replica problem part =
+  match replica with
+  | Some t ->
+      acquire t part;
+      t
+  | None -> of_problem problem part
+
 (* --- Move generation ------------------------------------------------------ *)
 
 let candidates t node =

@@ -80,6 +80,13 @@ val acquire : t -> Slif.Partition.t -> unit
     (and, like {!create}, when [part] is partial or a weight is
     missing). *)
 
+val start : ?replica:t -> Search.problem -> Slif.Partition.t -> t
+(** [start ?replica problem part] is [replica] after {!acquire} onto
+    [part], or a fresh {!of_problem} engine when there is no replica —
+    the one way every search obtains its engine.  Costs are bitwise the
+    same either way; the replica must belong to the calling domain and
+    to [problem]'s graph, weights and constraints. *)
+
 val graph : t -> Slif.Graph.t
 
 val partition : t -> Slif.Partition.t

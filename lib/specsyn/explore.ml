@@ -41,10 +41,14 @@ type work = {
   w_slice : (int * int) option;  (* Random restart range (start, len) *)
 }
 
-let run ?(jobs = 1) ?(chunk = 0) ?constraints ?weights ?(algos = default_algos)
+let run ?(jobs = 1) ?chunk ?constraints ?weights ?(algos = default_algos)
     ?(allocs = Alloc.catalog) slif =
+  (match chunk with
+  | Some c when c < 1 -> invalid_arg "Explore.run: chunk must be >= 1"
+  | _ -> ());
+  let chunk_arg = Option.fold ~none:"auto" ~some:string_of_int chunk in
   Slif_obs.Span.with_ "explore.run"
-    ~args:[ ("jobs", string_of_int jobs); ("chunk", string_of_int chunk) ]
+    ~args:[ ("jobs", string_of_int jobs); ("chunk", chunk_arg) ]
   @@ fun () ->
   (* Every (alloc x algo) combination is independent: it gets its own
      graph, problem and engine state, and the algorithms seed their own
@@ -62,7 +66,7 @@ let run ?(jobs = 1) ?(chunk = 0) ?constraints ?weights ?(algos = default_algos)
             allocs))
   in
   let chunk_for n =
-    if chunk >= 1 then chunk else Slif_util.Pool.default_chunk ~jobs n
+    match chunk with Some c -> c | None -> Slif_util.Pool.default_chunk ~jobs n
   in
   let works =
     List.concat
@@ -106,17 +110,16 @@ let run ?(jobs = 1) ?(chunk = 0) ?constraints ?weights ?(algos = default_algos)
         let solve_work w =
           let ai, algo = pairs.(w.w_pair) in
           let ctx = ctx_for ai in
-          let problem = ctx.c_problem in
-          let replica () = ctx.c_eng in
+          let problem = ctx.c_problem and replica = ctx.c_eng in
           let solve () =
             match (algo, w.w_slice) with
             | Random _, Some (start, len) ->
                 Random_part.run_range ~replica ~seed:1 ~start ~len problem
-            | Random restarts, None -> Random_part.run ~replica ~restarts problem
-            | Greedy, _ -> Greedy.run ~replica:ctx.c_eng problem
-            | Group_migration, _ -> Group_migration.run ~replica:ctx.c_eng problem
+            | Random restarts, None -> Random_part.run ~restarts problem
+            | Greedy, _ -> Greedy.run ~replica problem
+            | Group_migration, _ -> Group_migration.run ~replica problem
             | Annealing params, _ -> Annealing.run ~replica ~params problem
-            | Clustering k, _ -> Cluster.run ~replica:ctx.c_eng ~k problem
+            | Clustering k, _ -> Cluster.run ~replica ~k problem
           in
           let solve () =
             Slif_obs.Span.with_ "explore.entry"
@@ -132,41 +135,24 @@ let run ?(jobs = 1) ?(chunk = 0) ?constraints ?weights ?(algos = default_algos)
   in
   (* Deterministic merge: group the results back onto their pairs in
      submission order (works of one pair are contiguous and slice order
-     equals index order), fold each pair's slice winners
-     earliest-strictly-best — the same fold the serial restart loop does
-     — and restore the serial [evaluated] semantics. *)
+     equals index order) and fold each pair's slice winners with
+     [Search.best] — the fold inside every restart range, so a sliced
+     [Random n] entry equals the serial sweep, [evaluated = n] included. *)
   let by_pair = Array.make (Array.length pairs) [] in
-  List.iter2
-    (fun w (solution, elapsed_s) ->
-      by_pair.(w.w_pair) <- (solution, elapsed_s) :: by_pair.(w.w_pair))
-    works results;
+  List.iter2 (fun w r -> by_pair.(w.w_pair) <- r :: by_pair.(w.w_pair)) works results;
   let entries =
     Array.to_list
       (Array.mapi
          (fun p (ai, algo) ->
-           match List.rev by_pair.(p) with
-           | [] -> assert false
-           | (first, first_s) :: rest ->
-               let best, elapsed_s =
-                 List.fold_left
-                   (fun ((best : Search.solution), acc_s)
-                        ((sol : Search.solution), s) ->
-                     ((if sol.Search.cost < best.Search.cost then sol else best), acc_s +. s))
-                   (first, first_s) rest
-               in
-               let solution =
-                 match algo with
-                 | Random restarts -> { best with Search.evaluated = restarts }
-                 | _ -> best
-               in
-               let partitions_per_s =
-                 if elapsed_s > 0.0 then
-                   float_of_int solution.Search.evaluated /. elapsed_s
-                 else 0.0
-               in
-               Slif_obs.Counter.add "explore.partitions_evaluated"
-                 solution.Search.evaluated;
-               { alloc = alloc_arr.(ai); algo; solution; elapsed_s; partitions_per_s })
+           let results = List.rev by_pair.(p) in
+           let solution = Search.best (List.map fst results) in
+           let elapsed_s = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 results in
+           let partitions_per_s =
+             if elapsed_s > 0.0 then float_of_int solution.Search.evaluated /. elapsed_s
+             else 0.0
+           in
+           Slif_obs.Counter.add "explore.partitions_evaluated" solution.Search.evaluated;
+           { alloc = alloc_arr.(ai); algo; solution; elapsed_s; partitions_per_s })
          pairs)
   in
   List.sort (fun a b -> compare a.solution.Search.cost b.solution.Search.cost) entries

@@ -38,16 +38,18 @@ val run :
     [jobs] (default 1) runs the work on a {!Slif_util.Pool} of that many
     domains.  The schedulable unit is an (alloc x algo) combination,
     except multi-restart algorithms ([Random n]), whose restarts are
-    sliced into contiguous chunks of [chunk] (default [0] = the
+    sliced into contiguous chunks of [chunk] (default: the
     {!Slif_util.Pool.default_chunk} heuristic over [jobs]) so they
-    load-balance instead of arriving as one monolithic task.
+    load-balance instead of arriving as one monolithic task.  Raises
+    [Invalid_argument] when [chunk < 1].
 
     Each domain lazily builds one private context per allocation — the
     applied SLIF, graph, problem and an engine replica — and every work
-    item re-engages the replica through {!Engine.acquire}, whose
+    item re-engages the replica through {!Engine.start}, whose
     rescoring is bitwise {!Engine.create}'s.  No mutable state crosses
     domains (share-nothing); results merge in submission order and slice
-    winners fold earliest-strictly-best, so the entry list — order,
+    winners fold with {!Search.best} (earliest strict minimum, summed
+    [evaluated]), so the entry list — order,
     costs, evaluation counts — is identical for every [jobs] and every
     [chunk]; only [elapsed_s]/[partitions_per_s] reflect the actual
     schedule.  For sliced entries [elapsed_s] sums the slices' task

@@ -7,13 +7,7 @@ let run ?replica (problem : Search.problem) =
   Slif_obs.Span.with_ "search.greedy" @@ fun () ->
   let s = Slif.Graph.slif problem.graph in
   let part = Search.seed_partition s in
-  let eng =
-    match replica with
-    | Some eng ->
-        Engine.acquire eng part;
-        eng
-    | None -> Engine.of_problem problem part
-  in
+  let eng = Engine.start ?replica problem part in
   let order =
     Array.to_list s.nodes
     |> List.sort (fun a b -> compare (size_proxy b) (size_proxy a))

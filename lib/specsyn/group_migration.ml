@@ -4,13 +4,7 @@ let run ?(max_passes = 8) ?initial ?replica (problem : Search.problem) =
   let part =
     match initial with Some p -> Slif.Partition.copy p | None -> Search.seed_partition s
   in
-  let eng =
-    match replica with
-    | Some eng ->
-        Engine.acquire eng part;
-        eng
-    | None -> Engine.of_problem problem part
-  in
+  let eng = Engine.start ?replica problem part in
   let n = Array.length s.nodes in
   let current_cost = ref (Engine.cost eng) in
   let improved = ref true in

@@ -65,6 +65,7 @@ let sweep ?(jobs = 1) ?(constraints = Cost.no_constraints) ?(steps_per_point = 4
     ?(weights_time = default_weights_time) ?chunk graph =
   let s = Slif.Graph.slif graph in
   let n_nodes = Array.length s.Slif.Types.nodes in
+  let problem = Search.problem ~constraints graph in
   (* Each weight point is an independent computation: its generator seed
      is a function of the point's index alone, and the partition it
      anneals is point-private — the sweep produces the same candidates
@@ -74,13 +75,7 @@ let sweep ?(jobs = 1) ?(constraints = Cost.no_constraints) ?(steps_per_point = 4
   let anneal_point replica i weight_time =
     let rng = Slif_util.Prng.create (1000 + i) in
     let part = Search.seed_partition s in
-    let eng =
-      match replica with
-      | Some eng ->
-          Engine.acquire eng part;
-          eng
-      | None -> Engine.create ~constraints graph part
-    in
+    let eng = Engine.start ~replica problem part in
     let cost = ref (objective s ~weight_time eng) in
     let temp = ref 0.5 in
     for _ = 1 to steps_per_point do
@@ -107,36 +102,25 @@ let sweep ?(jobs = 1) ?(constraints = Cost.no_constraints) ?(steps_per_point = 4
   in
   let wt = Array.of_list weights_time in
   let n = Array.length wt in
+  (* Every [jobs], 1 included, goes through the pool (which runs inline
+     at one job): one engine replica per domain, created on the domain
+     that uses it, and contiguous chunks of points so each task
+     amortizes its replica acquisition over several points. *)
   let candidates =
-    if jobs = 1 then begin
-      (* One engine for the whole serial sweep, re-acquired per point. *)
-      let replica =
-        if n = 0 then None
-        else Some (Engine.create ~constraints graph (Search.seed_partition s))
-      in
-      List.mapi (fun i w -> anneal_point replica i w) weights_time
-    end
-    else
-      Slif_util.Pool.with_pool ~jobs (fun pool ->
-          (* One engine replica per domain, created on the domain that
-             uses it; points are grouped into contiguous chunks so each
-             task amortizes its replica acquisition over several points. *)
-          let replica =
-            Slif_util.Pool.local pool (fun () ->
-                Engine.create ~constraints graph (Search.seed_partition s))
-          in
-          let chunk =
-            match chunk with
-            | Some c -> c
-            | None -> Slif_util.Pool.default_chunk ~jobs n
-          in
-          let pieces = Slif_util.Pool.chunks ~chunk n in
-          Slif_util.Pool.map pool
-            (fun (start, len) ->
-              let eng = Some (Slif_util.Pool.get replica) in
-              List.init len (fun d -> anneal_point eng (start + d) wt.(start + d)))
-            pieces
-          |> List.concat)
+    Slif_util.Pool.with_pool ~jobs (fun pool ->
+        let replica =
+          Slif_util.Pool.local pool (fun () ->
+              Engine.of_problem problem (Search.seed_partition s))
+        in
+        let chunk =
+          match chunk with Some c -> c | None -> Slif_util.Pool.default_chunk ~jobs n
+        in
+        Slif_util.Pool.map pool
+          (fun (start, len) ->
+            let replica = Slif_util.Pool.get replica in
+            List.init len (fun d -> anneal_point replica (start + d) wt.(start + d)))
+          (Slif_util.Pool.chunks ~chunk n)
+        |> List.concat)
   in
   (* The serial accumulator consed points in reverse; keep feeding [front]
      the same order so tie-breaks in its stable sort never move. *)

@@ -39,10 +39,11 @@ val sweep :
     the Pareto front of all solutions found.
 
     [jobs] (default 1) anneals the weight points on a {!Slif_util.Pool}
-    of that many domains, grouped into contiguous chunks of [chunk]
+    of that many domains — there is no separate serial path: at one job
+    the pool runs inline — grouped into contiguous chunks of [chunk]
     points (default {!Slif_util.Pool.default_chunk}) so each task
     amortizes per-task setup over several points.  Each point's
     generator is seeded by its index and anneals a point-private
-    partition on the executing domain's engine replica (re-acquired per
-    point, with {!Engine.create}-bitwise rescoring), so the front is
-    identical for every [jobs] and every [chunk]. *)
+    partition on the executing domain's engine replica ({!Engine.start},
+    with {!Engine.create}-bitwise rescoring), so the front is identical
+    for every [jobs] and every [chunk]. *)

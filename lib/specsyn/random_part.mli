@@ -7,12 +7,13 @@
 
     Restart [k] draws from the private stream
     [Slif_util.Prng.derive ~root:seed k] (no state is shared between
-    restarts), and ties select the lowest restart index, so the result is
-    a pure function of [(seed, restarts)] — identical with or without a
-    pool, at any [jobs]. *)
+    restarts), and ties select the lowest restart index
+    ({!Search.better}), so the result is a pure function of
+    [(seed, restarts)] — identical with or without a pool, at any [jobs]
+    and any [chunk]. *)
 
 val run_range :
-  ?replica:(unit -> Engine.t) ->
+  ?replica:Engine.t ->
   ?seed:int ->
   start:int ->
   len:int ->
@@ -20,34 +21,29 @@ val run_range :
   Search.solution
 (** [run_range ~start ~len problem] evaluates restarts
     [start .. start + len - 1] on the calling domain and returns the
-    range's earliest strict minimum, with [evaluated = len].  This is
-    the work-unit body {!Explore.run} schedules directly when it slices
-    one [Random n] algorithm across pool tasks; folding range winners in
-    index order reproduces {!run}'s answer exactly.  Raises
-    [Invalid_argument] on an empty or negative range. *)
+    range's {!Search.best}: the earliest strict minimum, with
+    [evaluated = len].  This is the work-unit body {!Explore.run}
+    schedules directly when it slices one [Random n] algorithm across
+    pool tasks; folding range winners with {!Search.best} reproduces
+    {!run}'s answer exactly.  [replica] is the calling domain's engine
+    ({!Engine.start}): each restart then costs one {!Engine.acquire}
+    rescoring — bitwise {!Engine.create}'s — instead of a full engine
+    build.  Raises [Invalid_argument] on an empty or negative range. *)
 
 val run :
   ?pool:Slif_util.Pool.t ->
   ?seed:int ->
   ?chunk:int ->
-  ?replica:(unit -> Engine.t) ->
   restarts:int ->
   Search.problem ->
   Search.solution
 (** [run ~restarts problem] evaluates [restarts] independent random
-    partitions ([seed] defaults to 1) and returns the cheapest.
+    partitions ([seed] defaults to 1) and returns the cheapest, each
+    restart on a fresh engine.
 
-    Restarts are processed as contiguous index chunks of size [chunk]
-    (default: {!Slif_util.Pool.default_chunk} over the pool's jobs) so a
-    pooled sweep enqueues a few coarse tasks instead of one tiny task
-    per restart; each chunk is a pure function of its index range and
-    the root seed, and the earliest strict minimum wins within and
-    across chunks, so the answer is byte-identical for every [chunk]
-    and [jobs].
-
-    [replica] supplies the calling domain's reusable engine (the
-    share-nothing per-domain replica, resolved inside each task, e.g.
-    via {!Slif_util.Pool.get}); each restart then costs one
-    {!Engine.acquire} rescoring — bitwise {!Engine.create}'s — instead
-    of a full engine build.  Without it, every restart builds a fresh
-    engine, as before. *)
+    {!Search.restarts} drives the sweep: contiguous index chunks of size
+    [chunk] (default: {!Slif_util.Pool.default_chunk} over the pool's
+    jobs), each a {!run_range}, so a pooled sweep enqueues a few coarse
+    tasks instead of one tiny task per restart.  The earliest strict
+    minimum wins within and across chunks, so the answer is
+    byte-identical for every [chunk] and [jobs]. *)

@@ -9,6 +9,34 @@ let problem ?(constraints = Cost.no_constraints) ?(weights = Cost.default_weight
 
 type solution = { part : Slif.Partition.t; cost : float; evaluated : int }
 
+(* The earlier solution wins ties, so folding in index order selects the
+   same winner for every slicing of the index space; [evaluated] sums. *)
+let better a b =
+  let evaluated = a.evaluated + b.evaluated in
+  if b.cost < a.cost then { b with evaluated } else { a with evaluated }
+
+let best = function
+  | [] -> invalid_arg "Search.best: no solutions"
+  | first :: rest -> List.fold_left better first rest
+
+let best_range ~start ~len f =
+  let acc = ref (f start) in
+  for k = start + 1 to start + len - 1 do
+    acc := better !acc (f k)
+  done;
+  !acc
+
+let restarts ?pool ?chunk n run_range =
+  let jobs = match pool with Some p -> Slif_util.Pool.jobs p | None -> 1 in
+  let chunk =
+    match chunk with Some c -> c | None -> Slif_util.Pool.default_chunk ~jobs n
+  in
+  let pieces = Slif_util.Pool.chunks ~chunk n in
+  best
+    (match pool with
+    | Some pool -> Slif_util.Pool.map pool run_range pieces
+    | None -> List.map run_range pieces)
+
 let all_comps (s : Slif.Types.t) =
   Array.to_list (Array.mapi (fun i _ -> Slif.Partition.Cproc i) s.procs)
   @ Array.to_list (Array.mapi (fun i _ -> Slif.Partition.Cmem i) s.mems)

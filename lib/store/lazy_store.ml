@@ -38,6 +38,14 @@ let guarded f =
 
 let ( let* ) = Result.bind
 
+let identity_of_stat (st : Unix.stats) =
+  {
+    id_dev = st.Unix.st_dev;
+    id_ino = st.Unix.st_ino;
+    id_size = st.Unix.st_size;
+    id_mtime = st.Unix.st_mtime;
+  }
+
 let open_file path =
   match
     let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
@@ -65,13 +73,7 @@ let open_file path =
               map;
               entries;
               meta;
-              ident =
-                {
-                  id_dev = st.Unix.st_dev;
-                  id_ino = st.Unix.st_ino;
-                  id_size = st.Unix.st_size;
-                  id_mtime = st.Unix.st_mtime;
-                };
+              ident = identity_of_stat st;
               lock = Mutex.create ();
               memo = Weak.create 1;
               memo_err = None;
@@ -91,19 +93,19 @@ let kind t = t.meta.Store.vm_kind
 let decoded_bytes_estimate t = t.meta.Store.vm_decoded_bytes
 let identity t = t.ident
 
+let file_identity path =
+  match Unix.stat path with
+  | st -> Some (identity_of_stat st)
+  | exception Unix.Unix_error _ -> None
+  | exception Sys_error _ -> None
+
 (* [save_slif] replaces a store by renaming a fresh temporary over it, so
    a regenerated file is a different inode; size/mtime catch in-place
-   rewrites.  An unlinked or unstattable path counts as stale — callers
+   rewrites.  An unlinked or unstattable path counts as changed — callers
    reopen and surface the error. *)
-let stale t =
-  match Unix.stat t.path with
-  | exception Unix.Unix_error _ -> true
-  | exception Sys_error _ -> true
-  | st ->
-      st.Unix.st_dev <> t.ident.id_dev
-      || st.Unix.st_ino <> t.ident.id_ino
-      || st.Unix.st_size <> t.ident.id_size
-      || st.Unix.st_mtime <> t.ident.id_mtime
+let changed path ident = file_identity path <> Some ident
+
+let stale t = changed t.path t.ident
 
 let sections t =
   List.map

@@ -41,8 +41,19 @@ type identity = { id_dev : int; id_ino : int; id_size : int; id_mtime : float }
 val identity : t -> identity
 (** The (device, inode, size, mtime) of the file as it was mapped. *)
 
+val file_identity : string -> identity option
+(** The (device, inode, size, mtime) the path names now; [None] when it
+    cannot be stat'd. *)
+
+val changed : string -> identity -> bool
+(** [changed path ident]: whether [path] no longer names the file whose
+    identity was [ident] — replaced, rewritten or unlinked.  The one
+    staleness check behind {!stale}, also used for v1 containers, which
+    are decoded whole and never mapped. *)
+
 val stale : t -> bool
-(** Whether the path now names different bytes than the mapping serves:
+(** [changed (path t) (identity t)]: whether the path now names different
+    bytes than the mapping serves:
     [save_slif] renames a fresh inode over the old one, which the mmap
     pins.  True when the file was replaced, rewritten, or unlinked —
     callers should drop the handle and reopen. *)

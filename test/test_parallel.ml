@@ -352,6 +352,69 @@ let test_random_part_differential () =
   check_same_partition "random best" serial.Specsyn.Search.part
     parallel.Specsyn.Search.part
 
+(* --- Chunk and jobs invariance of the restart sweeps ------------------------ *)
+
+let check_same_bits label a b =
+  Alcotest.(check int64) label (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Every restart sweep goes through one chunk driver and one winner
+   fold, so neither the chunk size nor the job count may show: same cost
+   bits, same [evaluated], same partitions for chunk 1, 3 and the whole
+   range, each at one job and at [jobs_par]. *)
+let test_restart_sweeps_chunk_invariant () =
+  let tie a b = Specsyn.Search.best [ a; b ] in
+  let fuzzy = Lazy.force fuzzy_problem in
+  let part = Specsyn.Search.seed_partition (Slif.Graph.slif fuzzy.Specsyn.Search.graph) in
+  let early = { Specsyn.Search.part; cost = 2.0; evaluated = 3 } in
+  let late = { early with part = Slif.Partition.copy part; evaluated = 4 } in
+  let won = tie early late in
+  Alcotest.(check bool) "tie keeps the earlier solution" true (won.part == early.part);
+  Alcotest.(check int) "tie sums evaluated" 7 won.evaluated;
+  Alcotest.check_raises "explore rejects chunk 0"
+    (Invalid_argument "Explore.run: chunk must be >= 1") (fun () ->
+      ignore (Specsyn.Explore.run ~chunk:0 (Lazy.force Helpers.fuzzy_slif)));
+  let configs n =
+    List.concat_map (fun chunk -> [ (chunk, 1); (chunk, jobs_par) ]) [ 1; 3; n ]
+  in
+  let check_solutions label n run =
+    let reference = run None None in
+    List.iter
+      (fun (chunk, jobs) ->
+        let label = Printf.sprintf "%s chunk %d jobs %d" label chunk jobs in
+        let sol = Pool.with_pool ~jobs (fun pool -> run (Some pool) (Some chunk)) in
+        check_same_bits (label ^ ": cost") reference.Specsyn.Search.cost sol.cost;
+        Alcotest.(check int) (label ^ ": evaluated") reference.evaluated sol.evaluated;
+        check_same_partition label reference.part sol.part)
+      (configs n)
+  in
+  check_solutions "random" 32 (fun pool chunk ->
+      Specsyn.Random_part.run ?pool ?chunk ~seed:5 ~restarts:32 fuzzy);
+  let params = { Specsyn.Annealing.default_params with steps = 150 } in
+  check_solutions "annealing" 5 (fun pool chunk ->
+      Specsyn.Annealing.run ?pool ?chunk ~restarts:5 ~params fuzzy);
+  let graph = fuzzy.Specsyn.Search.graph in
+  let weights_time = [ 0.1; 0.3; 1.0; 2.0; 4.0; 8.0; 16.0 ] in
+  let sweep ?jobs ?chunk () =
+    Specsyn.Pareto.sweep ?jobs ?chunk ~weights_time ~steps_per_point:150 graph
+  in
+  let reference = sweep () in
+  List.iter
+    (fun (chunk, jobs) ->
+      let label = Printf.sprintf "pareto chunk %d jobs %d" chunk jobs in
+      let front = sweep ~jobs ~chunk () in
+      Alcotest.(check int) (label ^ ": front size") (List.length reference)
+        (List.length front);
+      List.iter2
+        (fun (x : Specsyn.Pareto.point) (y : Specsyn.Pareto.point) ->
+          check_same_bits (label ^ ": worst exectime") x.worst_exectime_us
+            y.worst_exectime_us;
+          check_same_bits (label ^ ": hw gates") x.hw_gates y.hw_gates;
+          check_same_bits (label ^ ": sw bytes") x.sw_bytes y.sw_bytes;
+          check_same_bits (label ^ ": weight") x.weight_time y.weight_time;
+          check_same_partition label x.part y.part)
+        reference front)
+    (configs (List.length weights_time))
+
 (* --- Engine.acquire bit-exactness ----------------------------------------- *)
 
 (* The share-nothing refactor rides entirely on [Engine.acquire]
@@ -374,9 +437,9 @@ let test_engine_acquire_bit_exact () =
   done;
   List.iter
     (fun seed ->
-      let fresh = Specsyn.Random_part.run ~seed ~restarts:16 problem in
+      let fresh = Specsyn.Random_part.run_range ~seed ~start:0 ~len:16 problem in
       let reacquired =
-        Specsyn.Random_part.run ~replica:(fun () -> replica) ~seed ~restarts:16 problem
+        Specsyn.Random_part.run_range ~replica ~seed ~start:0 ~len:16 problem
       in
       Alcotest.(check int)
         (Printf.sprintf "seed %d: same cost bits" seed)
@@ -501,4 +564,6 @@ let suite =
     Alcotest.test_case "replica memos are domain-private" `Quick
       test_memo_isolation_across_domains;
     Alcotest.test_case "obs registry under 8-domain load" `Slow test_obs_stress;
+    Alcotest.test_case "restart sweeps are chunk- and jobs-invariant" `Quick
+      test_restart_sweeps_chunk_invariant;
   ]

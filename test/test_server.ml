@@ -667,9 +667,9 @@ let test_store_target () =
           Alcotest.(check int) "second answer from the LRU" (before + 1) (decodes ())))
 
 (* Regenerating a store file on disk must be picked up by a running
-   daemon: save_slif renames a fresh inode over the one the mmap pins,
-   so the cached handle is revalidated per request and the stale
-   decoded LRU entry dropped with it. *)
+   daemon: save_slif renames a fresh inode over the old one, so the
+   cached handle (a v2 mapping or a v1 file identity) is revalidated per
+   request and the stale decoded LRU entry dropped with it. *)
 let test_store_refresh () =
   let first =
     Slif_synth.Synth.generate
@@ -683,19 +683,26 @@ let test_store_refresh () =
   let out_second = Ops.estimate_output ~bounds:false second in
   Alcotest.(check bool) "the two graphs estimate differently" false
     (String.equal out_first out_second);
-  let path = Filename.temp_file "slif_refresh" ".slifstore" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Slif_store.Store.save_slif ~path ~version:Slif_store.Store.format_version_v2 first;
-      with_server (fun _port client ->
-          let estimate () =
-            output_exn client [ ("op", Json.String "estimate"); ("store", Json.String path) ]
-          in
-          Alcotest.(check string) "serves the first graph" out_first (estimate ());
-          Slif_store.Store.save_slif ~path ~version:Slif_store.Store.format_version_v2
-            second;
-          Alcotest.(check string) "serves the regenerated graph" out_second (estimate ())))
+  (* v1, the default writer's format, is decoded whole and never mapped;
+     v2 is served through a mapped handle.  Both must notice the rename. *)
+  List.iter
+    (fun version ->
+      let path = Filename.temp_file "slif_refresh" ".slifstore" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          let save = Slif_store.Store.save_slif ~path ?version in
+          save first;
+          with_server (fun _port client ->
+              let estimate () =
+                output_exn client
+                  [ ("op", Json.String "estimate"); ("store", Json.String path) ]
+              in
+              Alcotest.(check string) "serves the first graph" out_first (estimate ());
+              save second;
+              Alcotest.(check string) "serves the regenerated graph" out_second
+                (estimate ()))))
+    [ None; Some Slif_store.Store.format_version_v2 ]
 
 (* --- line cap ----------------------------------------------------------------- *)
 
