@@ -6,7 +6,7 @@ type t = {
   path : string;
   size : int;
   map : map;
-  entries : Store.v2_entry list;
+  entries : Store.section_info list;
   meta : Store.v2_meta;
   ident : identity;
   lock : Mutex.t;
@@ -63,8 +63,13 @@ let open_file path =
               (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |])
           in
           let fetch = fetch_map map size in
-          let* entries = guarded (fun () -> Store.v2_directory ~total:size fetch) in
-          let* meta_p = guarded (fun () -> Store.v2_section ~fetch entries "META") in
+          let* version, entries = guarded (fun () -> Store.directory ~total:size fetch) in
+          (* v1 cannot be decoded piecemeal; callers fall back to an eager load. *)
+          let* () =
+            if version = Store.format_version_v2 then Ok ()
+            else Error (Store.Unsupported_version version)
+          in
+          let* meta_p = guarded (fun () -> Store.section ~fetch entries "META") in
           let* meta = Store.v2_decode_meta meta_p in
           Ok
             {
@@ -107,21 +112,25 @@ let changed path ident = file_identity path <> Some ident
 
 let stale t = changed t.path t.ident
 
-let sections t =
-  List.map
-    (fun (e : Store.v2_entry) ->
-      {
-        Store.sec_tag = e.Store.v2_tag;
-        sec_offset = e.Store.v2_off;
-        sec_size = e.Store.v2_len;
-        sec_crc = e.Store.v2_crc;
-      })
-    t.entries
+let sections t = t.entries
+
+(* Truncating the mapped file in place turns every read of the mapping
+   past the new end into SIGBUS, so the readers below stat the path
+   first.  Not memoized: the file may grow back. *)
+let shrank = Store.Truncated "store file shrank under its mapping"
+
+let shrunk t =
+  match file_identity t.path with
+  | Some id ->
+      id.id_dev = t.ident.id_dev && id.id_ino = t.ident.id_ino && id.id_size < t.size
+  | None -> false
 
 let provenance t =
-  guarded (fun () ->
-      let* p = Store.v2_section ~fetch:(fetch_map t.map t.size) t.entries "PROV" in
-      Store.decode_prov p)
+  if shrunk t then Error shrank
+  else
+    guarded (fun () ->
+        let* p = Store.section ~fetch:(fetch_map t.map t.size) t.entries "PROV" in
+        Store.decode_prov p)
 
 let decoded t =
   Mutex.lock t.lock;
@@ -139,10 +148,12 @@ let slif t =
       | None -> (
           match Weak.get t.memo 0 with
           | Some v -> Ok v
+          | None when shrunk t -> Error shrank
           | None -> (
               match
                 guarded (fun () ->
-                    Store.v2_decode_slif ~fetch:(fetch_map t.map t.size) t.entries)
+                    Store.decode_slif ~fetch:(fetch_map t.map t.size)
+                      (Store.format_version_v2, t.entries))
               with
               | Ok v as r ->
                   Slif_obs.Counter.incr "store.lazy.full_decode";

@@ -21,9 +21,10 @@
 type t
 
 val open_file : string -> (t, Store.error) result
-(** Maps the file and validates header + directory + META.  v1
-    containers (which cannot be decoded piecemeal) yield
-    [Unsupported_version 1]; callers fall back to {!Store.load_slif}.
+(** Maps the file, reads its section table with {!Store.directory} and
+    validates META.  v1 containers (which cannot be decoded piecemeal)
+    yield [Unsupported_version 1]; callers fall back to
+    {!Store.load_slif}.
     Malformed directories — including offset/length pairs engineered to
     overflow — yield a typed error, never an exception. *)
 
@@ -61,7 +62,8 @@ val stale : t -> bool
 val sections : t -> Store.section_info list
 
 val provenance : t -> (Store.provenance, Store.error) result
-(** Decodes the (small) PROV section on demand. *)
+(** Decodes the (small) PROV section on demand.  [Truncated] when the
+    file was truncated under the mapping, as for {!slif}. *)
 
 val decoded : t -> bool
 (** Whether a forced decode (graph or error) is currently memoized.
@@ -72,4 +74,12 @@ val slif : t -> (Slif.Types.t * Store.provenance, Store.error) result
     open time) and bump [store.lazy.full_decode].  The result is
     memoized weakly — callers that keep it alive share one decode;
     once every caller drops it the memory is reclaimable and a later
-    force decodes again. *)
+    force decodes again.
+
+    Reading a mapping past the end of a file truncated in place raises
+    SIGBUS, so before decoding this stats the path: if it still names
+    the mapped file (same device and inode) and is now shorter than the
+    mapping, the result is [Error (Truncated "store file shrank under
+    its mapping")], and it is not memoized.  A truncate that races
+    between that check and the read is still open: it kills the
+    process. *)

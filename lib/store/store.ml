@@ -6,19 +6,6 @@ type error =
   | Checksum_mismatch of string
   | Decode of string
 
-let error_message = function
-  | Io msg -> msg
-  | Bad_magic -> "not a SLIF store file (bad magic)"
-  | Unsupported_version v ->
-      Printf.sprintf "store format version %d is newer than this tool (max %d)" v 2
-  | Truncated what -> Printf.sprintf "truncated store file (%s)" what
-  | Checksum_mismatch tag -> Printf.sprintf "checksum mismatch in section %S" tag
-  | Decode msg -> Printf.sprintf "malformed store file: %s" msg
-
-exception Store_error of error
-
-let magic = "SLIFSTOR"
-
 (* v1 is the default write format (content-addressed cache keys and the
    golden corpus are pinned to its bytes); v2 adds the offset-indexed
    section directory that makes containers lazily decodable. *)
@@ -26,6 +13,23 @@ let format_version = 1
 let format_version_v2 = 2
 let max_format_version = 2
 let tool_name = "slif-store/1"
+
+let error_message = function
+  | Io msg -> msg
+  | Bad_magic -> "not a SLIF store file (bad magic)"
+  | Unsupported_version v when v > max_format_version ->
+      Printf.sprintf "store format version %d is newer than this tool (max %d)" v
+        max_format_version
+  | Unsupported_version v ->
+      Printf.sprintf "unsupported store format version %d (this tool reads 1 to %d)" v
+        max_format_version
+  | Truncated what -> Printf.sprintf "truncated store file (%s)" what
+  | Checksum_mismatch tag -> Printf.sprintf "checksum mismatch in section %S" tag
+  | Decode msg -> Printf.sprintf "malformed store file: %s" msg
+
+exception Store_error of error
+
+let magic = "SLIFSTOR"
 
 type provenance = {
   pv_source_md5 : string;
@@ -37,61 +41,150 @@ let no_provenance = { pv_source_md5 = ""; pv_profile = None; pv_tech = "" }
 
 type kind = Kslif | Kdecision
 
-(* --- Container framing ---------------------------------------------------- *)
+let ( let* ) = Result.bind
+
+(* --- Container framing -----------------------------------------------------
+
+   v1 frames sections back-to-back, each [tag | u32 len | u32 crc |
+   payload], so reaching any section means walking every header before
+   it.  v2 puts a directory up front:
+
+     magic | u32 version=2 | u32 count | count x (tag4, u64 off, u64 len,
+     u32 crc) | u32 dir-crc | payloads...
+
+   so a reader maps the file, verifies ~a hundred directory bytes, and
+   then decodes exactly the sections it needs.  Both read into one
+   section table; each payload's CRC is checked when (and only when)
+   that payload is fetched. *)
+
+type section_info = {
+  sec_tag : string;
+  sec_offset : int;  (* byte offset of the payload within the container *)
+  sec_size : int;
+  sec_crc : int32;
+}
 
 let add_u32_le buf v = Buffer.add_int32_le buf (Int32.of_int v)
-
-let section buf tag payload =
-  assert (String.length tag = 4);
-  Buffer.add_string buf tag;
-  add_u32_le buf (String.length payload);
-  Buffer.add_int32_le buf (Crc32.string payload);
-  Buffer.add_string buf payload
+let add_u64_le buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
 let container sections =
   let buf = Buffer.create 8192 in
   Buffer.add_string buf magic;
   add_u32_le buf format_version;
-  List.iter (fun (tag, payload) -> section buf tag payload) sections;
+  List.iter
+    (fun (tag, payload) ->
+      assert (String.length tag = 4);
+      Buffer.add_string buf tag;
+      add_u32_le buf (String.length payload);
+      Buffer.add_int32_le buf (Crc32.string payload);
+      Buffer.add_string buf payload)
+    sections;
+  Buffer.contents buf
+
+let v2_dir_entry_size = 24
+let v2_header_size count = 8 + 4 + 4 + (count * v2_dir_entry_size) + 4
+
+let v2_container sections =
+  let count = List.length sections in
+  let dir = Buffer.create (count * v2_dir_entry_size) in
+  let off = ref (v2_header_size count) in
+  List.iter
+    (fun (tag, payload) ->
+      assert (String.length tag = 4);
+      Buffer.add_string dir tag;
+      add_u64_le dir !off;
+      add_u64_le dir (String.length payload);
+      Buffer.add_int32_le dir (Crc32.string payload);
+      off := !off + String.length payload)
+    sections;
+  let dir = Buffer.contents dir in
+  let buf = Buffer.create !off in
+  Buffer.add_string buf magic;
+  add_u32_le buf format_version_v2;
+  add_u32_le buf count;
+  Buffer.add_string buf dir;
+  Buffer.add_int32_le buf (Crc32.string dir);
+  List.iter (fun (_, payload) -> Buffer.add_string buf payload) sections;
   Buffer.contents buf
 
 let u32_le s pos = Int32.to_int (Int32.logand (String.get_int32_le s pos) 0xFFFFFFFFl)
 
-(* Split a container into (version, [tag, payload]) or a framing error. *)
-let split s =
-  let len = String.length s in
-  if len < String.length magic then Error Bad_magic
-  else if String.sub s 0 (String.length magic) <> magic then Error Bad_magic
-  else if len < String.length magic + 4 then Error (Truncated "version field")
-  else begin
-    let version = u32_le s (String.length magic) in
-    if version < 1 || version > format_version then Error (Unsupported_version version)
-    else begin
-      let rec sections pos acc =
-        if pos = len then Ok (List.rev acc)
-        else if len - pos < 12 then Error (Truncated "section header")
-        else begin
-          let tag = String.sub s pos 4 in
-          let plen = u32_le s (pos + 4) in
-          let crc = Int32.of_int (u32_le s (pos + 8)) in
-          if plen > len - pos - 12 then Error (Truncated (Printf.sprintf "section %S" tag))
-          else if Crc32.sub s ~pos:(pos + 12) ~len:plen <> crc then
-            Error (Checksum_mismatch tag)
-          else if List.mem_assoc tag acc then
-            Error (Decode (Printf.sprintf "duplicate section %S" tag))
-          else sections (pos + 12 + plen) ((tag, String.sub s (pos + 12) plen) :: acc)
-        end
+(* Read the section table of either format through a [fetch ~pos ~len]
+   callback, so the same code serves an in-memory string and an mmap'd
+   file.  Every entry is bounds-checked against [total] in subtraction
+   form: [off + len] can wrap past max_int on a crafted table, so never
+   sum untrusted offsets. *)
+let directory ~total fetch =
+  let prelude = String.length magic + 4 in
+  let add acc e =
+    if List.exists (fun x -> x.sec_tag = e.sec_tag) acc then
+      Error (Decode (Printf.sprintf "duplicate section %S" e.sec_tag))
+    else Ok (e :: acc)
+  in
+  if total < String.length magic || fetch ~pos:0 ~len:(String.length magic) <> magic then
+    Error Bad_magic
+  else if total < prelude then Error (Truncated "version field")
+  else
+    let version = u32_le (fetch ~pos:(String.length magic) ~len:4) 0 in
+    if version = format_version then
+      let rec walk pos acc =
+        if pos = total then Ok (version, List.rev acc)
+        else if total - pos < 12 then Error (Truncated "section header")
+        else
+          let h = fetch ~pos ~len:12 in
+          let sec_tag = String.sub h 0 4 in
+          let sec_size = u32_le h 4 in
+          if sec_size > total - pos - 12 then
+            Error (Truncated (Printf.sprintf "section %S" sec_tag))
+          else
+            let sec_crc = Int32.of_int (u32_le h 8) in
+            let* acc = add acc { sec_tag; sec_offset = pos + 12; sec_size; sec_crc } in
+            walk (pos + 12 + sec_size) acc
       in
-      match sections (String.length magic + 4) [] with
-      | Ok secs -> Ok (version, secs)
-      | Error _ as e -> e
-    end
-  end
+      walk prelude []
+    else if version = format_version_v2 then
+      if total < prelude + 4 then Error (Truncated "directory header")
+      else
+        let count = u32_le (fetch ~pos:prelude ~len:4) 0 in
+        let hsize = v2_header_size count in
+        if total < hsize then Error (Truncated "section directory")
+        else
+          let dir = fetch ~pos:(prelude + 4) ~len:(count * v2_dir_entry_size) in
+          let crc = fetch ~pos:(hsize - 4) ~len:4 in
+          if Crc32.string dir <> Int32.of_int (u32_le crc 0) then
+            Error (Checksum_mismatch "directory")
+          else
+            let rec entries i acc =
+              if i = count then Ok (version, List.rev acc)
+              else
+                let p = i * v2_dir_entry_size in
+                let sec_tag = String.sub dir p 4 in
+                let sec_offset = Int64.to_int (String.get_int64_le dir (p + 4)) in
+                let sec_size = Int64.to_int (String.get_int64_le dir (p + 12)) in
+                if sec_offset < hsize || sec_size < 0 || sec_offset > total
+                   || sec_size > total - sec_offset
+                then Error (Truncated (Printf.sprintf "section %S" sec_tag))
+                else
+                  let sec_crc = Int32.of_int (u32_le dir (p + 20)) in
+                  let* acc = add acc { sec_tag; sec_offset; sec_size; sec_crc } in
+                  entries (i + 1) acc
+            in
+            entries 0 []
+    else Error (Unsupported_version version)
 
-let find_section sections tag =
-  match List.assoc_opt tag sections with
-  | Some payload -> Ok payload
+let section ~fetch entries tag =
+  match List.find_opt (fun e -> e.sec_tag = tag) entries with
   | None -> Error (Decode (Printf.sprintf "missing section %S" tag))
+  | Some e ->
+      let payload = fetch ~pos:e.sec_offset ~len:e.sec_size in
+      if Crc32.string payload <> e.sec_crc then Error (Checksum_mismatch tag) else Ok payload
+
+let string_fetch text ~pos ~len =
+  let total = String.length text in
+  if pos < 0 || len < 0 || pos > total || len > total - pos then ""
+  else String.sub text pos len
+
+let string_directory text = directory ~total:(String.length text) (string_fetch text)
 
 (* Run a Codec-level decoder over a payload, mapping reader failures to
    the typed error and insisting the payload is fully consumed. *)
@@ -104,28 +197,74 @@ let decode_payload tag payload f =
   | exception Codec.R.Error msg ->
       Error (Decode (Printf.sprintf "section %S: %s" tag msg))
 
-let ( let* ) = Result.bind
+let decode_section ~fetch entries tag f =
+  let* payload = section ~fetch entries tag in
+  decode_payload tag payload f
 
-(* --- META / PROV sections -------------------------------------------------- *)
+(* --- META / PROV sections --------------------------------------------------
 
-let meta_payload ~kind ~design =
-  let b = Codec.W.create () in
+   META is (kind, design, tool); v2 appends the object counts and a
+   decoded-heap estimate, so metadata queries and admission-control
+   budgets need neither NODE nor CHAN. *)
+
+type v2_meta = {
+  vm_kind : kind;
+  vm_design : string;
+  vm_nodes : int;
+  vm_ports : int;
+  vm_chans : int;
+  vm_procs : int;
+  vm_mems : int;
+  vm_buses : int;
+  vm_decoded_bytes : int;  (* estimated heap bytes of the decoded Types.t *)
+}
+
+let w_meta ~kind b design =
   Codec.W.byte b (match kind with Kslif -> 0 | Kdecision -> 1);
   Codec.W.str b design;
-  Codec.W.str b tool_name;
-  Codec.W.contents b
+  Codec.W.str b tool_name
 
-let decode_meta payload =
-  decode_payload "META" payload (fun r ->
-      let kind =
-        match Codec.R.byte r with
-        | 0 -> Kslif
-        | 1 -> Kdecision
-        | n -> raise (Codec.R.Error (Printf.sprintf "unknown container kind %d" n))
-      in
-      let design = Codec.R.str r in
-      let _tool = Codec.R.str r in
-      (kind, design))
+let r_meta r =
+  let kind =
+    match Codec.R.byte r with
+    | 0 -> Kslif
+    | 1 -> Kdecision
+    | n -> raise (Codec.R.Error (Printf.sprintf "unknown container kind %d" n))
+  in
+  let design = Codec.R.str r in
+  let _tool = Codec.R.str r in
+  (kind, design)
+
+let r_v2_meta r =
+  let vm_kind, vm_design = r_meta r in
+  let vm_nodes = Codec.R.uint r in
+  let vm_ports = Codec.R.uint r in
+  let vm_chans = Codec.R.uint r in
+  let vm_procs = Codec.R.uint r in
+  let vm_mems = Codec.R.uint r in
+  let vm_buses = Codec.R.uint r in
+  let vm_decoded_bytes = Codec.R.uint r in
+  {
+    vm_kind;
+    vm_design;
+    vm_nodes;
+    vm_ports;
+    vm_chans;
+    vm_procs;
+    vm_mems;
+    vm_buses;
+    vm_decoded_bytes;
+  }
+
+let v2_decode_meta payload = decode_payload "META" payload r_v2_meta
+
+(* (kind, design) of a container of either version. *)
+let decode_meta ~fetch (version, entries) =
+  decode_section ~fetch entries "META" (fun r ->
+      if version = format_version_v2 then
+        let m = r_v2_meta r in
+        (m.vm_kind, m.vm_design)
+      else r_meta r)
 
 let prov_payload p =
   let b = Codec.W.create () in
@@ -134,21 +273,30 @@ let prov_payload p =
   Codec.W.str b p.pv_tech;
   Codec.W.contents b
 
-let decode_prov payload =
-  decode_payload "PROV" payload (fun r ->
-      let pv_source_md5 = Codec.R.str r in
-      let pv_profile = Codec.R.option r Codec.R.str in
-      let pv_tech = Codec.R.str r in
-      { pv_source_md5; pv_profile; pv_tech })
+let r_prov r =
+  let pv_source_md5 = Codec.R.str r in
+  let pv_profile = Codec.R.option r Codec.R.str in
+  let pv_tech = Codec.R.str r in
+  { pv_source_md5; pv_profile; pv_tech }
+
+let decode_prov payload = decode_payload "PROV" payload r_prov
+
+(* PROV is optional: [None] when the container has none. *)
+let optional_prov ~fetch entries =
+  if List.exists (fun e -> e.sec_tag = "PROV") entries then
+    Result.map Option.some (decode_section ~fetch entries "PROV" r_prov)
+  else Ok None
 
 (* --- SLIF graph sections --------------------------------------------------- *)
 
 open Slif.Types
 
-let w_weights b = Codec.W.list b (fun b (t, v) -> Codec.W.str b t; Codec.W.f64 b v)
-let r_weights r = Codec.R.list r (fun r -> Codec.R.pair r Codec.R.str Codec.R.f64)
+(* Weight lists are (technology, value) pairs; [w_tech]/[r_tech] encode
+   the technology: its name in v1, an index into the TECH table in v2. *)
+let w_weights w_tech b = Codec.W.list b (fun b tv -> Codec.W.pair b w_tech Codec.W.f64 tv)
+let r_weights r_tech r = Codec.R.list r (fun r -> Codec.R.pair r r_tech Codec.R.f64)
 
-let w_node b (n : node) =
+let w_node w_tech b (n : node) =
   Codec.W.int b n.n_id;
   Codec.W.str b n.n_name;
   (match n.n_kind with
@@ -159,10 +307,10 @@ let w_node b (n : node) =
       Codec.W.byte b 1;
       Codec.W.int b storage_bits;
       Codec.W.int b transfer_bits);
-  w_weights b n.n_ict;
-  w_weights b n.n_size
+  w_weights w_tech b n.n_ict;
+  w_weights w_tech b n.n_size
 
-let r_node r =
+let r_node r_tech r =
   let n_id = Codec.R.int r in
   let n_name = Codec.R.str r in
   let n_kind =
@@ -174,8 +322,8 @@ let r_node r =
         Variable { storage_bits; transfer_bits }
     | n -> raise (Codec.R.Error (Printf.sprintf "unknown node kind %d" n))
   in
-  let n_ict = r_weights r in
-  let n_size = r_weights r in
+  let n_ict = r_weights r_tech r in
+  let n_size = r_weights r_tech r in
   { n_id; n_name; n_kind; n_ict; n_size }
 
 let w_port b (p : port) =
@@ -277,7 +425,7 @@ let w_bus b (bus : bus) =
   Codec.W.f64 b bus.b_ts_us;
   Codec.W.f64 b bus.b_td_us;
   Codec.W.option b Codec.W.f64 bus.b_capacity_mbps;
-  Codec.W.list b (fun b (t, v) -> Codec.W.str b t; Codec.W.f64 b v) bus.b_ts_by_tech;
+  w_weights Codec.W.str b bus.b_ts_by_tech;
   Codec.W.list b
     (fun b ((ta, tb), v) ->
       Codec.W.str b ta;
@@ -292,7 +440,7 @@ let r_bus r =
   let b_ts_us = Codec.R.f64 r in
   let b_td_us = Codec.R.f64 r in
   let b_capacity_mbps = Codec.R.option r Codec.R.f64 in
-  let b_ts_by_tech = Codec.R.list r (fun r -> Codec.R.pair r Codec.R.str Codec.R.f64) in
+  let b_ts_by_tech = r_weights Codec.R.str r in
   let b_td_by_pair =
     Codec.R.list r (fun r ->
         let ta = Codec.R.str r in
@@ -307,43 +455,6 @@ let payload_of f x =
   f b x;
   Codec.W.contents b
 
-(* --- Format v2: offset-indexed, lazily decodable containers ----------------
-
-   v1 frames sections back-to-back, so reaching any section means walking
-   (and CRC-summing) everything before it — a reader cannot answer "how
-   many nodes?" without touching the whole file.  v2 puts a directory up
-   front:
-
-     magic | u32 version=2 | u32 count | count x (tag4, u64 off, u64 len,
-     u32 crc) | u32 dir-crc | payloads...
-
-   so a reader maps the file, verifies ~a hundred directory bytes, and
-   then decodes exactly the sections it needs; each payload's CRC is
-   checked when (and only when) that payload is decoded.  Two payload
-   changes ride along: META carries the object counts and a decoded-heap
-   estimate (metadata queries and admission-control budgets need neither
-   NODE nor CHAN), and NODE references an interned TECH string table
-   instead of repeating technology names per weight — the dominant
-   per-node byte cost in v1, and a heap saving on decode since all nodes
-   share one string per technology. *)
-
-type v2_entry = { v2_tag : string; v2_off : int; v2_len : int; v2_crc : int32 }
-
-type v2_meta = {
-  vm_kind : kind;
-  vm_design : string;
-  vm_nodes : int;
-  vm_ports : int;
-  vm_chans : int;
-  vm_procs : int;
-  vm_mems : int;
-  vm_buses : int;
-  vm_decoded_bytes : int;  (* estimated heap bytes of the decoded Types.t *)
-}
-
-let v2_dir_entry_size = 24
-let v2_header_size count = 8 + 4 + 4 + (count * v2_dir_entry_size) + 4
-
 (* Rough decoded-heap model (bytes), computed at write time so admission
    control can reject an over-budget graph from META alone.  Counts the
    records, boxes and strings [slif_of_string] allocates; it is an
@@ -357,7 +468,7 @@ let v2_decoded_estimate (s : t) =
   let mem acc (m : memory) = acc + 72 + str m.m_name + str m.m_tech in
   let bus acc (b : bus) =
     acc + 120 + str b.b_name
-    + List.fold_left (fun a (tn, _) -> a + 80 + str tn) 0 b.b_ts_by_tech
+    + weights b.b_ts_by_tech
     + List.fold_left (fun a ((ta, tb), _) -> a + 104 + str ta + str tb) 0 b.b_td_by_pair
   in
   Array.fold_left node 0 s.nodes
@@ -367,51 +478,8 @@ let v2_decoded_estimate (s : t) =
   + Array.fold_left mem 0 s.mems
   + Array.fold_left bus 0 s.buses
 
-let v2_meta_payload (s : t) =
-  let b = Codec.W.create () in
-  Codec.W.byte b 0 (* Kslif *);
-  Codec.W.str b s.design_name;
-  Codec.W.str b tool_name;
-  Codec.W.uint b (Array.length s.nodes);
-  Codec.W.uint b (Array.length s.ports);
-  Codec.W.uint b (Array.length s.chans);
-  Codec.W.uint b (Array.length s.procs);
-  Codec.W.uint b (Array.length s.mems);
-  Codec.W.uint b (Array.length s.buses);
-  Codec.W.uint b (v2_decoded_estimate s);
-  Codec.W.contents b
-
-let v2_decode_meta payload =
-  decode_payload "META" payload (fun r ->
-      let vm_kind =
-        match Codec.R.byte r with
-        | 0 -> Kslif
-        | 1 -> Kdecision
-        | n -> raise (Codec.R.Error (Printf.sprintf "unknown container kind %d" n))
-      in
-      let vm_design = Codec.R.str r in
-      let _tool = Codec.R.str r in
-      let vm_nodes = Codec.R.uint r in
-      let vm_ports = Codec.R.uint r in
-      let vm_chans = Codec.R.uint r in
-      let vm_procs = Codec.R.uint r in
-      let vm_mems = Codec.R.uint r in
-      let vm_buses = Codec.R.uint r in
-      let vm_decoded_bytes = Codec.R.uint r in
-      {
-        vm_kind;
-        vm_design;
-        vm_nodes;
-        vm_ports;
-        vm_chans;
-        vm_procs;
-        vm_mems;
-        vm_buses;
-        vm_decoded_bytes;
-      })
-
-(* NODE with interned technology names: weight entries are (tech index,
-   value) against the TECH table. *)
+(* v2's TECH table: every technology name the node weights use, in
+   first-use order, and each name's index. *)
 let v2_tech_table (s : t) =
   let ix = Hashtbl.create 16 in
   let rev = ref [] in
@@ -430,150 +498,24 @@ let v2_tech_table (s : t) =
     s.nodes;
   (Array.of_list (List.rev !rev), ix)
 
-let v2_w_node ix b (n : node) =
-  Codec.W.int b n.n_id;
-  Codec.W.str b n.n_name;
-  (match n.n_kind with
-  | Behavior { is_process } ->
-      Codec.W.byte b 0;
-      Codec.W.bool b is_process
-  | Variable { storage_bits; transfer_bits } ->
-      Codec.W.byte b 1;
-      Codec.W.int b storage_bits;
-      Codec.W.int b transfer_bits);
-  let w_weights b l =
-    Codec.W.list b
-      (fun b (tn, v) ->
-        Codec.W.uint b (Hashtbl.find ix tn);
-        Codec.W.f64 b v)
-      l
-  in
-  w_weights b n.n_ict;
-  w_weights b n.n_size
+(* v2 META: v1's (kind, design, tool) followed by the object counts and
+   the decoded-heap estimate. *)
+let v2_meta_payload (s : t) =
+  let b = Codec.W.create () in
+  w_meta ~kind:Kslif b s.design_name;
+  Codec.W.uint b (Array.length s.nodes);
+  Codec.W.uint b (Array.length s.ports);
+  Codec.W.uint b (Array.length s.chans);
+  Codec.W.uint b (Array.length s.procs);
+  Codec.W.uint b (Array.length s.mems);
+  Codec.W.uint b (Array.length s.buses);
+  Codec.W.uint b (v2_decoded_estimate s);
+  Codec.W.contents b
 
-let v2_r_node techs r =
-  let n_id = Codec.R.int r in
-  let n_name = Codec.R.str r in
-  let n_kind =
-    match Codec.R.byte r with
-    | 0 -> Behavior { is_process = Codec.R.bool r }
-    | 1 ->
-        let storage_bits = Codec.R.int r in
-        let transfer_bits = Codec.R.int r in
-        Variable { storage_bits; transfer_bits }
-    | n -> raise (Codec.R.Error (Printf.sprintf "unknown node kind %d" n))
-  in
-  let r_weights r =
-    Codec.R.list r (fun r ->
-        let k = Codec.R.uint r in
-        if k >= Array.length techs then
-          raise (Codec.R.Error (Printf.sprintf "tech index %d out of table" k));
-        let v = Codec.R.f64 r in
-        (techs.(k), v))
-  in
-  let n_ict = r_weights r in
-  let n_size = r_weights r in
-  { n_id; n_name; n_kind; n_ict; n_size }
-
-let add_u64_le buf v = Buffer.add_int64_le buf (Int64.of_int v)
-
-let v2_container sections =
-  let count = List.length sections in
-  let base = v2_header_size count in
-  let dir = Buffer.create (count * v2_dir_entry_size) in
-  let off = ref base in
-  List.iter
-    (fun (tag, payload) ->
-      assert (String.length tag = 4);
-      Buffer.add_string dir tag;
-      add_u64_le dir !off;
-      add_u64_le dir (String.length payload);
-      Buffer.add_int32_le dir (Crc32.string payload);
-      off := !off + String.length payload)
-    sections;
-  let dir = Buffer.contents dir in
-  let buf = Buffer.create (!off) in
-  Buffer.add_string buf magic;
-  add_u32_le buf format_version_v2;
-  add_u32_le buf count;
-  Buffer.add_string buf dir;
-  Buffer.add_int32_le buf (Crc32.string dir);
-  List.iter (fun (_, payload) -> Buffer.add_string buf payload) sections;
-  Buffer.contents buf
-
-(* Version of a container (any format), from the fixed 12-byte prelude. *)
-let container_version s =
-  if String.length s < 8 || String.sub s 0 8 <> magic then Error Bad_magic
-  else if String.length s < 12 then Error (Truncated "version field")
-  else Ok (u32_le s 8)
-
-(* Parse a v2 directory through a [fetch ~pos ~len] callback, so the same
-   code serves an in-memory string and an mmap'd file.  [total] is the
-   container size in bytes; every entry is bounds-checked against it. *)
-let v2_directory ~total fetch =
-  if total < 16 then Error (Truncated "directory header")
-  else begin
-    let head = fetch ~pos:0 ~len:16 in
-    if String.sub head 0 8 <> magic then Error Bad_magic
-    else begin
-      let version = u32_le head 8 in
-      if version <> format_version_v2 then Error (Unsupported_version version)
-      else begin
-        let count = u32_le head 12 in
-        let hsize = v2_header_size count in
-        if count < 0 || total < hsize then Error (Truncated "section directory")
-        else begin
-          let dir = fetch ~pos:16 ~len:(count * v2_dir_entry_size) in
-          let crc = fetch ~pos:(16 + String.length dir) ~len:4 in
-          if Crc32.string dir <> Int32.of_int (u32_le crc 0) then
-            Error (Checksum_mismatch "directory")
-          else begin
-            let rec entries i acc =
-              if i = count then Ok (List.rev acc)
-              else begin
-                let p = i * v2_dir_entry_size in
-                let v2_tag = String.sub dir p 4 in
-                let v2_off = Int64.to_int (String.get_int64_le dir (p + 4)) in
-                let v2_len = Int64.to_int (String.get_int64_le dir (p + 12)) in
-                let v2_crc = Int32.of_int (u32_le dir (p + 20)) in
-                (* Subtraction-form bounds check: [v2_off + v2_len] can
-                   wrap past max_int on a crafted directory, so never
-                   sum attacker-controlled offsets. *)
-                if v2_off < hsize || v2_len < 0 || v2_off > total
-                   || v2_len > total - v2_off then
-                  Error (Truncated (Printf.sprintf "section %S" v2_tag))
-                else if List.exists (fun e -> e.v2_tag = v2_tag) acc then
-                  Error (Decode (Printf.sprintf "duplicate section %S" v2_tag))
-                else
-                  entries (i + 1)
-                    ({ v2_tag; v2_off; v2_len; v2_crc } :: acc)
-              end
-            in
-            entries 0 []
-          end
-        end
-      end
-    end
-  end
-
-(* Fetch one section's payload and verify its CRC — the per-section lazy
-   integrity check. *)
-let v2_section ~fetch entries tag =
-  match List.find_opt (fun e -> e.v2_tag = tag) entries with
-  | None -> Error (Decode (Printf.sprintf "missing section %S" tag))
-  | Some e ->
-      let payload = fetch ~pos:e.v2_off ~len:e.v2_len in
-      if Crc32.string payload <> e.v2_crc then Error (Checksum_mismatch tag)
-      else Ok payload
-
-let v2_slif_to_string ?(provenance = no_provenance) (s : t) =
-  let techs, ix = v2_tech_table s in
-  v2_container
+let slif_to_string ?(version = format_version) ?(provenance = no_provenance) (s : t) =
+  let graph w_tech =
     [
-      ("META", v2_meta_payload s);
-      ("PROV", prov_payload provenance);
-      ("TECH", payload_of (fun b -> Codec.W.array b Codec.W.str) techs);
-      ("NODE", payload_of (fun b -> Codec.W.array b (v2_w_node ix)) s.nodes);
+      ("NODE", payload_of (fun b -> Codec.W.array b (w_node w_tech)) s.nodes);
       ("PORT", payload_of (fun b -> Codec.W.array b w_port) s.ports);
       ("CHAN", payload_of (fun b -> Codec.W.array b w_chan) s.chans);
       ( "COMP",
@@ -583,107 +525,63 @@ let v2_slif_to_string ?(provenance = no_provenance) (s : t) =
         Codec.W.array b w_bus s.buses;
         Codec.W.contents b );
     ]
+  in
+  let prov = ("PROV", prov_payload provenance) in
+  match version with
+  | 1 ->
+      container
+        (("META", payload_of (w_meta ~kind:Kslif) s.design_name)
+        :: prov :: graph Codec.W.str)
+  | 2 ->
+      (* v2 NODE references an interned TECH string table instead of
+         repeating technology names per weight — the dominant per-node
+         byte cost in v1, and a heap saving on decode since all nodes
+         share one string per technology. *)
+      let techs, ix = v2_tech_table s in
+      v2_container
+        (("META", v2_meta_payload s)
+        :: prov
+        :: ("TECH", payload_of (fun b -> Codec.W.array b Codec.W.str) techs)
+        :: graph (fun b tn -> Codec.W.uint b (Hashtbl.find ix tn)))
+  | v -> invalid_arg (Printf.sprintf "Store.slif_to_string: unknown format version %d" v)
 
-(* Decode a full SLIF out of a v2 directory; shared by the eager string
-   reader below and Lazy_store's on-demand path. *)
-let v2_decode_slif ~fetch entries =
-  let* meta_p = v2_section ~fetch entries "META" in
-  let* meta = v2_decode_meta meta_p in
-  match meta.vm_kind with
+let decode_slif ~fetch (version, entries) =
+  let* kind, design_name = decode_meta ~fetch (version, entries) in
+  match kind with
   | Kdecision -> Error (Decode "container holds a decision, not a SLIF")
   | Kslif ->
-      let* prov =
-        match List.find_opt (fun e -> e.v2_tag = "PROV") entries with
-        | None -> Ok no_provenance
-        | Some _ ->
-            let* p = v2_section ~fetch entries "PROV" in
-            decode_prov p
+      let* prov = optional_prov ~fetch entries in
+      let* r_tech =
+        if version = format_version then Ok Codec.R.str
+        else
+          let* techs =
+            decode_section ~fetch entries "TECH" (fun r -> Codec.R.array r Codec.R.str)
+          in
+          Ok
+            (fun r ->
+              let k = Codec.R.uint r in
+              if k >= Array.length techs then
+                raise (Codec.R.Error (Printf.sprintf "tech index %d out of table" k));
+              techs.(k))
       in
-      let* tech_p = v2_section ~fetch entries "TECH" in
-      let* techs =
-        decode_payload "TECH" tech_p (fun r -> Codec.R.array r Codec.R.str)
-      in
-      let* node_p = v2_section ~fetch entries "NODE" in
-      let* nodes =
-        decode_payload "NODE" node_p (fun r -> Codec.R.array r (v2_r_node techs))
-      in
-      let* port_p = v2_section ~fetch entries "PORT" in
-      let* ports = decode_payload "PORT" port_p (fun r -> Codec.R.array r r_port) in
-      let* chan_p = v2_section ~fetch entries "CHAN" in
-      let* chans = decode_payload "CHAN" chan_p (fun r -> Codec.R.array r r_chan) in
-      let* comp_p = v2_section ~fetch entries "COMP" in
+      let decode tag f = decode_section ~fetch entries tag f in
+      let* nodes = decode "NODE" (fun r -> Codec.R.array r (r_node r_tech)) in
+      let* ports = decode "PORT" (fun r -> Codec.R.array r r_port) in
+      let* chans = decode "CHAN" (fun r -> Codec.R.array r r_chan) in
       let* procs, mems, buses =
-        decode_payload "COMP" comp_p (fun r ->
+        decode "COMP" (fun r ->
             let procs = Codec.R.array r r_proc in
             let mems = Codec.R.array r r_mem in
             let buses = Codec.R.array r r_bus in
             (procs, mems, buses))
       in
       Ok
-        ( { design_name = meta.vm_design; nodes; ports; chans; procs; mems; buses },
-          prov )
-
-let string_fetch text ~pos ~len =
-  let total = String.length text in
-  if pos < 0 || len < 0 || pos > total || len > total - pos then ""
-  else String.sub text pos len
-
-let slif_to_string ?(version = format_version) ?provenance (s : t) =
-  match version with
-  | 1 -> (
-      let sections =
-        [
-          ("META", meta_payload ~kind:Kslif ~design:s.design_name);
-          ( "PROV",
-            prov_payload (Option.value provenance ~default:no_provenance) );
-          ("NODE", payload_of (fun b -> Codec.W.array b w_node) s.nodes);
-          ("PORT", payload_of (fun b -> Codec.W.array b w_port) s.ports);
-          ("CHAN", payload_of (fun b -> Codec.W.array b w_chan) s.chans);
-          ( "COMP",
-            let b = Codec.W.create () in
-            Codec.W.array b w_proc s.procs;
-            Codec.W.array b w_mem s.mems;
-            Codec.W.array b w_bus s.buses;
-            Codec.W.contents b );
-        ]
-      in
-      container sections)
-  | 2 -> v2_slif_to_string ?provenance s
-  | v -> invalid_arg (Printf.sprintf "Store.slif_to_string: unknown format version %d" v)
+        ( { design_name; nodes; ports; chans; procs; mems; buses },
+          Option.value prov ~default:no_provenance )
 
 let slif_of_string text =
-  let* version = container_version text in
-  if version = format_version_v2 then
-    let fetch = string_fetch text in
-    let* entries = v2_directory ~total:(String.length text) fetch in
-    v2_decode_slif ~fetch entries
-  else
-    let* _version, sections = split text in
-    let* meta = find_section sections "META" in
-    let* kind, design_name = decode_meta meta in
-    match kind with
-    | Kdecision -> Error (Decode "container holds a decision, not a SLIF")
-    | Kslif ->
-        let* prov =
-          match List.assoc_opt "PROV" sections with
-          | None -> Ok no_provenance
-          | Some payload -> decode_prov payload
-        in
-        let* node_p = find_section sections "NODE" in
-        let* nodes = decode_payload "NODE" node_p (fun r -> Codec.R.array r r_node) in
-        let* port_p = find_section sections "PORT" in
-        let* ports = decode_payload "PORT" port_p (fun r -> Codec.R.array r r_port) in
-        let* chan_p = find_section sections "CHAN" in
-        let* chans = decode_payload "CHAN" chan_p (fun r -> Codec.R.array r r_chan) in
-        let* comp_p = find_section sections "COMP" in
-        let* procs, mems, buses =
-          decode_payload "COMP" comp_p (fun r ->
-              let procs = Codec.R.array r r_proc in
-              let mems = Codec.R.array r r_mem in
-              let buses = Codec.R.array r r_bus in
-              (procs, mems, buses))
-        in
-        Ok ({ design_name; nodes; ports; chans; procs; mems; buses }, prov)
+  let* table = string_directory text in
+  decode_slif ~fetch:(string_fetch text) table
 
 (* --- Decisions ------------------------------------------------------------- *)
 
@@ -736,13 +634,12 @@ let decision_to_string ?note part =
       chans;
     Codec.W.contents b
   in
-  container
-    [ ("META", meta_payload ~kind:Kdecision ~design:s.design_name); ("DECN", decn) ]
+  container [ ("META", payload_of (w_meta ~kind:Kdecision) s.design_name); ("DECN", decn) ]
 
 let decision_of_string (s : t) text =
-  let* _version, sections = split text in
-  let* meta = find_section sections "META" in
-  let* kind, design_name = decode_meta meta in
+  let fetch = string_fetch text in
+  let* table = string_directory text in
+  let* kind, design_name = decode_meta ~fetch table in
   match kind with
   | Kslif -> Error (Decode "container holds a SLIF, not a decision")
   | Kdecision ->
@@ -752,9 +649,8 @@ let decision_of_string (s : t) text =
              (Printf.sprintf "decision recorded for design %S, not %S" design_name
                 s.design_name))
       else
-        let* decn = find_section sections "DECN" in
         let* note, maps, chans =
-          decode_payload "DECN" decn (fun r ->
+          decode_section ~fetch (snd table) "DECN" (fun r ->
               let note = Codec.R.option r Codec.R.str in
               let maps =
                 Codec.R.list r (fun r ->
@@ -870,13 +766,6 @@ let load_decision s ~path =
 
 (* --- Inspection ------------------------------------------------------------ *)
 
-type section_info = {
-  sec_tag : string;
-  sec_offset : int;  (* byte offset of the payload within the container *)
-  sec_size : int;
-  sec_crc : int32;
-}
-
 type info = {
   si_version : int;
   si_kind : kind;
@@ -885,64 +774,21 @@ type info = {
   si_provenance : provenance option;
 }
 
-(* Payload offsets of a v1 container; the caller has already run [split],
-   so the framing is known to be well-formed. *)
-let v1_section_table text =
-  let len = String.length text in
-  let rec go pos acc =
-    if pos >= len then List.rev acc
-    else
-      let sec_tag = String.sub text pos 4 in
-      let plen = u32_le text (pos + 4) in
-      let sec_crc = Int32.of_int (u32_le text (pos + 8)) in
-      go
-        (pos + 12 + plen)
-        ({ sec_tag; sec_offset = pos + 12; sec_size = plen; sec_crc } :: acc)
-  in
-  go 12 []
-
 let inspect text =
-  let* version = container_version text in
-  if version = format_version_v2 then begin
-    let fetch = string_fetch text in
-    let* entries = v2_directory ~total:(String.length text) fetch in
-    let* meta_p = v2_section ~fetch entries "META" in
-    let* meta = v2_decode_meta meta_p in
-    let* si_provenance =
-      match List.find_opt (fun e -> e.v2_tag = "PROV") entries with
-      | None -> Ok None
-      | Some _ ->
-          let* p = v2_section ~fetch entries "PROV" in
-          let* p = decode_prov p in
-          Ok (Some p)
-    in
-    Ok
-      {
-        si_version = version;
-        si_kind = meta.vm_kind;
-        si_design = meta.vm_design;
-        si_sections =
-          List.map
-            (fun e ->
-              {
-                sec_tag = e.v2_tag;
-                sec_offset = e.v2_off;
-                sec_size = e.v2_len;
-                sec_crc = e.v2_crc;
-              })
-            entries;
-        si_provenance;
-      }
-  end
-  else
-    let* si_version, sections = split text in
-    let* meta = find_section sections "META" in
-    let* si_kind, si_design = decode_meta meta in
-    let* si_provenance =
-      match List.assoc_opt "PROV" sections with
-      | None -> Ok None
-      | Some payload ->
-          let* p = decode_prov payload in
-          Ok (Some p)
-    in
-    Ok { si_version; si_kind; si_design; si_sections = v1_section_table text; si_provenance }
+  let fetch = string_fetch text in
+  let* ((si_version, entries) as table) = string_directory text in
+  (* v1 has no directory checksum, so its integrity rests on every
+     payload CRC; v2's directory CRC covers the table, and only META and
+     PROV are read. *)
+  let* () =
+    if si_version <> format_version then Ok ()
+    else
+      List.fold_left
+        (fun acc e ->
+          let* () = acc in
+          Result.map ignore (section ~fetch entries e.sec_tag))
+        (Ok ()) entries
+  in
+  let* si_kind, si_design = decode_meta ~fetch table in
+  let* si_provenance = optional_prov ~fetch entries in
+  Ok { si_version; si_kind; si_design; si_sections = entries; si_provenance }

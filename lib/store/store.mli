@@ -16,14 +16,17 @@
     Layout (v2): the same magic/version prelude, then a CRC-guarded
     section {e directory} — [u32 count], [count] entries of [tag(4) |
     u64 payload offset | u64 payload length | u32 payload CRC-32], a
-    [u32] CRC of the directory bytes — followed by the payloads.  The
-    directory makes a v2 container lazily decodable: a reader (or an
-    [Unix.map_file] mapping, see {!Lazy_store}) can verify the directory
-    alone, answer metadata queries from META (which carries object counts
-    and a decoded-heap estimate in v2), and decode individual sections on
-    demand, checking each payload CRC only when that payload is read.
+    [u32] CRC of the directory bytes — followed by the payloads.  v2 META
+    is v1 META followed by object counts and a decoded-heap estimate, and
     v2 NODE weights reference an interned TECH string table instead of
     repeating technology names per node.
+
+    Reading is one path for both versions: {!directory} reads the
+    prelude and the version's framing into one section table, and
+    {!section} fetches a payload and checks its CRC-32 — on fetch, so a
+    reader (or an [Unix.map_file] mapping, see {!Lazy_store}) pays only
+    for the sections it decodes.  Every full decode fetches every
+    section it uses, so every decoded byte is under a checked CRC.
 
     Decoding is total: any byte sequence either decodes or yields a typed
     {!error} — never an exception escaping this module's [_of_string]
@@ -32,7 +35,9 @@
 type error =
   | Io of string  (** file could not be read/written (carries the OS message) *)
   | Bad_magic  (** the file does not start with {!magic} *)
-  | Unsupported_version of int  (** written by a newer format revision *)
+  | Unsupported_version of int
+      (** a version word this reader does not decode (newer, or not a
+          format version at all) *)
   | Truncated of string  (** input ended inside the named structure *)
   | Checksum_mismatch of string  (** the named section's CRC-32 does not match *)
   | Decode of string  (** structurally invalid payload *)
@@ -107,12 +112,14 @@ val load_decision : Slif.Types.t -> path:string -> (Slif.Partition.t * string op
 
 type kind = Kslif | Kdecision
 
+(** One entry of a container's section table. *)
 type section_info = {
   sec_tag : string;
   sec_offset : int;  (** byte offset of the payload within the container *)
   sec_size : int;  (** payload bytes *)
   sec_crc : int32;  (** payload CRC-32, as recorded in the container *)
 }
+
 
 type info = {
   si_version : int;
@@ -123,16 +130,37 @@ type info = {
 }
 
 val inspect : string -> (info, error) result
-(** Checks magic and version, validates the container's integrity
-    metadata (every v1 section checksum; the v2 directory checksum), and
-    decodes the metadata — without rebuilding the graph. *)
+(** Reads the section table, validates the container's integrity
+    metadata (every v1 section checksum, as v1 has no directory
+    checksum; the v2 directory checksum), and decodes META and PROV —
+    without rebuilding the graph. *)
 
 val read_file : string -> (string, error) result
 (** Slurp a file, mapping I/O failures to [Io]. *)
 
-(** {2 v2 internals shared with {!Lazy_store}} *)
+(** {2 The section table (shared with {!Lazy_store})} *)
 
-type v2_entry = { v2_tag : string; v2_off : int; v2_len : int; v2_crc : int32 }
+val directory :
+  total:int -> (pos:int -> len:int -> string) -> (int * section_info list, error) result
+(** [directory ~total fetch] reads a container's [(version, sections)]
+    through a byte-range fetch callback ([String.sub] over a loaded
+    container, or a copy out of an [Unix.map_file] mapping) of a
+    container [total] bytes long.  Checks the magic ([Bad_magic]) and
+    the version ([Unsupported_version] unless 1 or 2), then walks the v1
+    section headers or CRC-verifies the v2 directory.  Every entry is
+    bounds-checked against [total]; duplicate tags are rejected.  No
+    payload CRC is checked here. *)
+
+val section :
+  fetch:(pos:int -> len:int -> string) -> section_info list -> string -> (string, error) result
+(** Fetch the named section's payload and verify its CRC-32. *)
+
+val decode_slif :
+  fetch:(pos:int -> len:int -> string) ->
+  int * section_info list ->
+  (Slif.Types.t * provenance, error) result
+(** Full SLIF decode out of a {!directory} result, for either version
+    ({!slif_of_string} and {!Lazy_store.slif} share it). *)
 
 type v2_meta = {
   vm_kind : kind;
@@ -148,26 +176,8 @@ type v2_meta = {
           number admission control compares against [--max-graph-mb] *)
 }
 
-val v2_directory :
-  total:int -> (pos:int -> len:int -> string) -> (v2_entry list, error) result
-(** Parse and CRC-verify a v2 section directory through a byte-range
-    fetch callback ([String.sub] over a loaded container, or a copy out
-    of an [Unix.map_file] mapping); entries are bounds-checked against
-    [total]. *)
-
-val v2_section :
-  fetch:(pos:int -> len:int -> string) -> v2_entry list -> string -> (string, error) result
-(** Fetch one section's payload and verify its CRC — the per-section
-    lazy integrity check. *)
-
 val v2_decode_meta : string -> (v2_meta, error) result
+(** Decode a v2 META payload. *)
 
 val decode_prov : string -> (provenance, error) result
-(** Decode a PROV payload (shared with {!Lazy_store}). *)
-
-val v2_decode_slif :
-  fetch:(pos:int -> len:int -> string) ->
-  v2_entry list ->
-  (Slif.Types.t * provenance, error) result
-(** Full decode out of a v2 directory (eager path and {!Lazy_store}'s
-    on-demand path share this). *)
+(** Decode a PROV payload. *)

@@ -129,11 +129,22 @@ let test_wrong_magic () =
 
 let test_future_version () =
   let blob = Lazy.force tiny_blob in
-  let bad = Bytes.of_string blob in
-  Bytes.set_int32_le bad 8 99l;
-  match Store.slif_of_string (Bytes.to_string bad) with
+  let with_version v =
+    let bad = Bytes.of_string blob in
+    Bytes.set_int32_le bad 8 (Int32.of_int v);
+    Store.slif_of_string (Bytes.to_string bad)
+  in
+  (match with_version 99 with
   | Error (Store.Unsupported_version 99) -> ()
-  | _ -> Alcotest.fail "future format version not rejected"
+  | _ -> Alcotest.fail "future format version not rejected");
+  (* Version 0 is not a format version at all: rejected, but not called
+     newer than the tool. *)
+  match with_version 0 with
+  | Error (Store.Unsupported_version 0 as err) ->
+      let msg = Store.error_message err in
+      Alcotest.(check bool) (Printf.sprintf "%S does not say newer" msg) false
+        (List.mem "newer" (String.split_on_char ' ' msg))
+  | _ -> Alcotest.fail "format version 0 not rejected"
 
 let test_truncations () =
   let blob = Lazy.force tiny_blob in
@@ -162,8 +173,10 @@ let test_crc_flip () =
 (* Seeded fuzz over every bundled spec's blob: random single-byte flips
    and truncations must always produce a typed error (a flipped byte is
    always covered by the magic, the version field, a section header or a
-   CRC-checked payload — nothing is slack). *)
-let fuzz_blob name blob seed =
+   CRC-checked payload — nothing is slack).  [inspect] reads the same
+   mutations and may accept or reject them, but never raises. *)
+let fuzz_blob ?(decode = fun text -> Result.map ignore (Store.slif_of_string text)) name
+    blob seed =
   let prng = Slif_util.Prng.create seed in
   let len = String.length blob in
   for _ = 1 to 200 do
@@ -177,7 +190,11 @@ let fuzz_blob name blob seed =
       end
       else String.sub blob 0 (Slif_util.Prng.int prng len)
     in
-    match Store.slif_of_string mutated with
+    (match Store.inspect mutated with
+    | Ok _ | Error _ -> ()
+    | exception e ->
+        Alcotest.failf "%s: inspect raised %s (seed %d)" name (Printexc.to_string e) seed);
+    match decode mutated with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "%s: corrupted blob decoded successfully (seed %d)" name seed
     | exception e ->
@@ -191,6 +208,10 @@ let test_fuzz_corruption () =
       let blob = Store.slif_to_string (annotated_of spec) in
       fuzz_blob spec.spec_name blob 42)
     all_specs;
+  let vol, part = Helpers.all_on_cpu (annotated_of (Specs.Registry.find_exn "vol")) in
+  fuzz_blob
+    ~decode:(fun text -> Result.map ignore (Store.decision_of_string vol text))
+    "vol decision" (Store.decision_to_string part) 42;
   Helpers.replay_corpus "store_corruption" (fun seed ->
       fuzz_blob "tiny" (Lazy.force tiny_blob) seed)
 
@@ -300,9 +321,9 @@ let test_v2_zero_length_section () =
     if pos < 0 || len < 0 || pos + len > String.length blob then ""
     else String.sub blob pos len
   in
-  let entries = check_ok (Store.v2_directory ~total:(String.length blob) fetch) in
+  let _version, entries = check_ok (Store.directory ~total:(String.length blob) fetch) in
   Alcotest.(check int) "one entry" 1 (List.length entries);
-  let payload = check_ok (Store.v2_section ~fetch entries "ZERO") in
+  let payload = check_ok (Store.section ~fetch entries "ZERO") in
   Alcotest.(check string) "zero-length payload" "" payload
 
 (* --- Format v2: round trips, inspection, laziness -------------------------- *)
@@ -593,6 +614,55 @@ let test_cache_unusable_dir () =
       | _ -> Alcotest.fail "unusable cache dir accepted"
       | exception Store.Store_error (Store.Io _) -> ())
 
+(* --- Frozen containers ------------------------------------------------------
+
+   Every other case encodes and decodes with the same build, so a codec
+   change made symmetrically on both sides would pass them.  These two
+   files were written by an older build ([slif store write vol -o ...]
+   and [slif synth --nodes 64 --seed 1 -o ...]) and are never
+   regenerated: the reader must still decode them to the same graph, and
+   the writer must still produce them byte for byte. *)
+let test_frozen_containers () =
+  let frozen path expected =
+    let text = check_ok (Store.read_file path) in
+    let loaded, provenance = check_ok (Store.slif_of_string text) in
+    Alcotest.(check bool) (path ^ " decodes to the expected graph") true
+      (Slif.Types.equal expected loaded);
+    let version = (check_ok (Store.inspect text)).Store.si_version in
+    Alcotest.(check bool) (path ^ " re-encodes byte for byte") true
+      (String.equal text (Store.slif_to_string ~version ~provenance loaded))
+  in
+  frozen "golden/vol.v1.slifstore" (annotated_of (Specs.Registry.find_exn "vol"));
+  frozen "golden/synth64.v2.slifstore"
+    (Slif_synth.Synth.generate
+       (Slif_synth.Synth.default_params ~seed:1 ~nodes:64 Slif_synth.Synth.Mixed))
+
+(* Truncating a mapped store in place used to kill the process with
+   SIGBUS on the next forced decode; the handle now answers with a typed
+   error. *)
+let test_lazy_store_truncated_under_mapping () =
+  let module Lazy_store = Slif_store.Lazy_store in
+  let slif =
+    Slif_synth.Synth.generate
+      (Slif_synth.Synth.default_params ~seed:1 ~nodes:20_000 Slif_synth.Synth.Mixed)
+  in
+  let path = Filename.temp_file "slif_lazy_trunc" ".slifstore" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Store.save_slif ~path ~version:Store.format_version_v2 slif;
+      let h = check_ok (Lazy_store.open_file path) in
+      Unix.truncate path 4096;
+      (match Lazy_store.slif h with
+      | Error (Store.Truncated _) -> ()
+      | Ok _ -> Alcotest.fail "decoded a store truncated under its mapping"
+      | Error err -> Alcotest.failf "wrong error: %s" (Store.error_message err));
+      Alcotest.(check bool) "the error is not memoized" false (Lazy_store.decoded h);
+      match Lazy_store.provenance h with
+      | Error (Store.Truncated _) -> ()
+      | Ok _ -> Alcotest.fail "read PROV of a store truncated under its mapping"
+      | Error err -> Alcotest.failf "wrong error: %s" (Store.error_message err))
+
 let suite =
   [
     Alcotest.test_case "round-trip structural (all specs)" `Quick test_roundtrip_structural;
@@ -627,4 +697,8 @@ let suite =
     Alcotest.test_case "cache key sensitivity" `Quick test_cache_key_sensitivity;
     Alcotest.test_case "cache hit/miss/rebuild" `Quick test_cache_hit_miss_rebuild;
     Alcotest.test_case "cache unusable dir" `Quick test_cache_unusable_dir;
+    Alcotest.test_case "frozen containers from an older build" `Quick
+      test_frozen_containers;
+    Alcotest.test_case "lazy store truncated under its mapping" `Quick
+      test_lazy_store_truncated_under_mapping;
   ]
