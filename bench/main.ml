@@ -1594,9 +1594,12 @@ let a12 () =
   let table =
     Slif_util.Table.create
       ~header:
-        [ "nodes"; "gen(s)"; "graph(s)"; "est us/node"; "moves/s"; "q/move"; "v1 B/node";
-          "v2 B/node"; "lazy open(ms)" ]
+        [ "nodes"; "gen(s)"; "graph(s)"; "est us/node"; "moves/s"; "q/move"; "words/move";
+          "v1 B/node"; "v2 B/node"; "lazy open(ms)" ]
   in
+  (* Estimate queries per move, by size: exact counts, so the scaling
+     gate below cannot flake on a noisy machine. *)
+  let queries = ref [] in
   List.iter
     (fun n ->
       let p = Slif_synth.Synth.default_params ~seed:7 ~nodes:n Slif_synth.Synth.Mixed in
@@ -1626,6 +1629,7 @@ let a12 () =
       let n_moves = if bench_fast then 200 else 2_000 in
       let applied = ref 0 in
       let q0 = Slif.Estimate.stats_queries engine_est in
+      let w0 = Gc.minor_words () in
       let (), t_moves =
         Slif_obs.Clock.time (fun () ->
             for _ = 1 to n_moves do
@@ -1641,9 +1645,11 @@ let a12 () =
       let moves_per_s =
         if t_moves > 0.0 then float_of_int !applied /. t_moves else 0.0
       in
+      let words_per_move = (Gc.minor_words () -. w0) /. float_of_int (max 1 !applied) in
       let queries_per_move =
         (Slif.Estimate.stats_queries engine_est - q0) / max 1 !applied
       in
+      queries := (n, queries_per_move) :: !queries;
       (* The maintained cost must be the oracle's on a fresh estimator,
          bit for bit. *)
       let oracle =
@@ -1681,6 +1687,7 @@ let a12 () =
       Slif_obs.Counter.add (tag "est_ns_per_node") (int_of_float (est_us_per_node *. 1e3));
       Slif_obs.Counter.add (tag "moves_per_s") (int_of_float moves_per_s);
       Slif_obs.Counter.add (tag "queries_per_move") queries_per_move;
+      Slif_obs.Counter.add (tag "words_per_move") (int_of_float words_per_move);
       Slif_obs.Counter.add (tag "v1_bytes_per_node") (int_of_float v1_bpn);
       Slif_obs.Counter.add (tag "v2_bytes_per_node") (int_of_float v2_bpn);
       Slif_obs.Counter.add (tag "lazy_open_us") (int_of_float (t_open *. 1e6));
@@ -1692,12 +1699,22 @@ let a12 () =
           Printf.sprintf "%.3f" est_us_per_node;
           Printf.sprintf "%.0f" moves_per_s;
           string_of_int queries_per_move;
+          Printf.sprintf "%.0f" words_per_move;
           Printf.sprintf "%.1f" v1_bpn;
           Printf.sprintf "%.1f" v2_bpn;
           Printf.sprintf "%.2f" (t_open *. 1e3);
         ])
     sizes;
   Slif_util.Table.print table;
+  (* The scale-free gate: a move's estimate work follows its dirty slice,
+     not the graph, so queries per move at the largest size stay within
+     2x of the smallest size's. *)
+  (match (!queries, List.rev !queries) with
+  | (n_big, q_big) :: _, (n_small, q_small) :: _ when q_big > 2 * max 1 q_small ->
+      failwith
+        (Printf.sprintf "a12: %d estimate queries per move at %d nodes, over 2x the %d at %d"
+           q_big n_big q_small n_small)
+  | _ -> ());
   Printf.printf
     "(projection: at the largest size a CDFG would carry ~%.1fx and an ADD ~%.1fx\n\
     \ as many objects as the SLIF-AG, at the density measured on the bundled corpus)\n"

@@ -19,6 +19,7 @@ type t = {
   chan_freq_max : float array;
   out_off : int array;
   out_chan : int array;
+  chan_slot : int array;
   in_off : int array;
   in_chan : int array;
   tech_names : string array;
@@ -150,12 +151,14 @@ let make (s : Types.t) =
     in_off.(i) <- in_off.(i) + in_off.(i - 1)
   done;
   let out_chan = Array.make out_off.(n_nodes) 0 in
+  let chan_slot = Array.make n_chans 0 in
   let in_chan = Array.make in_off.(n_nodes) 0 in
   let out_cur = Array.copy out_off in
   let in_cur = Array.copy in_off in
   for c = 0 to n_chans - 1 do
     let src = chan_src.(c) in
     out_chan.(out_cur.(src)) <- c;
+    chan_slot.(c) <- out_cur.(src);
     out_cur.(src) <- out_cur.(src) + 1;
     let d = chan_dst.(c) in
     if d >= 0 then begin
@@ -202,6 +205,7 @@ let make (s : Types.t) =
     chan_freq_max;
     out_off;
     out_chan;
+    chan_slot;
     in_off;
     in_chan;
     tech_names;

@@ -46,6 +46,9 @@ type t = {
   (* CSR adjacency; channel ids ascend within each row. *)
   out_off : int array;  (** length [n_nodes + 1] *)
   out_chan : int array;
+  chan_slot : int array;
+      (** per channel: its position in [out_chan], the inverse of the
+          out-row map, so a per-slot cache can be addressed by channel *)
   in_off : int array;
   in_chan : int array;
   (* Interned technologies. *)

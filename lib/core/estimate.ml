@@ -18,7 +18,22 @@ type mode = Avg | Min | Max
    ids instead of [List.assoc] on string keys, and pre-resolved per-bus
    ts/td matrices.  Iteration order (channel ids ascending per node) and
    every float operation match the record path exactly, so estimates are
-   bitwise unchanged — only the constant factor per channel hop drops. *)
+   bitwise unchanged — only the constant factor per channel hop drops.
+
+   Eq. 1 also caches per out-row slot: [slot_val.(k)] is the cost of the
+   channel at CSR position [k], valid iff [slot_gen.(k) = gen].  A memo
+   miss re-prices only the node's stale slots and then left-folds the
+   whole row from the cache, so re-timing a behavior that calls a
+   thousand others costs a thousand float adds, not a thousand priced
+   channels.  A slot's cost reads four things — the channel's bus, the
+   source's component, the destination's component, and the
+   destination's execution time or ict — and the invalidators below
+   stale exactly the slots a change to one of them reaches.
+
+   Eq. 3 caches, per source, the bits it sends per execution on each bus
+   ([w_val], valid per [w_gen]).  Those weights read only the bus mapping
+   of the source's channels, so they outlive every node move, and a
+   re-timed source re-divides them instead of re-walking its row. *)
 type t = {
   graph : Graph.t;
   cg : Compact.t;                   (* the graph's struct-of-arrays mirror *)
@@ -30,6 +45,11 @@ type t = {
   freqs : float array;              (* the mode's per-channel access frequency *)
   memo_val : float array;           (* exectime per node, valid per memo_gen *)
   memo_gen : int array;
+  slot_val : float array;           (* eq. 1 cost per out-row slot, valid per slot_gen *)
+  slot_gen : int array;
+  n_buses : int;
+  w_val : float array;              (* eq. 3 weight at [(src * n_buses) + bus] *)
+  w_gen : int array;                (* per source: its n_buses weights are valid *)
   mutable gen : int;                (* current generation, always >= 1 *)
   visit : int array;                (* recursion depths; all zero between calls *)
   mutable synced_version : int;
@@ -50,6 +70,7 @@ let create ?(mode = Avg) ?(concurrency = false) ?(recursion_depth = 0) graph par
   let s = Graph.slif graph in
   let n_nodes = Array.length s.Types.nodes in
   let cg = Graph.compact graph in
+  let n_buses = Array.length cg.Compact.bus_width in
   {
     graph;
     cg;
@@ -65,6 +86,11 @@ let create ?(mode = Avg) ?(concurrency = false) ?(recursion_depth = 0) graph par
       | Max -> cg.Compact.chan_freq_max);
     memo_val = Array.make n_nodes 0.0;
     memo_gen = Array.make n_nodes 0;
+    slot_val = Array.make cg.Compact.n_chans 0.0;
+    slot_gen = Array.make cg.Compact.n_chans 0;
+    n_buses;
+    w_val = Array.make (n_nodes * n_buses) 0.0;
+    w_gen = Array.make n_nodes 0;
     gen = 1;
     visit = Array.make n_nodes 0;
     synced_version = Partition.version part;
@@ -87,19 +113,39 @@ let invalidate_all t =
   t.gen <- t.gen + 1;
   t.synced_version <- Partition.version t.part
 
+(* Generations start at 1, so 0 never matches [t.gen].  A node's in-row
+   slots price its execution time (or ict) into each caller's row, so
+   they go stale with its memo entry. *)
 let invalidate_nodes t ids =
   Slif_obs.Counter.bump t.c_inval_incr;
-  (* Generations start at 1, so 0 never matches [t.gen]. *)
-  List.iter (fun id -> t.memo_gen.(id) <- 0) ids;
+  let cg = t.cg in
+  List.iter
+    (fun id ->
+      t.memo_gen.(id) <- 0;
+      for k = cg.Compact.in_off.(id) to cg.Compact.in_off.(id + 1) - 1 do
+        t.slot_gen.(cg.Compact.chan_slot.(cg.Compact.in_chan.(k))) <- 0
+      done)
+    ids;
   t.synced_version <- Partition.version t.part
 
-let note_node_moved t node = invalidate_nodes t (Graph.transitive_callers t.graph node)
+let invalidate_out_row t node =
+  let lo = t.cg.Compact.out_off.(node) in
+  Array.fill t.slot_gen lo (t.cg.Compact.out_off.(node + 1) - lo) 0
+
+let invalidate_chan t chan =
+  t.slot_gen.(t.cg.Compact.chan_slot.(chan)) <- 0;
+  t.w_gen.(t.cg.Compact.chan_src.(chan)) <- 0
+
+let note_node_moved t node =
+  invalidate_nodes t (Graph.transitive_callers t.graph node);
+  invalidate_out_row t node
 
 let note_chan_moved t chan =
   let s = Graph.slif t.graph in
   if chan < 0 || chan >= Array.length s.Types.chans then
     invalid_arg "Estimate.note_chan_moved: no such channel";
-  invalidate_nodes t (Graph.transitive_callers t.graph s.Types.chans.(chan).Types.c_src)
+  invalidate_nodes t (Graph.transitive_callers t.graph s.Types.chans.(chan).Types.c_src);
+  invalidate_chan t chan
 
 (* Re-point the estimator at another (total) partition of the same SLIF,
    dropping the whole memo.  This is how an engine replica re-engages a
@@ -180,17 +226,33 @@ let chan_cost_by_id t exec c =
   in
   t.freqs.(c) *. (transfer +. dst_time)
 
-(* Group same-tag channels: within a tag group, accesses can overlap, so
-   the group costs the max of its members (fork/join semantics).  The
-   channels are the CSR out-row of [id], walked in ascending channel id
-   order — the record path's list order. *)
+(* Re-price out-row slot [k] and cache its cost.  On a call cycle nothing
+   is cached, so the stamp is never written and every read re-prices the
+   channel. *)
+let price_slot t exec k =
+  let cost = chan_cost_by_id t exec t.cg.Compact.out_chan.(k) in
+  if not t.cyclic then begin
+    t.slot_val.(k) <- cost;
+    t.slot_gen.(k) <- t.gen
+  end;
+  cost
+
+(* Inlined at each use, so a cache hit reads the float unboxed. *)
+let[@inline] slot_cost t exec k =
+  if t.slot_gen.(k) = t.gen then t.slot_val.(k) else price_slot t exec k
+
+(* The row is a left fold in slot order — ascending channel id, the record
+   path's list order — and must stay one: ether's [linkmon] prints 248.92
+   under this association and 248.91 under a pairwise one.  Group
+   same-tag channels: within a tag group, accesses can overlap, so the
+   group costs the max of its members (fork/join semantics). *)
 let comm_time t exec id =
   let cg = t.cg in
   let lo = cg.Compact.out_off.(id) and hi = cg.Compact.out_off.(id + 1) in
   if not t.concurrency then begin
     let acc = ref 0.0 in
     for k = lo to hi - 1 do
-      acc := !acc +. chan_cost_by_id t exec cg.Compact.out_chan.(k)
+      acc := !acc +. slot_cost t exec k
     done;
     !acc
   end
@@ -198,9 +260,8 @@ let comm_time t exec id =
     let tagged = Hashtbl.create 8 in
     let untagged = ref 0.0 in
     for k = lo to hi - 1 do
-      let c = cg.Compact.out_chan.(k) in
-      let cost = chan_cost_by_id t exec c in
-      let tag = cg.Compact.chan_tag.(c) in
+      let cost = slot_cost t exec k in
+      let tag = cg.Compact.chan_tag.(cg.Compact.out_chan.(k)) in
       if tag < 0 then untagged := !untagged +. cost
       else
         let prev = Option.value (Hashtbl.find_opt tagged tag) ~default:0.0 in
@@ -257,25 +318,44 @@ let transfer_time_us t (c : Types.channel) =
   sync t;
   transfer_time_by_id t c.c_id
 
-let chan_bitrate_by_id t c =
-  let cg = t.cg in
-  let src_time = exectime_us t cg.Compact.chan_src.(c) in
-  if src_time <= 0.0 then 0.0
-  else t.freqs.(c) *. float_of_int cg.Compact.chan_bits.(c) /. src_time
-
 let chan_bitrate_mbps t (c : Types.channel) =
   let src_time = exectime_us t c.c_src in
   if src_time <= 0.0 then 0.0
   else freq t c *. float_of_int c.c_bits /. src_time
 
-(* A pairwise sum over every channel id, off-bus channels contributing
+(* W(bus, src) for every bus in one walk of the source's row: each bus's
+   weight is the left fold of freq x bits over the source's channels on
+   it, in slot order. *)
+let weigh_src t src =
+  let cg = t.cg in
+  let base = src * t.n_buses in
+  Array.fill t.w_val base t.n_buses 0.0;
+  for k = cg.Compact.out_off.(src) to cg.Compact.out_off.(src + 1) - 1 do
+    let c = cg.Compact.out_chan.(k) in
+    match Partition.bus_of t.part c with
+    | Some b ->
+        t.w_val.(base + b) <-
+          t.w_val.(base + b) +. (t.freqs.(c) *. float_of_int cg.Compact.chan_bits.(c))
+    | None -> ()
+  done;
+  t.w_gen.(src) <- t.gen
+
+(* Eq. 3 factored by source: W divided once by the source's execution
+   time.  A source that sends no bits on the bus is never timed. *)
+let src_bitrate_mbps t bus src =
+  sync t;
+  if t.w_gen.(src) <> t.gen then weigh_src t src;
+  let w = t.w_val.((src * t.n_buses) + bus) in
+  if w = 0.0 then 0.0
+  else
+    let src_time = exectime_us t src in
+    if src_time <= 0.0 then 0.0 else w /. src_time
+
+(* A pairwise sum over every node id, sources off the bus contributing
    0.0: the shape the move engine maintains per bus, so its bitrates are
    this value to the bit. *)
 let bus_bitrate_mbps t bus =
-  Slif_util.Sumtree.sum t.cg.Compact.n_chans (fun c ->
-      match Partition.bus_of t.part c with
-      | Some b when b = bus -> chan_bitrate_by_id t c
-      | _ -> 0.0)
+  Slif_util.Sumtree.sum t.cg.Compact.n_nodes (src_bitrate_mbps t bus)
 
 let bus_bitrate_capacity_limited_mbps t bus =
   let s = Graph.slif t.graph in

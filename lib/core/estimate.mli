@@ -42,7 +42,11 @@ val exectime_us : t -> int -> float
     all outgoing channels.  For variable destinations the accessed
     object's "execution time" is its storage access time; external ports
     contribute transfer time only.  Raises [Invalid_argument] when the
-    partition is partial, {!Recursive_specification} on call cycles. *)
+    partition is partial, {!Recursive_specification} on call cycles.
+
+    The channel costs are summed as a left fold in ascending channel id
+    order, and each channel's cost is cached per out-row slot, so a
+    re-timed node re-prices only its stale channels. *)
 
 val transfer_time_us : t -> Types.channel -> float
 (** Bus data-transfer time for one access: [ceil(bits / bitwidth)]
@@ -52,21 +56,25 @@ val chan_bitrate_mbps : t -> Types.channel -> float
 (** Equation 2: bits per access x accesses per execution / execution time
     of the source.  (bits/us = Mbit/s.) *)
 
-val chan_bitrate_by_id : t -> int -> float
-(** {!chan_bitrate_mbps} by channel id, reading the compact arrays —
-    what the engine's delta-refresh loop calls so it never materializes
-    channel records. *)
+val src_bitrate_mbps : t -> int -> int -> float
+(** [src_bitrate_mbps t bus src]: equation 3's term for one source node,
+    [W / exectime src], where [W] is the left fold of freq x bits over
+    [src]'s channels on [bus] in ascending channel id order.  [0.0] when
+    [W] is [0.0] (its execution time is then not queried) or the
+    execution time is not positive.  [W] is cached per source until
+    {!invalidate_chan} on one of its channels or a partition change the
+    estimator was not told about. *)
 
 val bus_bitrate_mbps : t -> int -> float
-(** Equation 3: sum of the bus's channel bitrates.
+(** Equation 3: the bus's channel bitrates summed, factored by source —
+    {!src_bitrate_mbps} over every node id.
 
-    The sum is pairwise over all channel ids, in the fixed tree shape of
-    {!Slif_util.Sumtree}; channels on other buses (or unassigned)
-    contribute [0.0], which is exact for non-negative rates.  Pairwise
-    summation errs by O(log n) ulps where the ascending-id left fold it
-    replaces erred by O(n).  It is also the shape the move engine
-    maintains per bus, so the engine's bitrates equal this value to the
-    bit. *)
+    The sum is pairwise over node ids, in the fixed tree shape of
+    {!Slif_util.Sumtree}; sources without a channel on the bus contribute
+    [0.0], which is exact for non-negative rates.  Pairwise summation
+    errs by O(log n) ulps where a left fold errs by O(n).  It is also the
+    shape the move engine maintains per bus, one leaf per source, so the
+    engine's bitrates equal this value to the bit. *)
 
 val bus_bitrate_capacity_limited_mbps : t -> int -> float
 (** Bitrate clipped to the bus's capacity when one is declared — the
@@ -107,20 +115,34 @@ val invalidate_all : t -> unit
 
 val note_node_moved : t -> int -> unit
 (** Incremental invalidation: drop cached execution times of the moved
-    node's transitive accessors only (ablation A1). *)
+    node's transitive accessors only (ablation A1), and the cached costs
+    of the moved node's own channels ({!invalidate_nodes} plus
+    {!invalidate_out_row}). *)
 
 val note_chan_moved : t -> int -> unit
 (** Incremental invalidation after a channel moved to another bus: only
     the channel's source node and its transitive accessors see a changed
-    transfer time, so only their memo entries are dropped — the
-    fine-grained replacement for {!invalidate_all} on channel moves.
-    Raises [Invalid_argument] when the channel id is out of range. *)
+    transfer time, so only their memo entries and the channel's cached
+    cost are dropped — the fine-grained replacement for
+    {!invalidate_all} on channel moves.  Raises [Invalid_argument] when
+    the channel id is out of range. *)
 
 val invalidate_nodes : t -> int list -> unit
-(** Drop the memo entries of exactly the given nodes and mark the
-    estimator as synced with the partition's current version.  For
-    callers (the move engine) that already computed the invalidation set;
-    {!note_node_moved} and {!note_chan_moved} are the curated wrappers. *)
+(** Drop the memo entries of exactly the given nodes, and the cached
+    costs of the channels into them, and mark the estimator as synced
+    with the partition's current version.  For callers (the move engine)
+    that already computed the invalidation set; {!note_node_moved} and
+    {!note_chan_moved} are the curated wrappers. *)
+
+val invalidate_out_row : t -> int -> unit
+(** Drop the cached costs of the node's outgoing channels — what a move
+    of the node adds to {!invalidate_nodes}, since each channel's
+    transfer time reads its source's component. *)
+
+val invalidate_chan : t -> int -> unit
+(** Drop the cached cost of one channel and its source's eq. 3 weights —
+    what a move of the channel to another bus adds to
+    {!invalidate_nodes}. *)
 
 val rebind : t -> Partition.t -> unit
 (** Re-point the estimator at another partition of the same SLIF and

@@ -49,7 +49,7 @@ type context = { mutable trace : string option; mutable span : int }
    the last [min head cap] slots.  Only the owning domain writes, and
    the owning domain's causality context rides along in [rg_ctx]. *)
 type ring = {
-  rg_dom : int;
+  mutable rg_dom : int;
   rg_ctx : context;
   mutable rg_cap : int;
   mutable rg_head : int;
@@ -75,33 +75,88 @@ let alloc_slots r cap =
   r.rg_traces <- Array.make cap "";
   r.rg_args <- Array.make cap []
 
+(* An exited domain's ring that never wrapped keeps only its written
+   slots: a pool worker that lived for one sweep wrote a few hundred
+   records into 4096 slots.  Slot [n] of a ring that never wrapped is
+   record [n], so the window reads the same at the smaller capacity. *)
+let shrink r =
+  if r.rg_head < r.rg_cap then begin
+    let n = max 1 r.rg_head in
+    r.rg_cap <- n;
+    r.rg_kinds <- Bytes.sub r.rg_kinds 0 n;
+    r.rg_names <- Array.sub r.rg_names 0 n;
+    r.rg_ts <- Array.sub r.rg_ts 0 n;
+    r.rg_durs <- Array.sub r.rg_durs 0 n;
+    r.rg_ids <- Array.sub r.rg_ids 0 n;
+    r.rg_parents <- Array.sub r.rg_parents 0 n;
+    r.rg_traces <- Array.sub r.rg_traces 0 n;
+    r.rg_args <- Array.sub r.rg_args 0 n
+  end
+
 (* Rings live on a global list so exporters can merge them, and a ring
-   outlives its domain so a joined worker's tail stays readable. *)
+   outlives its domain so a joined worker's tail stays readable — until
+   [kept_exited] more domains have exited, when a starting domain takes
+   the ring over.  Without that reuse, a process that starts a pool per
+   sweep keeps one dead ring per worker it ever ran.  The records and
+   drops of a taken-over ring stay in the totals.  The list and the
+   queue are guarded by [rings_mu]. *)
 let rings_mu = Mutex.create ()
 let rings : ring list ref = ref []
+let exited : ring Queue.t = Queue.create ()  (* oldest exit first *)
+let kept_exited = 16
+let retired_records = Atomic.make 0
+let retired_dropped = Atomic.make 0
+
+let take_exited dom =
+  if Queue.length exited < kept_exited then None
+  else begin
+    let r = Queue.pop exited in
+    ignore (Atomic.fetch_and_add retired_records r.rg_head : int);
+    ignore (Atomic.fetch_and_add retired_dropped (max 0 (r.rg_head - r.rg_cap)) : int);
+    alloc_slots r (Atomic.get capacity);
+    r.rg_dom <- dom;
+    r.rg_ctx.trace <- None;
+    r.rg_ctx.span <- 0;
+    Some r
+  end
 
 let key =
   Domain.DLS.new_key (fun () ->
-      let r =
-        {
-          rg_dom = (Domain.self () :> int);
-          rg_ctx = { trace = None; span = 0 };
-          rg_cap = 0;
-          rg_head = 0;
-          rg_kinds = Bytes.empty;
-          rg_names = [||];
-          rg_ts = [||];
-          rg_durs = [||];
-          rg_ids = [||];
-          rg_parents = [||];
-          rg_traces = [||];
-          rg_args = [||];
-        }
-      in
-      alloc_slots r (Atomic.get capacity);
+      let dom = (Domain.self () :> int) in
       Mutex.lock rings_mu;
-      rings := r :: !rings;
+      let r =
+        match take_exited dom with
+        | Some r -> r
+        | None ->
+            let r =
+              {
+                rg_dom = dom;
+                rg_ctx = { trace = None; span = 0 };
+                rg_cap = 0;
+                rg_head = 0;
+                rg_kinds = Bytes.empty;
+                rg_names = [||];
+                rg_ts = [||];
+                rg_durs = [||];
+                rg_ids = [||];
+                rg_parents = [||];
+                rg_traces = [||];
+                rg_args = [||];
+              }
+            in
+            alloc_slots r (Atomic.get capacity);
+            rings := r :: !rings;
+            r
+      in
       Mutex.unlock rings_mu;
+      (* The main domain exits with the process; its ring must stay
+         writable for exit-time exports. *)
+      if not (Domain.is_main_domain ()) then
+        Domain.at_exit (fun () ->
+            Mutex.lock rings_mu;
+            shrink r;
+            Queue.push r exited;
+            Mutex.unlock rings_mu);
       r)
 
 let ring () = Domain.DLS.get key
@@ -194,8 +249,10 @@ let stat_of r =
   }
 
 let ring_stats () = List.rev (fold_rings (fun acc r -> stat_of r :: acc) [])
-let records_total () = fold_rings (fun acc r -> acc + r.rg_head) 0
-let dropped_total () = fold_rings (fun acc r -> acc + max 0 (r.rg_head - r.rg_cap)) 0
+let records_total () = fold_rings (fun acc r -> acc + r.rg_head) (Atomic.get retired_records)
+
+let dropped_total () =
+  fold_rings (fun acc r -> acc + max 0 (r.rg_head - r.rg_cap)) (Atomic.get retired_dropped)
 
 (* --- Reads ----------------------------------------------------------------- *)
 
@@ -291,6 +348,8 @@ let set_capacity n =
 (* Emptying drops the references the slots hold too, so a reset ring
    keeps no old names, trace ids or args alive. *)
 let reset () =
+  Atomic.set retired_records 0;
+  Atomic.set retired_dropped 0;
   fold_rings
     (fun () r ->
       r.rg_head <- 0;

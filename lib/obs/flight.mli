@@ -118,9 +118,14 @@ type ring_stat = {
 }
 
 val ring_stats : unit -> ring_stat list
-(** Per-domain ring health, ascending domain id. *)
+(** Per-domain ring health, ascending domain id.  An exited domain's
+    ring stays (shrunk to the records it wrote) until 16 more domains
+    have exited; then a starting domain takes it over, so a process
+    that spawns a pool per job keeps a bounded number of rings. *)
 
 val records_total : unit -> int
+(** Records ever written since the last {!reset}, taken-over rings
+    included. *)
 
 val dropped_total : unit -> int
 

@@ -12,7 +12,7 @@ type undo =
   | U_chan of int * int                  (* chan, previous bus *)
   | U_float of float array * int * float
   | U_int of int array * int * int
-  | U_rate of int * int * float          (* bus, chan, previous leaf *)
+  | U_rate of int * int * float          (* bus, source node, previous leaf *)
 
 type txn = {
   saved_version : int;
@@ -32,10 +32,10 @@ type t = {
      (matching Cost.evaluate's sweep order). *)
   comp_size : float array;          (* eqs. 4-5: summed size weights *)
   cut_count : int array array;      (* [comp][bus] boundary-crossing channels *)
-  (* Eqs. 2-3: one pairwise-sum tree per bus with a leaf per channel id,
-     holding the channel's rate on the bus it is mapped to and 0.0 on
-     every other — the shape Estimate.bus_bitrate_mbps sums in, so each
-     root is the oracle's bus bitrate to the bit. *)
+  (* Eqs. 2-3: one pairwise-sum tree per bus with a leaf per source node,
+     holding Estimate.src_bitrate_mbps — the shape
+     Estimate.bus_bitrate_mbps sums in, so each root is the oracle's bus
+     bitrate to the bit. *)
   bus_rate : Slif_util.Sumtree.t array;
   (* Violation terms, one cell per constrained object; totals are summed
      on demand so untouched cells never drift. *)
@@ -114,10 +114,10 @@ let seti t arr i v =
 (* Only the leaf is journaled: rollback rewrites it through
    [Sumtree.set], which recomputes the ancestors from the restored
    leaves, so they come back bit-exact by construction. *)
-let set_rate t b chan v =
+let set_rate t b src v =
   let tree = t.bus_rate.(b) in
-  journal t (U_rate (b, chan, Slif_util.Sumtree.leaf tree chan));
-  Slif_util.Sumtree.set tree chan v
+  journal t (U_rate (b, src, Slif_util.Sumtree.leaf tree src));
+  Slif_util.Sumtree.set tree src v
 
 (* --- Crossing bookkeeping ------------------------------------------------- *)
 
@@ -146,20 +146,18 @@ let crossed_comps t (c : Slif.Types.channel) =
 
 (* --- Delta refresh after an invalidation --------------------------------- *)
 
-(* Recompute the bitrates of all channels sourced at nodes of the
+(* Recompute the per-bus rate leaves of every source node in the
    invalidation set [set] (their execution times may have changed). *)
 let refresh_rates t set =
-  let cg = Slif.Graph.compact t.graph in
   List.iter
     (fun id ->
       if not t.mark.(id) then begin
         t.mark.(id) <- true;
-        for k = cg.Slif.Compact.out_off.(id) to cg.Slif.Compact.out_off.(id + 1) - 1 do
-          let cid = cg.Slif.Compact.out_chan.(k) in
-          let b = Slif.Partition.bus_of_exn t.part cid in
-          let r = Slif.Estimate.chan_bitrate_by_id t.est cid in
-          if r <> Slif_util.Sumtree.leaf t.bus_rate.(b) cid then set_rate t b cid r
-        done
+        Array.iteri
+          (fun b tree ->
+            let r = Slif.Estimate.src_bitrate_mbps t.est b id in
+            if r <> Slif_util.Sumtree.leaf tree id then set_rate t b id r)
+          t.bus_rate
       end)
     set;
   List.iter (fun id -> t.mark.(id) <- false) set
@@ -216,6 +214,7 @@ let apply_node t txn node to_ =
        channel bitrates and dependent deadlines are refreshed. *)
     let set = Slif.Graph.transitive_callers t.graph node in
     invalidate t txn set;
+    Slif.Estimate.invalidate_out_row t.est node;
     refresh_rates t set;
     refresh_comp_viol t (if ki = kj then [ ki ] else [ ki; kj ]);
     refresh_time t set
@@ -240,15 +239,13 @@ let apply_chan t txn chan to_bus =
       ks;
     Slif.Partition.assign_chan t.part ~chan ~bus:to_bus;
     txn.undos <- U_chan (chan, from_bus) :: txn.undos;
-    (* The rate leaves its old bus's tree for the new one's. *)
-    let rate = Slif_util.Sumtree.leaf t.bus_rate.(from_bus) chan in
-    set_rate t from_bus chan 0.0;
-    set_rate t to_bus chan rate;
     (* The new bus changes the channel's transfer time, hence the source
        node's execution time and everything upstream of it — the
-       fine-grained invalidation that replaces invalidate_all. *)
+       fine-grained invalidation that replaces invalidate_all.  The source
+       is in the set, so its leaves on both buses are refreshed. *)
     let set = Slif.Graph.transitive_callers t.graph c.c_src in
     invalidate t txn set;
+    Slif.Estimate.invalidate_chan t.est chan;
     refresh_rates t set;
     refresh_comp_viol t ks;
     refresh_time t set
@@ -301,16 +298,21 @@ let bus_bitrate t b = Slif_util.Sumtree.total t.bus_rate.(b)
 let rollback_txn t txn =
   List.iter
     (function
-      | U_node (node, comp) -> Slif.Partition.assign_node t.part ~node comp
-      | U_chan (chan, bus) -> Slif.Partition.assign_chan t.part ~chan ~bus
+      | U_node (node, comp) ->
+          Slif.Partition.assign_node t.part ~node comp;
+          Slif.Estimate.invalidate_out_row t.est node
+      | U_chan (chan, bus) ->
+          Slif.Partition.assign_chan t.part ~chan ~bus;
+          Slif.Estimate.invalidate_chan t.est chan
       | U_float (arr, i, v) -> arr.(i) <- v
       | U_int (arr, i, v) -> arr.(i) <- v
-      | U_rate (b, chan, v) -> Slif_util.Sumtree.set t.bus_rate.(b) chan v)
+      | U_rate (b, src, v) -> Slif_util.Sumtree.set t.bus_rate.(b) src v)
     txn.undos;
   Slif.Partition.restore_version t.part txn.saved_version;
-  (* The memo entries recomputed under the proposed placement are stale
-     again; the invalidation set only depends on the static graph, so
-     re-dropping the same nodes restores coherence. *)
+  (* The memo entries and channel costs recomputed under the proposed
+     placement are stale again; the invalidation set only depends on the
+     static graph, so re-dropping the same nodes (above: the moved nodes'
+     out-rows and the moved channels) restores coherence. *)
   Slif.Estimate.invalidate_nodes t.est txn.inval;
   t.txn <- None
 
@@ -368,11 +370,7 @@ let init_aggregates t =
         (crossed_comps t c))
     s.Slif.Types.chans;
   Array.iteri
-    (fun b tree ->
-      Slif_util.Sumtree.load tree (fun c ->
-          if Slif.Partition.bus_of_exn t.part c = b then
-            Slif.Estimate.chan_bitrate_by_id t.est c
-          else 0.0))
+    (fun b tree -> Slif_util.Sumtree.load tree (Slif.Estimate.src_bitrate_mbps t.est b))
     t.bus_rate;
   for k = 0 to t.n_comps - 1 do
     t.size_viol.(k) <- size_viol_of t k;
@@ -387,7 +385,6 @@ let create ?(weights = Cost.default_weights) ?(constraints = Cost.no_constraints
   Slif_obs.Span.with_ "engine.create" @@ fun () ->
   let s = Slif.Graph.slif graph in
   let n_nodes = Array.length s.Slif.Types.nodes in
-  let n_chans = Array.length s.Slif.Types.chans in
   let n_procs = Array.length s.Slif.Types.procs in
   let n_mems = Array.length s.Slif.Types.mems in
   let n_buses = Array.length s.Slif.Types.buses in
@@ -439,7 +436,7 @@ let create ?(weights = Cost.default_weights) ?(constraints = Cost.no_constraints
       n_comps;
       comp_size = Array.make n_comps 0.0;
       cut_count = Array.init n_comps (fun _ -> Array.make n_buses 0);
-      bus_rate = Array.init n_buses (fun _ -> Slif_util.Sumtree.create n_chans);
+      bus_rate = Array.init n_buses (fun _ -> Slif_util.Sumtree.create n_nodes);
       size_viol = Array.make n_comps 0.0;
       io_viol = Array.make n_comps 0.0;
       time_viol = Array.make (Array.length deadlines) 0.0;

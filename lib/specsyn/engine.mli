@@ -10,10 +10,11 @@
     - per-component size sums (eqs. 4-5),
     - per-component x per-bus counts of boundary-crossing channels, from
       which I/O pins follow (eq. 6),
-    - channel bitrates and their per-bus sums (eqs. 2-3), as one
-      pairwise-sum tree per bus ({!Slif_util.Sumtree}) whose leaf [c]
-      holds channel [c]'s rate on the bus it is mapped to and [0.0] on
-      every other,
+    - per-bus bitrates (eqs. 2-3), as one pairwise-sum tree per bus
+      ({!Slif_util.Sumtree}) whose leaf [v] holds source node [v]'s
+      factored term {!Slif.Estimate.src_bitrate_mbps} — the bits [v]
+      sends on the bus per execution over its execution time, [0.0] when
+      it sends none there,
     - per-deadline execution-time slack (eq. 1, via the memoizing
       {!Slif.Estimate}) —
 
@@ -21,10 +22,11 @@
     buses and deadlines the move actually perturbs.  A node move touches
     its source and destination components; a channel move touches the two
     buses and invalidates only the channel's source node and its
-    transitive accessors (replacing the old [invalidate_all]).  Each
-    changed channel rate rewrites one leaf and its O(log n) ancestors, and
+    transitive accessors (replacing the old [invalidate_all]).  A node
+    of the dirty slice whose execution time changed rewrites one leaf per
+    bus and its O(log n) ancestors, however many channels it sources, and
     a bus's bitrate is its tree's root, so no step of a move scans every
-    channel.
+    channel or a wide caller's whole fan-out.
 
     Summation order is part of the contract: {!Slif.Estimate.bus_bitrate_mbps}
     sums over the same fixed tree shape, and every other term is summed
@@ -37,7 +39,9 @@
     prior partition (mapping and version) and aggregate state — every
     touched cell is written back to its previous bit pattern (tree
     leaves are journaled and their ancestors recomputed), so no
-    floating-point drift accumulates over long searches.  {!Cost.evaluate}
+    floating-point drift accumulates over long searches.  The
+    estimator's caches are not journaled: rollback re-stales what
+    propose staled.  {!Cost.evaluate}
     on a fresh estimator remains the oracle the engine is property-tested
     against, bit for bit (test/test_engine.ml). *)
 

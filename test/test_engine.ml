@@ -68,8 +68,8 @@ let engine_of_problem problem =
 
 let engine_for spec alloc = engine_of_problem (problem_for spec alloc)
 
-(* A synthetic graph cut down to its first [n_chans] channels, so each bus
-   tree has exactly that many leaves. *)
+(* A synthetic graph cut down to its first [n_chans] channels, so only
+   the sources of those channels carry bus-tree leaves. *)
 let synth_problem n_chans =
   let s =
     Slif_synth.Synth.generate
@@ -80,8 +80,8 @@ let synth_problem n_chans =
   let s = { s with Slif.Types.chans = Array.sub s.Slif.Types.chans 0 n_chans } in
   Specsyn.Search.problem ~constraints:(constraints_for s) (Slif.Graph.make s)
 
-(* Channel counts covering the tree shapes: the smallest trees, and one
-   below, at and above a power of two. *)
+(* Channel counts: the smallest graphs, and one below, at and above a
+   power of two. *)
 let synth_chan_counts = [ 1; 2; 3; 5; 31; 32; 33; 63; 64; 65 ]
 
 (* Allocations with capacity pressure (size and pin caps on the paper's
@@ -171,9 +171,9 @@ let test_synth_tree_shapes_match_oracle () =
     synth_chan_counts
 
 (* Channel moves between buses, including a group that re-busses the same
-   channel twice: the rate leaves one tree, enters another and comes back,
-   and the pending, rolled-back and committed states all match the oracle
-   bitwise. *)
+   channel twice: the source's weight leaves one tree, enters another and
+   comes back, and the pending, rolled-back and committed states all
+   match the oracle bitwise. *)
 let test_rebus_moves_match_oracle () =
   let cases =
     ( "fuzzy/proc_asic_mem",
@@ -356,6 +356,43 @@ let test_engine_algorithms_agree_with_oracle () =
        problem);
   check_sol "cluster" (Specsyn.Cluster.run ~k:3 problem)
 
+let synth_graph_problem ~seed n =
+  let s =
+    Slif_synth.Synth.generate (Slif_synth.Synth.default_params ~seed ~nodes:n Slif_synth.Synth.Mixed)
+  in
+  Specsyn.Search.problem ~constraints:(constraints_for s) (Slif.Graph.make s)
+
+(* The move engine's caches over a long walk: a 2,000-node Mixed graph,
+   whose root calls ~20 chain heads and so lies in every dirty slice,
+   takes 2,000 random propose/commit/rollback steps, and the pending and
+   resolved states are checked against the oracle every 100 steps. *)
+let test_long_walk_matches_oracle () =
+  let problem, eng = engine_of_problem (synth_graph_problem ~seed:3 2000) in
+  let rng = Slif_util.Prng.create 17 in
+  for step = 1 to 2000 do
+    let check = step mod 100 = 0 in
+    let tag = Printf.sprintf "mixed/2000 step %d" step in
+    (match Specsyn.Engine.random_move eng rng with
+    | None -> ()
+    | Some move ->
+        ignore (Specsyn.Engine.propose eng move);
+        if check then check_against_oracle (tag ^ " pending") problem eng;
+        if Slif_util.Prng.int rng 4 = 0 then Specsyn.Engine.commit eng
+        else Specsyn.Engine.rollback eng);
+    if check then check_against_oracle tag problem eng
+  done
+
+(* One bus-tree leaf per source node: node counts covering the smallest
+   trees, and one below, at and above a power of two. *)
+let test_small_source_trees_match_oracle () =
+  List.iter
+    (fun n ->
+      let problem, eng = engine_of_problem (synth_graph_problem ~seed:5 n) in
+      let label = Printf.sprintf "synth/%d nodes" n in
+      check_against_oracle (label ^ " created") problem eng;
+      random_moves_match_oracle label problem eng ~steps:60)
+    [ 2; 3; 5; 31; 32; 33; 63; 64; 65 ]
+
 let suite =
   [
     Alcotest.test_case "aggregates match oracle at creation" `Quick
@@ -375,4 +412,8 @@ let suite =
     Alcotest.test_case "every small bus-tree shape matches oracle" `Quick
       test_synth_tree_shapes_match_oracle;
     Alcotest.test_case "re-bussing moves match oracle" `Quick test_rebus_moves_match_oracle;
+    Alcotest.test_case "2,000-step walk on a wide root matches oracle" `Quick
+      test_long_walk_matches_oracle;
+    Alcotest.test_case "every small per-source tree matches oracle" `Quick
+      test_small_source_trees_match_oracle;
   ]

@@ -346,6 +346,33 @@ let test_incremental_invalidation_matches_full () =
   let fresh = Slif.Estimate.exectime_us (estimator s part) 0 in
   checkf "incremental equals fresh" fresh incr
 
+(* Eq. 1 sums a behavior's channel costs as a left fold in ascending
+   channel id order, and the printed estimates depend on it: ether's
+   [linkmon] on the proc+ASIC allocation's all-software seed partition is
+   248.915 in exact arithmetic, the fold gives 248.91500000000002 and
+   prints 248.92, a pairwise sum gives 248.91499999999999 and prints
+   248.91.  This pins the golden line [linkmon 248.92] of
+   slifbench/golden/estimate-ether.txt, so a re-association fails here
+   with its cause named. *)
+let test_eq1_association_pinned () =
+  let spec = Specs.Registry.find_exn "ether" in
+  let sem = Vhdl.Sem.build (Vhdl.Parser.parse spec.Specs.Registry.source) in
+  let s =
+    Specsyn.Alloc.apply
+      (Slif.Annotate.run ~techs:Tech.Parts.all sem (Slif.Build.build sem))
+      (Specsyn.Alloc.proc_asic ())
+  in
+  let est = Specsyn.Search.estimator (Slif.Graph.make s) (Specsyn.Search.seed_partition s) in
+  let linkmon =
+    match Slif.Types.node_by_name s "linkmon" with
+    | Some n -> n.Slif.Types.n_id
+    | None -> Alcotest.fail "ether has no linkmon"
+  in
+  let v = Slif.Estimate.exectime_us est linkmon in
+  if Int64.bits_of_float v <> Int64.bits_of_float 0x1.f1d47ae147ae2p+7 then
+    Alcotest.failf "linkmon exectime %h (%.17g), expected 0x1.f1d47ae147ae2p+7" v v;
+  Alcotest.(check string) "prints as the golden" "248.92" (Printf.sprintf "%.2f" v)
+
 let suite =
   [
     Alcotest.test_case "eq.1 same-component exectime" `Quick test_exectime_same_component;
@@ -369,4 +396,5 @@ let suite =
     Alcotest.test_case "memoization" `Quick test_memoization;
     Alcotest.test_case "stale cache auto-invalidates" `Quick test_cache_invalidation_on_move;
     Alcotest.test_case "incremental invalidation correct" `Quick test_incremental_invalidation_matches_full;
+    Alcotest.test_case "eq.1 left fold pinned (ether linkmon)" `Quick test_eq1_association_pinned;
   ]

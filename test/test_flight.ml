@@ -250,6 +250,31 @@ let test_counters_and_args () =
   Alcotest.(check bool) "span arg exported" true
     (arg "spec" (named "flight.args.span") = Some (Obs.Json.String "ether"))
 
+(* A process that starts a short-lived domain per job keeps a bounded
+   number of rings: an exited domain's ring shrinks to what it wrote and
+   is taken over once 16 more domains have exited, while the totals
+   still count every record and the latest exits' tails stay readable. *)
+let test_exited_rings_reused () =
+  with_fresh @@ fun () ->
+  let rings () = List.length (Flight.ring_stats ()) in
+  let spawn_one i =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Flight.record_span ~id:(Flight.next_id ()) ~parent:0 ~name:"flight.reuse"
+             ~t0_ns:i ~dur_ns:1 ()))
+  in
+  for i = 1 to 20 do spawn_one i done;
+  let before = rings () in
+  for i = 21 to 60 do spawn_one i done;
+  Alcotest.(check int) "no new ring once exits are reused" before (rings ());
+  Alcotest.(check bool) "every record counted" true (Flight.records_total () >= 60);
+  let tails =
+    List.filter (fun (r : Flight.record) -> r.Flight.fr_name = "flight.reuse") (Flight.snapshot ())
+  in
+  Alcotest.(check bool) "the latest exits stay readable" true
+    (List.exists (fun (r : Flight.record) -> r.Flight.fr_ts_ns = 60) tails
+    && List.length tails >= 16)
+
 let suite =
   [
     Alcotest.test_case "record and snapshot" `Quick test_record_and_snapshot;
@@ -263,4 +288,5 @@ let suite =
     Alcotest.test_case "pool hops keep causality" `Quick test_pool_carries_causality;
     Alcotest.test_case "chrome export" `Quick test_chrome_export;
     Alcotest.test_case "counter samples and span args" `Quick test_counters_and_args;
+    Alcotest.test_case "exited domains' rings are reused" `Quick test_exited_rings_reused;
   ]

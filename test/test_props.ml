@@ -274,7 +274,7 @@ let prop_incremental_matches_full =
         Slif.Estimate.note_node_moved est node;
         let incr = Slif.Estimate.exectime_us est 0 in
         let fresh = Slif.Estimate.exectime_us (Slif.Estimate.create graph part) 0 in
-        if abs_float (incr -. fresh) > 1e-9 *. (1.0 +. abs_float fresh) then ok := false
+        if Int64.bits_of_float incr <> Int64.bits_of_float fresh then ok := false
       done;
       !ok)
 
@@ -290,6 +290,61 @@ let prop_bus_bitrate_is_sum =
       in
       abs_float (by_sum -. Slif.Estimate.bus_bitrate_mbps est 0)
       < 1e-6 *. (1.0 +. abs_float by_sum))
+
+(* Node moves and channel re-bussings, interleaved on a two-bus variant
+   of the generated SLIF: after each step, with every cache warm, each
+   node's execution time and each bus's bitrate equal a fresh
+   estimator's, bit for bit. *)
+let prop_incremental_moves_match_fresh =
+  Test.make ~name:"node and channel moves: incremental equals fresh, bitwise" ~count:60
+    arb_slif (fun g ->
+      let bus0 = g.slif.Slif.Types.buses.(0) in
+      let bus1 =
+        { bus0 with Slif.Types.b_id = 1; b_name = "bus1"; b_bitwidth = 8; b_ts_us = 0.25;
+          b_td_us = 4.0 }
+      in
+      let s = { g.slif with Slif.Types.buses = [| bus0; bus1 |] } in
+      let rng = Slif_util.Prng.create (g.seed + 11) in
+      let part = random_partition rng s in
+      let n_chans = Array.length s.Slif.Types.chans in
+      for c = 0 to n_chans - 1 do
+        Slif.Partition.assign_chan part ~chan:c ~bus:(Slif_util.Prng.int rng 2)
+      done;
+      let graph = Slif.Graph.make s in
+      let est = Slif.Estimate.create graph part in
+      let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+      let agrees () =
+        let fresh = Slif.Estimate.create graph part in
+        let nodes_ok = ref true in
+        Array.iteri
+          (fun i _ ->
+            if not (same (Slif.Estimate.exectime_us est i) (Slif.Estimate.exectime_us fresh i))
+            then nodes_ok := false)
+          s.Slif.Types.nodes;
+        !nodes_ok
+        && same (Slif.Estimate.bus_bitrate_mbps est 0) (Slif.Estimate.bus_bitrate_mbps fresh 0)
+        && same (Slif.Estimate.bus_bitrate_mbps est 1) (Slif.Estimate.bus_bitrate_mbps fresh 1)
+      in
+      let ok = ref (agrees ()) in
+      for _ = 1 to 8 do
+        if Slif_util.Prng.bool rng then begin
+          let node = Slif_util.Prng.int rng (Array.length s.Slif.Types.nodes) in
+          let comp =
+            if Slif.Types.is_behavior s.Slif.Types.nodes.(node) then
+              Slif.Partition.Cproc (Slif_util.Prng.int rng 3)
+            else Slif.Partition.Cmem 0
+          in
+          Slif.Partition.assign_node part ~node comp;
+          Slif.Estimate.note_node_moved est node
+        end
+        else begin
+          let chan = Slif_util.Prng.int rng n_chans in
+          Slif.Partition.assign_chan part ~chan ~bus:(Slif_util.Prng.int rng 2);
+          Slif.Estimate.note_chan_moved est chan
+        end;
+        if not (agrees ()) then ok := false
+      done;
+      !ok)
 
 let prop_bits_for_range_brute_force =
   Test.make ~name:"bits_for_range covers every value in range" ~count:200
@@ -372,4 +427,5 @@ let suite =
       prop_bits_for_range_brute_force;
       prop_prng_int_bounds;
       prop_transform_merge_conserves_weights;
+      prop_incremental_moves_match_fresh;
     ]
