@@ -41,6 +41,9 @@ let guarded f =
   | exception Failure msg ->
       Printf.eprintf "slif: %s\n" msg;
       1
+  | exception Vhdl.Loc.Error (loc, msg) ->
+      Printf.eprintf "slif: %s: %s\n" (Vhdl.Loc.to_string loc) msg;
+      1
 
 let load_spec name =
   match Specs.Registry.find name with

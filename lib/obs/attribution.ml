@@ -20,9 +20,8 @@ let index_of = function
 
 let n_categories = 6
 
-(* Same shape as the span registry: one cell per domain reached through
-   DLS (the producers never lock), a global list of the cells for the
-   readers, and one atomic gate in front of everything.
+(* One cell per domain on the {!Slots} lifecycle (the producers never
+   lock), and one atomic gate in front of everything.
 
    The per-category accumulators and the wall figure share one float
    array padded to [cell_slots] words (two cache lines including the
@@ -35,45 +34,30 @@ let enabled = Atomic.make false
 let wall_slot = n_categories
 let cell_slots = 15
 
-type cell = { dom : int; by_cat : float array (* categories, then wall, then padding *) }
+let zero c = Array.fill c 0 cell_slots 0.0
 
-let cells_mu = Mutex.create ()
-let cells : cell list ref = ref []
-
-let key =
-  Domain.DLS.new_key (fun () ->
-      let c =
-        { dom = (Domain.self () :> int); by_cat = Array.make cell_slots 0.0 }
-      in
-      Mutex.lock cells_mu;
-      cells := c :: !cells;
-      Mutex.unlock cells_mu;
-      c)
+let cells =
+  Slots.create
+    ~fresh:(fun () -> Array.make cell_slots 0.0)
+    ~retired:(Array.make cell_slots 0.0)
+    ~retire:(Array.map2 ( +. ))
+    ()
 
 let on () = Atomic.get enabled
 let enable () = Atomic.set enabled true
 let disable () = Atomic.set enabled false
 
-let add cat us =
+let charge i us =
   if Atomic.get enabled && Float.is_finite us && us > 0.0 then begin
-    let c = Domain.DLS.get key in
-    let i = index_of cat in
-    c.by_cat.(i) <- c.by_cat.(i) +. us
+    let c = Slots.get cells in
+    c.(i) <- c.(i) +. us
   end
 
-let add_wall us =
-  if Atomic.get enabled && Float.is_finite us && us > 0.0 then begin
-    let c = Domain.DLS.get key in
-    c.by_cat.(wall_slot) <- c.by_cat.(wall_slot) +. us
-  end
+let add cat us = charge (index_of cat) us
+let add_wall us = charge wall_slot us
 
-let fold_cells f acc =
-  Mutex.lock cells_mu;
-  let cs = !cells in
-  Mutex.unlock cells_mu;
-  List.fold_left f acc (List.sort (fun a b -> compare a.dom b.dom) cs)
-
-let reset () = fold_cells (fun () c -> Array.fill c.by_cat 0 cell_slots 0.0) ()
+let reset () =
+  Slots.reset cells zero
 
 type per_domain = {
   dom : int;
@@ -91,24 +75,7 @@ type report = {
   coverage : float;
 }
 
-let raw_of_cell c = List.map (fun cat -> (cat, c.by_cat.(index_of cat))) categories
-
-let snapshot () =
-  fold_cells
-    (fun acc c ->
-      let named =
-        List.fold_left (fun acc cat -> acc +. c.by_cat.(index_of cat)) 0.0 categories
-      in
-      {
-        dom = c.dom;
-        wall_us = c.by_cat.(wall_slot);
-        raw = raw_of_cell c;
-        net = raw_of_cell c;
-        other_us = Float.max 0.0 (c.by_cat.(wall_slot) -. named);
-      }
-      :: acc)
-    []
-  |> List.rev
+let raw_of_cell c = List.map (fun cat -> (cat, c.(index_of cat))) categories
 
 (* The GC/lock/copy time measured inside a task is already part of the
    gross task-run figure; carving it out keeps one domain's categories
@@ -117,55 +84,54 @@ let snapshot () =
    domains in proportion to their gross task time — the allocation the
    pauses interrupted. *)
 let report ?gc_us () =
-  (* Cells persist across profiled runs (a domain's DLS outlives a
-     reset only as zeros); all-zero cells are domains that took no part
-     in this run and would only pad the report. *)
-  let live (c : cell) = Array.exists (fun v -> v > 0.0) c.by_cat in
+  (* Cells persist across profiled runs (only as zeros after a reset);
+     all-zero cells are domains that took no part in this run and would
+     only pad the report.  The retired total rides along as domain -1:
+     it counts in the totals but is not listed as a domain. *)
   let cs =
-    fold_cells (fun acc c -> if live c then c :: acc else acc) []
-    |> List.sort (fun (a : cell) (b : cell) -> compare a.dom b.dom)
+    let retired, cs = Slots.read cells in
+    List.filter_map
+      (fun (dom, c) ->
+        if Array.exists (fun v -> v > 0.0) c then Some (dom, Array.copy c) else None)
+      ((-1, retired) :: cs)
   in
-  let gross_task c = c.by_cat.(index_of Task_run) in
+  let gross_task (_, c) = c.(index_of Task_run) in
   let total_gross_task = List.fold_left (fun acc c -> acc +. gross_task c) 0.0 cs in
-  let recorded_gc = List.fold_left (fun acc c -> acc +. c.by_cat.(index_of Gc)) 0.0 cs in
+  let recorded_gc = List.fold_left (fun acc (_, c) -> acc +. c.(index_of Gc)) 0.0 cs in
   let gc_total = match gc_us with Some g -> Float.max g recorded_gc | None -> recorded_gc in
-  let domains =
+  let all =
     List.map
-      (fun c ->
+      (fun ((dom, c) as dc) ->
         let gc_share =
-          if gc_us = None then c.by_cat.(index_of Gc)
+          if gc_us = None then c.(index_of Gc)
           else if total_gross_task <= 0.0 then 0.0
-          else gc_total *. gross_task c /. total_gross_task
+          else gc_total *. gross_task dc /. total_gross_task
         in
-        let carve =
-          c.by_cat.(index_of Lock_wait) +. c.by_cat.(index_of Copy) +. gc_share
-        in
-        let net_task = Float.max 0.0 (gross_task c -. carve) in
+        let carve = c.(index_of Lock_wait) +. c.(index_of Copy) +. gc_share in
+        let net_task = Float.max 0.0 (gross_task dc -. carve) in
         let net =
           List.map
             (fun cat ->
               match cat with
               | Task_run -> (cat, net_task)
               | Gc -> (cat, gc_share)
-              | _ -> (cat, c.by_cat.(index_of cat)))
+              | _ -> (cat, c.(index_of cat)))
             categories
         in
         let named = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 net in
         {
-          dom = c.dom;
-          wall_us = c.by_cat.(wall_slot);
+          dom;
+          wall_us = c.(wall_slot);
           raw = raw_of_cell c;
           net;
-          other_us = Float.max 0.0 (c.by_cat.(wall_slot) -. named);
+          other_us = Float.max 0.0 (c.(wall_slot) -. named);
         })
       cs
   in
-  let total_wall_us = List.fold_left (fun acc d -> acc +. d.wall_us) 0.0 domains in
+  let total_wall_us = List.fold_left (fun acc d -> acc +. d.wall_us) 0.0 all in
   let totals =
     List.map
-      (fun cat ->
-        ( cat,
-          List.fold_left (fun acc d -> acc +. List.assoc cat d.net) 0.0 domains ))
+      (fun cat -> (cat, List.fold_left (fun acc d -> acc +. List.assoc cat d.net) 0.0 all))
       categories
   in
   let named = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 totals in
@@ -173,4 +139,5 @@ let report ?gc_us () =
   let coverage =
     if total_wall_us <= 0.0 then 1.0 else Float.min 1.0 (named /. total_wall_us)
   in
+  let domains = List.filter (fun d -> d.dom >= 0) all in
   { domains; total_wall_us; totals; total_other_us; coverage }

@@ -15,10 +15,11 @@
     - [Idle] — parked on the pool's condition variable with no work.
 
     Producers ({!Slif_util.Pool}, {!Lockprof}, the engine) call {!add}
-    from the domain the time was spent on; the cells live in
-    domain-local storage exactly like {!Registry}'s, so the hot paths
-    never lock.  The accounting is gated by its own switch, independent
-    of the span registry: a disabled profiler costs one atomic load per
+    from the domain the time was spent on; the cells follow the same
+    {!Slots} lifecycle as {!Registry}'s, so the hot paths never lock
+    and a retired cell's time moves into a total that {!report}'s
+    totals include.  The accounting is gated by its own switch,
+    independent of the span registry: a disabled profiler costs one atomic load per
     probe site.  {!report} resolves the double counting: the sub-costs
     measured inside tasks (lock wait, GC, copy) are carved out of the
     gross task-run time, so the categories of one domain sum to at most
@@ -64,16 +65,15 @@ type per_domain = {
 }
 
 type report = {
-  domains : per_domain list;  (** ascending domain id *)
+  domains : per_domain list;
+      (** ascending domain id; live domains and the 16 most recently
+          exited, older exits count in the totals only *)
   total_wall_us : float;
   totals : (category * float) list;  (** net, summed across domains *)
   total_other_us : float;
   coverage : float;
       (** named time / wall time, in [0, 1]; 1.0 when wall is 0 *)
 }
-
-val snapshot : unit -> per_domain list
-(** Raw cells of every domain that ever recorded, ascending id. *)
 
 val report : ?gc_us:float -> unit -> report
 (** Fold the cells into the deduplicated report.  [gc_us] (default: the

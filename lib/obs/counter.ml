@@ -37,41 +37,28 @@ let cell name = find_cell name
 
 let bump ?(by = 1) (c : cell) = if Registry.on () then c.(0) <- c.(0) + by
 
-(* Reads merge every domain's cell: two pool workers bumping the same
-   name contribute to one exported total. *)
+(* Reads merge every domain's cell and the retired total: two pool
+   workers bumping the same name contribute to one exported total. *)
 let get name =
-  Registry.fold_locals
-    (fun acc l ->
-      match Hashtbl.find_opt l.Registry.counters name with
-      | Some c -> acc + c.(0)
-      | None -> acc)
-    0
+  let value l =
+    match Hashtbl.find_opt l.Registry.counters name with Some c -> c.(0) | None -> 0
+  in
+  let retired, ls = Slots.read Registry.cells in
+  List.fold_left (fun acc (_, l) -> acc + value l) (value retired) ls
 
 let snapshot () =
-  let merged = Hashtbl.create 64 in
-  Registry.fold_locals
-    (fun () l ->
-      Hashtbl.iter
-        (fun name (c : cell) ->
-          if c.(0) <> 0 then
-            match Hashtbl.find_opt merged name with
-            | Some total -> Hashtbl.replace merged name (total + c.(0))
-            | None -> Hashtbl.add merged name c.(0))
-        l.Registry.counters)
-    ();
-  Hashtbl.fold (fun name v acc -> (name, v) :: acc) merged [] |> List.sort compare
+  let merged = (Registry.merged ()).Registry.counters in
+  Hashtbl.fold (fun name (c : cell) acc -> (name, c.(0)) :: acc) merged [] |> List.sort compare
 
 (* Unmerged view: which domain did the counting.  The scaling report
    uses it to show per-domain memo hit rates. *)
 let snapshot_by_domain () =
-  Registry.fold_locals
-    (fun acc l ->
+  List.filter_map
+    (fun (dom, l) ->
       let cs =
         Hashtbl.fold
           (fun name (c : cell) acc -> if c.(0) <> 0 then (name, c.(0)) :: acc else acc)
           l.Registry.counters []
-        |> List.sort compare
       in
-      if cs = [] then acc else (l.Registry.dom, cs) :: acc)
-    []
-  |> List.rev
+      if cs = [] then None else Some (dom, List.sort compare cs))
+    (snd (Slots.read Registry.cells))

@@ -37,4 +37,5 @@ val snapshot : unit -> (string * int) list
 
 val snapshot_by_domain : unit -> (int * (string * int) list) list
 (** Per-domain unmerged counters, ascending domain id; domains that
-    never counted are omitted.  Names sorted within each domain. *)
+    never counted, and the retired total, are omitted.  Names sorted
+    within each domain. *)

@@ -4,6 +4,8 @@
    --trace, the profiler's per-run traces and the daemon's black box
    all read this window.  When a request turns out slow or failing
    *after the fact*, its spans are still here and can be retained.
+   A ring lives as long as its domain plus the next 16 domain exits;
+   then it is dropped and only its counts remain.
 
    Hot-path cost budget: one atomic load (the [enabled] switch), one
    atomic fetch-and-add per span id, and a handful of array stores into
@@ -49,7 +51,6 @@ type context = { mutable trace : string option; mutable span : int }
    the last [min head cap] slots.  Only the owning domain writes, and
    the owning domain's causality context rides along in [rg_ctx]. *)
 type ring = {
-  mutable rg_dom : int;
   rg_ctx : context;
   mutable rg_cap : int;
   mutable rg_head : int;
@@ -93,79 +94,39 @@ let shrink r =
     r.rg_args <- Array.sub r.rg_args 0 n
   end
 
-(* Rings live on a global list so exporters can merge them, and a ring
-   outlives its domain so a joined worker's tail stays readable — until
-   [kept_exited] more domains have exited, when a starting domain takes
-   the ring over.  Without that reuse, a process that starts a pool per
-   sweep keeps one dead ring per worker it ever ran.  The records and
-   drops of a taken-over ring stay in the totals.  The list and the
-   queue are guarded by [rings_mu]. *)
-let rings_mu = Mutex.create ()
-let rings : ring list ref = ref []
-let exited : ring Queue.t = Queue.create ()  (* oldest exit first *)
-let kept_exited = 16
-let retired_records = Atomic.make 0
-let retired_dropped = Atomic.make 0
+(* Rings follow the {!Slots} lifecycle: an exited domain's ring is
+   shrunk and stays readable until 16 more domains have exited, then it
+   is dropped; its records and drops stay in the totals. *)
+type retired = { records : int; dropped : int }
 
-let take_exited dom =
-  if Queue.length exited < kept_exited then None
-  else begin
-    let r = Queue.pop exited in
-    ignore (Atomic.fetch_and_add retired_records r.rg_head : int);
-    ignore (Atomic.fetch_and_add retired_dropped (max 0 (r.rg_head - r.rg_cap)) : int);
-    alloc_slots r (Atomic.get capacity);
-    r.rg_dom <- dom;
-    r.rg_ctx.trace <- None;
-    r.rg_ctx.span <- 0;
-    Some r
-  end
+let overwritten r = max 0 (r.rg_head - r.rg_cap)
 
-let key =
-  Domain.DLS.new_key (fun () ->
-      let dom = (Domain.self () :> int) in
-      Mutex.lock rings_mu;
+let rings =
+  Slots.create ~on_exit:shrink
+    ~fresh:(fun () ->
       let r =
-        match take_exited dom with
-        | Some r -> r
-        | None ->
-            let r =
-              {
-                rg_dom = dom;
-                rg_ctx = { trace = None; span = 0 };
-                rg_cap = 0;
-                rg_head = 0;
-                rg_kinds = Bytes.empty;
-                rg_names = [||];
-                rg_ts = [||];
-                rg_durs = [||];
-                rg_ids = [||];
-                rg_parents = [||];
-                rg_traces = [||];
-                rg_args = [||];
-              }
-            in
-            alloc_slots r (Atomic.get capacity);
-            rings := r :: !rings;
-            r
+        {
+          rg_ctx = { trace = None; span = 0 };
+          rg_cap = 0;
+          rg_head = 0;
+          rg_kinds = Bytes.empty;
+          rg_names = [||];
+          rg_ts = [||];
+          rg_durs = [||];
+          rg_ids = [||];
+          rg_parents = [||];
+          rg_traces = [||];
+          rg_args = [||];
+        }
       in
-      Mutex.unlock rings_mu;
-      (* The main domain exits with the process; its ring must stay
-         writable for exit-time exports. *)
-      if not (Domain.is_main_domain ()) then
-        Domain.at_exit (fun () ->
-            Mutex.lock rings_mu;
-            shrink r;
-            Queue.push r exited;
-            Mutex.unlock rings_mu);
+      alloc_slots r (Atomic.get capacity);
       r)
+    ~retired:{ records = 0; dropped = 0 }
+    ~retire:(fun t r ->
+      { records = t.records + r.rg_head; dropped = t.dropped + overwritten r })
+    ()
 
-let ring () = Domain.DLS.get key
-
-let fold_rings f acc =
-  Mutex.lock rings_mu;
-  let rs = !rings in
-  Mutex.unlock rings_mu;
-  List.fold_left f acc (List.sort (fun a b -> compare a.rg_dom b.rg_dom) rs)
+let ring () = Slots.get rings
 
 (* --- Causality context ------------------------------------------------------ *)
 
@@ -239,26 +200,29 @@ type ring_stat = {
   rs_occupancy : int;  (* live records in the window *)
 }
 
-let stat_of r =
+let stat_of (dom, r) =
   {
-    rs_dom = r.rg_dom;
+    rs_dom = dom;
     rs_capacity = r.rg_cap;
     rs_records = r.rg_head;
-    rs_dropped = max 0 (r.rg_head - r.rg_cap);
+    rs_dropped = overwritten r;
     rs_occupancy = min r.rg_head r.rg_cap;
   }
 
-let ring_stats () = List.rev (fold_rings (fun acc r -> stat_of r :: acc) [])
-let records_total () = fold_rings (fun acc r -> acc + r.rg_head) (Atomic.get retired_records)
+let ring_stats () = List.map stat_of (snd (Slots.read rings))
 
-let dropped_total () =
-  fold_rings (fun acc r -> acc + max 0 (r.rg_head - r.rg_cap)) (Atomic.get retired_dropped)
+let total retired count =
+  let t, rs = Slots.read rings in
+  List.fold_left (fun acc (_, r) -> acc + count r) (retired t) rs
+
+let records_total () = total (fun t -> t.records) (fun r -> r.rg_head)
+let dropped_total () = total (fun t -> t.dropped) overwritten
 
 (* --- Reads ----------------------------------------------------------------- *)
 
 let kind_of_tag = function '\000' -> Span | '\001' -> Event | _ -> Counter
 
-let ring_records acc r =
+let ring_records acc (dom, r) =
   let head = r.rg_head in
   let lo = max 0 (head - r.rg_cap) in
   let out = ref acc in
@@ -272,7 +236,7 @@ let ring_records acc r =
         fr_dur_ns = r.rg_durs.(i);
         fr_id = r.rg_ids.(i);
         fr_parent = r.rg_parents.(i);
-        fr_dom = r.rg_dom;
+        fr_dom = dom;
         fr_trace = r.rg_traces.(i);
         fr_args = r.rg_args.(i);
       }
@@ -281,7 +245,7 @@ let ring_records acc r =
   !out
 
 let snapshot () =
-  fold_rings ring_records []
+  List.fold_left ring_records [] (snd (Slots.read rings))
   |> List.stable_sort (fun a b -> compare a.fr_ts_ns b.fr_ts_ns)
 
 let by_trace trace = List.filter (fun r -> r.fr_trace = trace) (snapshot ())
@@ -343,17 +307,13 @@ let to_chrome () =
 let set_capacity n =
   if n < 1 then invalid_arg "Flight.set_capacity";
   Atomic.set capacity n;
-  fold_rings (fun () r -> alloc_slots r n) ()
+  List.iter (fun (_, r) -> alloc_slots r n) (snd (Slots.read rings))
 
 (* Emptying drops the references the slots hold too, so a reset ring
    keeps no old names, trace ids or args alive. *)
 let reset () =
-  Atomic.set retired_records 0;
-  Atomic.set retired_dropped 0;
-  fold_rings
-    (fun () r ->
+  Slots.reset rings (fun r ->
       r.rg_head <- 0;
       Array.fill r.rg_names 0 r.rg_cap "";
       Array.fill r.rg_traces 0 r.rg_cap "";
       Array.fill r.rg_args 0 r.rg_cap [])
-    ()

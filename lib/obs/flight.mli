@@ -16,10 +16,11 @@
     parent links survive domain hops (acceptor dispatch → pool worker);
     nesting is carried by those parent ids, not by a depth.
 
-    Readers merge the rings without locks; a live writer can overwrite
-    the oldest slots mid-snapshot, so treat the oldest records of a
-    busy ring as best-effort.  Everything else — ids, parents, trace
-    ids — is exact.  This module sits below {!Registry}. *)
+    Readers take only the ring table's lock, never a writer's; a live
+    writer can overwrite the oldest slots mid-snapshot, so treat the
+    oldest records of a busy ring as best-effort.  Everything else —
+    ids, parents, trace ids — is exact.  This module sits below
+    {!Registry}. *)
 
 type kind = Span | Event | Counter
 
@@ -118,13 +119,14 @@ type ring_stat = {
 }
 
 val ring_stats : unit -> ring_stat list
-(** Per-domain ring health, ascending domain id.  An exited domain's
-    ring stays (shrunk to the records it wrote) until 16 more domains
-    have exited; then a starting domain takes it over, so a process
-    that spawns a pool per job keeps a bounded number of rings. *)
+(** Per-domain ring health, ascending domain id.  Rings follow the
+    {!Slots} lifecycle: an exited domain's ring stays (shrunk to the
+    records it wrote) until 16 more domains have exited; then it is
+    dropped, so a process that spawns a pool per job keeps a bounded
+    number of rings. *)
 
 val records_total : unit -> int
-(** Records ever written since the last {!reset}, taken-over rings
+(** Records ever written since the last {!reset}, dropped rings
     included. *)
 
 val dropped_total : unit -> int

@@ -32,18 +32,14 @@ let add_counts a b =
 
 (* --- Per-domain quick_stat deltas ----------------------------------------- *)
 
-type cell = { dom : int; mutable base : Gc.stat option; mutable acc : counts }
+type cell = { mutable base : Gc.stat option; mutable acc : counts }
 
-let cells_mu = Mutex.create ()
-let cells : cell list ref = ref []
-
-let key =
-  Domain.DLS.new_key (fun () ->
-      let c = { dom = (Domain.self () :> int); base = None; acc = zero_counts } in
-      Mutex.lock cells_mu;
-      cells := c :: !cells;
-      Mutex.unlock cells_mu;
-      c)
+let cells =
+  Slots.create
+    ~fresh:(fun () -> { base = None; acc = zero_counts })
+    ~retired:zero_counts
+    ~retire:(fun total c -> add_counts total c.acc)
+    ()
 
 (* Deltas of a domain's own monotonic counters; clamped so a counter
    surprise (e.g. a ravel across Gc.counters internals) can never make
@@ -62,22 +58,18 @@ let delta (b : Gc.stat) (q : Gc.stat) =
   }
 
 let sample () =
-  let c = Domain.DLS.get key in
+  let c = Slots.get cells in
   let q = Gc.quick_stat () in
   (match c.base with
   | Some b -> c.acc <- add_counts c.acc (delta b q)
   | None -> ());
   c.base <- Some q
 
-let fold_cells f acc =
-  Mutex.lock cells_mu;
-  let cs = !cells in
-  Mutex.unlock cells_mu;
-  List.fold_left f acc (List.sort (fun a b -> compare a.dom b.dom) cs)
+let counts () =
+  let retired, cs = Slots.read cells in
+  List.fold_left (fun acc (_, c) -> add_counts acc c.acc) retired cs
 
-let counts () = fold_cells (fun acc c -> add_counts acc c.acc) zero_counts
-
-let per_domain () = fold_cells (fun acc c -> (c.dom, c.acc) :: acc) [] |> List.rev
+let per_domain () = List.map (fun (dom, c) -> (dom, c.acc)) (snd (Slots.read cells))
 
 let heap_words () = (Gc.quick_stat ()).Gc.heap_words
 
@@ -164,16 +156,10 @@ let gc_time_us () =
   Mutex.unlock poll_mu;
   Int64.to_float total /. 1e3
 
-let gc_time_by_ring () =
-  Mutex.lock poll_mu;
-  let l = Hashtbl.fold (fun id r acc -> (id, Int64.to_float r.total_ns /. 1e3) :: acc) rings [] in
-  Mutex.unlock poll_mu;
-  List.sort compare l
-
 let lost_events () = !lost
 
 let reset () =
-  fold_cells (fun () c -> c.acc <- zero_counts) ();
+  Slots.reset cells (fun c -> c.acc <- zero_counts);
   Mutex.lock poll_mu;
   Hashtbl.iter
     (fun _ r ->

@@ -19,7 +19,7 @@
     and {!poll} drains it, accumulating the time under top-level runtime
     phases per {e ring} domain index.  Ring indices are runtime slots
     (reused across domain lifetimes), not [Domain.self] ids, so pause
-    time is reported process-wide and per-ring, never per-[Domain.self];
+    time is reported process-wide, never per-[Domain.self];
     {!Attribution.report} spreads it over domains proportionally to
     their task time.  The ring file lives in [Filename.temp_dir_name]
     (unless [OCAML_RUNTIME_EVENTS_DIR] is already set) and the runtime
@@ -43,10 +43,13 @@ val sample : unit -> unit
     boundaries and telemetry scrapes call it unconditionally. *)
 
 val counts : unit -> counts
-(** Accumulated deltas merged across every sampled domain. *)
+(** Accumulated deltas merged across every sampled domain, exited ones
+    included. *)
 
 val per_domain : unit -> (int * counts) list
-(** Per-domain accumulated deltas, ascending [Domain.self] id. *)
+(** Per-domain accumulated deltas, ascending [Domain.self] id: live
+    domains and the 16 most recently exited.  Cells follow the {!Slots}
+    lifecycle, so an older exit's deltas count only in {!counts}. *)
 
 val heap_words : unit -> int
 (** Current major-heap size of the process ([Gc.quick_stat]), a gauge. *)
@@ -74,9 +77,6 @@ val poll : unit -> unit
 val gc_time_us : unit -> float
 (** Total time under runtime phases since the last {!reset}, across all
     ring domains.  Requires {!poll} to be current. *)
-
-val gc_time_by_ring : unit -> (int * float) list
-(** Pause time per runtime ring index (slot, not [Domain.self]). *)
 
 val lost_events : unit -> int
 (** Ring-overflow drops reported by the consumer — nonzero means the

@@ -58,147 +58,87 @@ let quantiles_of_buckets ~count ~max_seen buckets =
   let q x = quantile_of_buckets ~count ~max_seen buckets x in
   { q_count = count; q_p50 = q 0.5; q_p90 = q 0.9; q_p99 = q 0.99; q_max = max_seen }
 
+(* --- Lifetime histogram ------------------------------------------------------
+
+   One record for both shapes: the standalone histogram (always-on
+   server telemetry, no registry, no switch) and each domain's named
+   cell in the registry. *)
+
+type t = Registry.hist
+
+let create () : t =
+  {
+    h_count = 0;
+    h_sum = 0.0;
+    h_min = Float.infinity;
+    h_max = Float.neg_infinity;
+    h_buckets = Array.make n_buckets 0;
+  }
+
+let record (t : t) v =
+  t.h_count <- t.h_count + 1;
+  t.h_sum <- t.h_sum +. v;
+  if v < t.h_min then t.h_min <- v;
+  if v > t.h_max then t.h_max <- v;
+  let b = bucket_of v in
+  t.h_buckets.(b) <- t.h_buckets.(b) + 1
+
+let count (t : t) = t.h_count
+let sum (t : t) = t.h_sum
+let absorb = Registry.absorb_hist
+
+let clear (t : t) =
+  t.h_count <- 0;
+  t.h_sum <- 0.0;
+  t.h_min <- Float.infinity;
+  t.h_max <- Float.neg_infinity;
+  Array.fill t.h_buckets 0 n_buckets 0
+
+let stats (t : t) =
+  {
+    count = t.h_count;
+    sum = t.h_sum;
+    min = t.h_min;
+    max = t.h_max;
+    mean = (if t.h_count = 0 then 0.0 else t.h_sum /. float_of_int t.h_count);
+  }
+
+let quantile_summary (t : t) =
+  quantiles_of_buckets ~count:t.h_count ~max_seen:t.h_max t.h_buckets
+
 (* --- Registry-named histograms -------------------------------------------- *)
 
 let observe name v =
   if Registry.on () then begin
     let l = Registry.local () in
     match Hashtbl.find_opt l.Registry.hists name with
-    | Some h ->
-        h.Registry.h_count <- h.Registry.h_count + 1;
-        h.h_sum <- h.h_sum +. v;
-        if v < h.h_min then h.h_min <- v;
-        if v > h.h_max then h.h_max <- v;
-        let b = bucket_of v in
-        h.h_buckets.(b) <- h.h_buckets.(b) + 1
+    | Some h -> record h v
     | None ->
-        let buckets = Array.make n_buckets 0 in
-        buckets.(bucket_of v) <- 1;
-        Hashtbl.add l.Registry.hists name
-          { Registry.h_count = 1; h_sum = v; h_min = v; h_max = v; h_buckets = buckets }
+        let h = create () in
+        record h v;
+        Hashtbl.add l.Registry.hists name h
   end
 
-let summary_of (h : Registry.hist) =
-  {
-    count = h.h_count;
-    sum = h.h_sum;
-    min = h.h_min;
-    max = h.h_max;
-    mean = (if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count);
-  }
+(* Reads merge every domain's observations of the name, retired ones
+   included. *)
+let merged_tbl () = (Registry.merged ()).Registry.hists
 
-let merge a (b : Registry.hist) =
-  {
-    Registry.h_count = a.Registry.h_count + b.h_count;
-    h_sum = a.h_sum +. b.h_sum;
-    h_min = Float.min a.h_min b.h_min;
-    h_max = Float.max a.h_max b.h_max;
-    h_buckets = Array.map2 ( + ) a.h_buckets b.h_buckets;
-  }
-
-(* Reads merge every domain's observations of the name. *)
-let merged_tbl () =
-  let merged = Hashtbl.create 64 in
-  Registry.fold_locals
-    (fun () l ->
-      Hashtbl.iter
-        (fun name h ->
-          match Hashtbl.find_opt merged name with
-          | Some acc -> Hashtbl.replace merged name (merge acc h)
-          | None ->
-              Hashtbl.add merged name
-                { Registry.h_count = h.Registry.h_count; h_sum = h.h_sum;
-                  h_min = h.h_min; h_max = h.h_max;
-                  h_buckets = Array.copy h.h_buckets })
-        l.Registry.hists)
-    ();
-  merged
-
-let summary name = Option.map summary_of (Hashtbl.find_opt (merged_tbl ()) name)
-
-let quantiles name =
-  Option.map
-    (fun (h : Registry.hist) ->
-      quantiles_of_buckets ~count:h.h_count ~max_seen:h.h_max h.h_buckets)
-    (Hashtbl.find_opt (merged_tbl ()) name)
+let summary name = Option.map stats (Hashtbl.find_opt (merged_tbl ()) name)
+let quantiles name = Option.map quantile_summary (Hashtbl.find_opt (merged_tbl ()) name)
 
 let snapshot () =
-  Hashtbl.fold (fun name h acc -> (name, summary_of h) :: acc) (merged_tbl ()) []
-  |> List.sort compare
-
-let snapshot_quantiles () =
-  Hashtbl.fold
-    (fun name (h : Registry.hist) acc ->
-      (name, quantiles_of_buckets ~count:h.h_count ~max_seen:h.h_max h.h_buckets) :: acc)
-    (merged_tbl ()) []
+  Hashtbl.fold (fun name h acc -> (name, stats h) :: acc) (merged_tbl ()) []
   |> List.sort compare
 
 (* One merged read feeding both views, so the pairs cannot drift under
    concurrent observation. *)
 let snapshot_full () =
   Hashtbl.fold
-    (fun name (h : Registry.hist) acc ->
-      ( name,
-        summary_of h,
-        quantiles_of_buckets ~count:h.h_count ~max_seen:h.h_max h.h_buckets )
-      :: acc)
+    (fun name h acc -> (name, stats h, quantile_summary h) :: acc)
     (merged_tbl ()) []
   |> List.sort compare
 
-(* --- Standalone log-bucket histogram --------------------------------------
-
-   Same geometry, no registry: always-on server telemetry records into
-   these regardless of the master switch. *)
-
-type t = {
-  mutable t_count : int;
-  mutable t_sum : float;
-  mutable t_min : float;
-  mutable t_max : float;
-  t_buckets : int array;
-}
-
-let create () =
-  {
-    t_count = 0;
-    t_sum = 0.0;
-    t_min = Float.infinity;
-    t_max = Float.neg_infinity;
-    t_buckets = Array.make n_buckets 0;
-  }
-
-let record t v =
-  t.t_count <- t.t_count + 1;
-  t.t_sum <- t.t_sum +. v;
-  if v < t.t_min then t.t_min <- v;
-  if v > t.t_max then t.t_max <- v;
-  let b = bucket_of v in
-  t.t_buckets.(b) <- t.t_buckets.(b) + 1
-
-let count t = t.t_count
-let sum t = t.t_sum
-
-let clear t =
-  t.t_count <- 0;
-  t.t_sum <- 0.0;
-  t.t_min <- Float.infinity;
-  t.t_max <- Float.neg_infinity;
-  Array.fill t.t_buckets 0 n_buckets 0
-
-let stats t =
-  {
-    count = t.t_count;
-    sum = t.t_sum;
-    min = t.t_min;
-    max = t.t_max;
-    mean = (if t.t_count = 0 then 0.0 else t.t_sum /. float_of_int t.t_count);
-  }
-
-let quantile t q =
-  quantile_of_buckets ~count:t.t_count ~max_seen:t.t_max t.t_buckets q
-
-let quantile_summary t =
-  quantiles_of_buckets ~count:t.t_count ~max_seen:t.t_max t.t_buckets
+let quantile (t : t) q = quantile_of_buckets ~count:t.h_count ~max_seen:t.h_max t.h_buckets q
 
 (* --- Sliding window --------------------------------------------------------
 

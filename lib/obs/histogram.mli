@@ -40,9 +40,6 @@ val quantiles : string -> quantiles option
 val snapshot : unit -> (string * summary) list
 (** All histograms, sorted by name. *)
 
-val snapshot_quantiles : unit -> (string * quantiles) list
-(** All histograms' quantile estimates, sorted by name. *)
-
 val snapshot_full : unit -> (string * summary * quantiles) list
 (** Summary and quantiles from one merged read, sorted by name. *)
 
@@ -57,6 +54,9 @@ val record : t -> float -> unit
 val count : t -> int
 
 val sum : t -> float
+
+val absorb : t -> t -> unit
+(** [absorb into t] adds [t]'s observations to [into]. *)
 
 val clear : t -> unit
 (** Zero the histogram in place (count, sum, extremes, buckets). *)

@@ -14,29 +14,54 @@ type t = {
   mutable acquired_at : float;
 }
 
+let blank name category =
+  {
+    name;
+    category;
+    mu = Mutex.create ();
+    wait = Histogram.create ();
+    hold = Histogram.create ();
+    acquisitions = 0;
+    contended = 0;
+    acquired_at = Float.nan;
+  }
+
+(* Live locks, and per name the counts of the released ones: a
+   transient pool's queue lock folds into its name's row on release
+   instead of staying registered forever. *)
 let locks_mu = Mutex.create ()
 let locks : t list ref = ref []
+let retired : (string, t) Hashtbl.t = Hashtbl.create 8
 
 let create ?(category = Attribution.Lock_wait) name =
-  let t =
-    {
-      name;
-      category;
-      mu = Mutex.create ();
-      wait = Histogram.create ();
-      hold = Histogram.create ();
-      acquisitions = 0;
-      contended = 0;
-      acquired_at = Float.nan;
-    }
-  in
-  Mutex.lock locks_mu;
-  locks := t :: !locks;
-  Mutex.unlock locks_mu;
+  let t = blank name category in
+  Mutex.protect locks_mu (fun () -> locks := t :: !locks);
   t
 
 let name t = t.name
 let mutex t = t.mu
+
+(* Add [t]'s counts to [tbl]'s row for its name. *)
+let absorb tbl t =
+  let row =
+    match Hashtbl.find_opt tbl t.name with
+    | Some row -> row
+    | None ->
+        let row = blank t.name t.category in
+        Hashtbl.add tbl t.name row;
+        row
+  in
+  row.acquisitions <- row.acquisitions + t.acquisitions;
+  row.contended <- row.contended + t.contended;
+  Histogram.absorb row.wait t.wait;
+  Histogram.absorb row.hold t.hold
+
+let release t =
+  Mutex.protect locks_mu (fun () ->
+      if List.memq t !locks then begin
+        locks := List.filter (fun l -> l != t) !locks;
+        absorb retired t
+      end)
 
 let set_enabled b = Atomic.set enabled b
 let on () = Atomic.get enabled
@@ -116,19 +141,20 @@ let stats t =
   }
 
 let all () =
-  Mutex.lock locks_mu;
-  let ls = !locks in
-  Mutex.unlock locks_mu;
-  List.map stats ls |> List.sort (fun a b -> compare a.s_name b.s_name)
+  Mutex.protect locks_mu (fun () ->
+      let rows = Hashtbl.create 16 in
+      Hashtbl.iter (fun _ t -> absorb rows t) retired;
+      List.iter (absorb rows) !locks;
+      Hashtbl.fold (fun _ t acc -> stats t :: acc) rows [])
+  |> List.sort (fun a b -> compare a.s_name b.s_name)
 
 let reset () =
-  Mutex.lock locks_mu;
-  let ls = !locks in
-  Mutex.unlock locks_mu;
-  List.iter
-    (fun (t : t) ->
-      t.acquisitions <- 0;
-      t.contended <- 0;
-      Histogram.clear t.wait;
-      Histogram.clear t.hold)
-    ls
+  Mutex.protect locks_mu (fun () ->
+      Hashtbl.reset retired;
+      List.iter
+        (fun (t : t) ->
+          t.acquisitions <- 0;
+          t.contended <- 0;
+          Histogram.clear t.wait;
+          Histogram.clear t.hold)
+        !locks)

@@ -34,6 +34,12 @@ val mutex : t -> Mutex.t
     condition waits prefer {!wait}, which keeps the hold histogram
     honest. *)
 
+val release : t -> unit
+(** Unregister [t]; its counts fold into its name's row of {!all}.
+    Idempotent.  Call when the lock's owner is done with it (a pool at
+    shutdown), so a process that makes one per job keeps one row per
+    name, not one record per lock ever made. *)
+
 val wait : ?category:Attribution.category -> t -> Condition.t -> unit
 (** [wait t cond] is [Condition.wait cond (mutex t)] with the profiling
     kept consistent: the current hold segment is closed before parking
@@ -68,8 +74,10 @@ type stat = {
 val stats : t -> stat
 
 val all : unit -> stat list
-(** Every registered lock's stats, sorted by name. *)
+(** One row per lock name, sorted: the live locks of that name and the
+    released ones merged. *)
 
 val reset : unit -> unit
-(** Zero every lock's counters and histograms.  Only meaningful at a
-    quiescent point (no lock held or contended). *)
+(** Zero every lock's counters and histograms and drop the released
+    locks' rows.  Only meaningful at a quiescent point (no lock held or
+    contended). *)

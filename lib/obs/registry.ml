@@ -38,33 +38,54 @@ type local = {
 let enabled = Atomic.make false
 let epoch = ref 0L
 
-(* One [local] per domain that ever probed, handed out through
-   domain-local storage so the hot paths never lock.  The cells are also
-   kept on a global list (guarded by [locals_mu]) so exporters can merge
-   them; a cell outlives its domain, preserving the data of joined pool
-   workers.  [reset] zeroes the cells in place rather than dropping them —
-   a live domain keeps writing into its registered cell. *)
-let locals_mu = Mutex.create ()
-let locals : local list ref = ref []
+let new_local dom = { dom; counters = Hashtbl.create 64; hists = Hashtbl.create 64 }
 
-let key =
-  Domain.DLS.new_key (fun () ->
-      let l =
-        { dom = (Domain.self () :> int); counters = Hashtbl.create 64; hists = Hashtbl.create 64 }
-      in
-      Mutex.lock locals_mu;
-      locals := l :: !locals;
-      Mutex.unlock locals_mu;
-      l)
+(* Counter cells are zeroed in place, not dropped: hot-path probes
+   (Counter.cell) cache a cell across resets, and a dropped cell would
+   silently swallow their writes after the next profiled run re-arms
+   the registry. *)
+let zero l =
+  Hashtbl.iter (fun _ c -> Array.fill c 0 cell_words 0) l.counters;
+  Hashtbl.reset l.hists
 
-let local () = Domain.DLS.get key
+let absorb_hist into h =
+  into.h_count <- into.h_count + h.h_count;
+  into.h_sum <- into.h_sum +. h.h_sum;
+  into.h_min <- Float.min into.h_min h.h_min;
+  into.h_max <- Float.max into.h_max h.h_max;
+  Array.iteri (fun i n -> into.h_buckets.(i) <- into.h_buckets.(i) + n) h.h_buckets
 
-let fold_locals f acc =
-  Mutex.lock locals_mu;
-  let ls = !locals in
-  Mutex.unlock locals_mu;
-  (* Ascending domain id: a deterministic merge order for exporters. *)
-  List.fold_left f acc (List.sort (fun a b -> compare a.dom b.dom) ls)
+let absorb into l =
+  Hashtbl.iter
+    (fun name c ->
+      if c.(0) <> 0 then
+        match Hashtbl.find_opt into.counters name with
+        | Some d -> d.(0) <- d.(0) + c.(0)
+        | None -> Hashtbl.add into.counters name (Array.copy c))
+    l.counters;
+  Hashtbl.iter
+    (fun name h ->
+      match Hashtbl.find_opt into.hists name with
+      | Some acc -> absorb_hist acc h
+      | None -> Hashtbl.add into.hists name { h with h_buckets = Array.copy h.h_buckets })
+    l.hists
+
+let merge ls =
+  let m = new_local (-1) in
+  List.iter (absorb m) ls;
+  m
+
+(* One [local] per live domain (plus the latest exits), reached through
+   DLS so the hot paths never lock; a retired cell's contents move into
+   the retired total, [dom] -1. *)
+let cells =
+  Slots.create
+    ~fresh:(fun () -> new_local (Domain.self () :> int))
+    ~retired:(new_local (-1))
+    ~retire:(fun total l -> merge [ total; l ])
+    ()
+
+let local () = Slots.get cells
 
 let on () = Atomic.get enabled
 
@@ -77,15 +98,7 @@ let enable () =
 let disable () = Atomic.set enabled false
 
 let reset () =
-  fold_locals
-    (fun () l ->
-      (* Counter cells are zeroed in place, not dropped: hot-path probes
-         (Counter.cell) cache a cell across resets, and a dropped cell
-         would silently swallow their writes after the next profiled run
-         re-arms the registry. *)
-      Hashtbl.iter (fun _ c -> Array.fill c 0 cell_words 0) l.counters;
-      Hashtbl.reset l.hists)
-    ();
+  Slots.reset cells zero;
   Flight.reset ();
   epoch := Clock.now_ns ()
 
@@ -102,3 +115,7 @@ let push_event (_ : local) ev =
     ~dur_ns:(Int64.to_int ev.ev_dur_ns) ()
 
 let set_max_events = Flight.set_capacity
+
+let merged () =
+  let retired, ls = Slots.read cells in
+  merge (retired :: List.map snd ls)

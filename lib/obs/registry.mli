@@ -16,8 +16,10 @@
     histogram.
 
     Merge semantics: counters sum across domains; histograms combine
-    count/sum/min/max.  A domain's cell outlives the domain, so the data
-    of joined pool workers survives until export.  {!enable},
+    count/sum/min/max and buckets.  Cells follow the {!Slots} lifecycle:
+    an exited domain's cell stays readable until 16 more domains have
+    exited, then its contents move into a retired total that every
+    merged reader adds in and the cell is dropped.  {!enable},
     {!disable}, {!reset} and the exporters are meant to be called from
     quiescent points (no concurrent probes), as the CLI and bench
     drivers do. *)
@@ -35,9 +37,9 @@ val disable : unit -> unit
 (** Turn recording off; accumulated data is kept for export. *)
 
 val reset : unit -> unit
-(** Zero every domain's counters and histograms, empty the {!Flight}
-    rings and re-pin the epoch — so "reset, run, export" exports just
-    the run.  Does not change the enabled flag. *)
+(** Zero every domain's counters and histograms and the retired total,
+    empty the {!Flight} rings and re-pin the epoch — so "reset, run,
+    export" exports just the run.  Does not change the enabled flag. *)
 
 (** {2 Internal surface used by the sibling modules} *)
 
@@ -72,21 +74,27 @@ val new_cell : unit -> int array
 (** A fresh zeroed padded cell. *)
 
 type local = {
-  dom : int;  (** [Domain.self] of the owning domain *)
+  dom : int;  (** [Domain.self] of the owning domain; -1 for merged totals *)
   counters : (string, int array) Hashtbl.t;
       (** padded cells ({!cell_words} words, value in slot 0); zeroed in
-          place by {!reset} so resolved {!Counter.cell} handles survive *)
+          place by {!reset}, so resolved {!Counter.cell} handles
+          survive *)
   hists : (string, hist) Hashtbl.t;
 }
 
 val local : unit -> local
-(** The calling domain's cell, created (and registered for export) on
-    first use. *)
+(** The calling domain's cell, claimed on first use. *)
 
-val fold_locals : ('a -> local -> 'a) -> 'a -> 'a
-(** Fold over every domain's cell in ascending domain-id order — how the
-    exporters merge.  Takes the registration lock only to snapshot the
-    cell list. *)
+val cells : (local, local) Slots.t
+(** Every domain's cell; the retired total ([dom] -1) holds what
+    retired cells held. *)
+
+val absorb_hist : hist -> hist -> unit
+(** [absorb_hist into h] adds [h]'s observations to [into]. *)
+
+val merged : unit -> local
+(** Every cell and the retired total merged by name into a fresh
+    [local] ([dom] -1); counters reading 0 are left out. *)
 
 val push_event : local -> span_event -> unit
 (** Record a span the caller timed itself (an asynchronous request, say)

@@ -442,6 +442,8 @@ let snapshot st =
     heap_words = Obs.Gcprof.heap_words ();
     pool = Slif_util.Pool.global_stats ();
     rings = Obs.Flight.ring_stats ();
+    flight_records = Obs.Flight.records_total ();
+    flight_dropped = Obs.Flight.dropped_total ();
     retained = st.retained_total;
     retained_live = Queue.length st.retained;
     dump_bytes = st.dump_bytes;

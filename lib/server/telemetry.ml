@@ -34,6 +34,8 @@ type t = {
   heap_words : int;
   pool : Slif_util.Pool.global_stats;
   rings : Obs.Flight.ring_stat list;
+  flight_records : int;  (* ever written, dropped rings included *)
+  flight_dropped : int;
   retained : int;
   retained_live : int;
   dump_bytes : int;
@@ -43,15 +45,14 @@ type t = {
   histograms : (string * Obs.Histogram.summary * Obs.Histogram.quantiles) list;
 }
 
-(* Totals derived from the per-shard and per-ring lists, so they can
-   never disagree with the breakdowns rendered next to them. *)
+(* Totals derived from the per-shard lists, so they can never disagree
+   with the breakdowns rendered next to them.  The flight totals are
+   not: they keep the rings that later domains took over. *)
 let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 let lru_size s = sum (fun (x : Lru.Sharded.shard_stat) -> x.sh_size) s.lru_shards
 let lru_capacity s = sum (fun (x : Lru.Sharded.shard_stat) -> x.sh_capacity) s.lru_shards
 let lru_hits s = sum (fun (x : Lru.Sharded.shard_stat) -> x.sh_hits) s.lru_shards
 let lru_misses s = sum (fun (x : Lru.Sharded.shard_stat) -> x.sh_misses) s.lru_shards
-let flight_records s = sum (fun (r : Obs.Flight.ring_stat) -> r.rs_records) s.rings
-let flight_dropped s = sum (fun (r : Obs.Flight.ring_stat) -> r.rs_dropped) s.rings
 let last_error_json s = match s.last_error with Some m -> J.String m | None -> J.Null
 
 (* --- JSON surfaces ----------------------------------------------------------- *)
@@ -99,8 +100,8 @@ let flight s =
   in
   J.Obj
     [
-      ("records", J.Int (flight_records s));
-      ("dropped", J.Int (flight_dropped s));
+      ("records", J.Int s.flight_records);
+      ("dropped", J.Int s.flight_dropped);
       ("retained", J.Int s.retained);
       ("retained_live", J.Int s.retained_live);
       ("dump_bytes", J.Int s.dump_bytes);

@@ -42,7 +42,10 @@ type t = {
   gc_per_domain : (int * Slif_obs.Gcprof.counts) list;
   heap_words : int;
   pool : Slif_util.Pool.global_stats;
-  rings : Slif_obs.Flight.ring_stat list;  (** flight totals are sums over these *)
+  rings : Slif_obs.Flight.ring_stat list;
+      (** live domains plus the 16 most recently exited *)
+  flight_records : int;  (** {!Slif_obs.Flight.records_total}: older exits included *)
+  flight_dropped : int;  (** {!Slif_obs.Flight.dropped_total} *)
   retained : int;  (** traces ever retained *)
   retained_live : int;
   dump_bytes : int;

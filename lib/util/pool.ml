@@ -177,6 +177,9 @@ let shutdown t =
   List.iter Domain.join workers;
   if not was_stopped then begin
     Atomic.decr g_pools_live;
+    (* The lock's counts join its name's row; a pool per sweep must not
+       leave a lock record behind per sweep. *)
+    Slif_obs.Lockprof.release t.lock;
     (* The submitting domain participates in the work, so it may hold
        initialized slots too. *)
     run_cleanups t;

@@ -65,11 +65,12 @@ val domains : t -> int
     with [~oversubscribe:true]. *)
 
 val shutdown : t -> unit
-(** Join all worker domains and tear down the submitting domain's
-    {!local} slots.  Idempotent; the pool must be idle.  If any slot
-    teardown raised (on any domain), the first such exception — in
-    registration order, so deterministic — is re-raised here after every
-    domain has joined. *)
+(** Join all worker domains, release the queue lock's
+    {!Slif_obs.Lockprof} record (its counts stay in the name's row) and
+    tear down the submitting domain's {!local} slots.  Idempotent; the
+    pool must be idle.  If any slot teardown raised (on any domain), the
+    first such exception — in registration order, so deterministic — is
+    re-raised here after every domain has joined. *)
 
 type stats = {
   st_jobs : int;  (** parallelism, including the submitter *)

@@ -41,11 +41,13 @@ let lex_ident st =
   String.sub st.src start (st.pos - start)
 
 let lex_int st =
-  let start = st.pos in
+  let l = loc st and start = st.pos in
   while (match peek st with Some c -> is_digit c | None -> false) do
     advance st
   done;
-  int_of_string (String.sub st.src start (st.pos - start))
+  match int_of_string_opt (String.sub st.src start (st.pos - start)) with
+  | Some n -> n
+  | None -> Loc.error l "integer literal out of range"
 
 let lex_string st =
   let l = loc st in

@@ -330,6 +330,51 @@ let test_figure4_jobs () =
     Alcotest.(check bool) "figure4 -j 0 rejected" true (code <> 0)
   end
 
+(* A malformed source file ends in one located line and exit 1, never a
+   raw exception: a bad token, and an integer literal too big for an
+   int.  Both edits land on the line declaring [display_out]. *)
+let test_source_errors_located () =
+  if not (Lazy.force available) then ()
+  else begin
+    let source = (Option.get (Specs.Registry.find "vol")).Specs.Registry.source in
+    let lines = Array.of_list (String.split_on_char '\n' source) in
+    let find_sub sub line =
+      let n = String.length sub in
+      let rec go i =
+        if i + n > String.length line then None
+        else if String.sub line i n = sub then Some i
+        else go (i + 1)
+      in
+      go 0
+    in
+    let row = ref 0 in
+    while find_sub "display_out :" lines.(!row) = None do
+      incr row
+    done;
+    let line = lines.(!row) in
+    let check sub by expect =
+      let i = Option.get (find_sub sub line) in
+      let n = String.length sub in
+      let edited = Array.copy lines in
+      edited.(!row) <-
+        String.sub line 0 i ^ by ^ String.sub line (i + n) (String.length line - i - n);
+      let tmp = Filename.temp_file "slif" ".vhd" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove tmp)
+        (fun () ->
+          let oc = open_out_bin tmp in
+          output_string oc (String.concat "\n" (Array.to_list edited));
+          close_out oc;
+          let code, text = run_cli (Printf.sprintf "estimate -f %s" tmp) in
+          Alcotest.(check int) (expect ^ " exit") 1 code;
+          Alcotest.(check string) (expect ^ " diagnostic")
+            (Printf.sprintf "slif: %d:%d: %s\n" (!row + 1) (i + 1) expect)
+            text)
+    in
+    check ":" ";" "expected : (found ;)";
+    check "9999" "99999999999999999999" "integer literal out of range"
+  end
+
 let suite =
   [
     Alcotest.test_case "figure4 runs" `Slow test_figure4;
@@ -355,4 +400,5 @@ let suite =
     Alcotest.test_case "figure4 -j" `Slow test_figure4_jobs;
     Alcotest.test_case "--trace keeps span args and counter tracks" `Slow
       test_trace_args_and_counters;
+    Alcotest.test_case "source errors are located, never raw" `Slow test_source_errors_located;
   ]

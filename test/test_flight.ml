@@ -252,7 +252,7 @@ let test_counters_and_args () =
 
 (* A process that starts a short-lived domain per job keeps a bounded
    number of rings: an exited domain's ring shrinks to what it wrote and
-   is taken over once 16 more domains have exited, while the totals
+   is dropped once 16 more domains have exited, while the totals
    still count every record and the latest exits' tails stay readable. *)
 let test_exited_rings_reused () =
   with_fresh @@ fun () ->

@@ -619,6 +619,77 @@ let test_prometheus_reserved_names () =
     && String.split_on_char '\n' text
        |> List.exists (fun l -> l = "bench_a10_p99_ 1"))
 
+(* Back-to-back pools keep per-domain telemetry bounded: every store
+   holds at most the live domains plus the 16 latest exits, the pool
+   locks fold into one row, and the merged readers still count every
+   write — the same totals a single-domain run of the same rounds
+   reads (the pool's own queue-wait spans and counter samples
+   included). *)
+let test_pool_rounds_bounded () =
+  let rounds = 100 and tasks = 2 in
+  let run jobs =
+    Obs.Registry.reset ();
+    Obs.Attribution.reset ();
+    Obs.Gcprof.reset ();
+    Obs.Lockprof.reset ();
+    Obs.Registry.enable ();
+    Obs.Attribution.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Attribution.disable ();
+        Obs.Registry.disable ())
+      (fun () ->
+        for _ = 1 to rounds do
+          let arrived = Atomic.make 0 in
+          Slif_util.Pool.with_pool ~jobs ~oversubscribe:true (fun pool ->
+              Slif_util.Pool.map pool
+                (fun _ ->
+                  (* At -j 2 the two tasks wait for each other, so the
+                     round's worker domain runs one of them. *)
+                  Atomic.incr arrived;
+                  while jobs > 1 && Atomic.get arrived < tasks do
+                    Domain.cpu_relax ()
+                  done;
+                  Obs.Counter.incr "test.rounds";
+                  Obs.Histogram.observe "test.rounds_us" 1.0;
+                  Obs.Attribution.add Obs.Attribution.Copy 1.0;
+                  Obs.Gcprof.sample ();
+                  Obs.Flight.record_span ~id:(Obs.Flight.next_id ()) ~parent:0
+                    ~name:"test.rounds" ~t0_ns:0 ~dur_ns:1 ())
+                (List.init tasks Fun.id)
+              |> ignore)
+        done;
+        ( Obs.Counter.get "test.rounds",
+          (Option.get (Obs.Histogram.summary "test.rounds_us")).Obs.Histogram.count,
+          List.assoc Obs.Attribution.Copy (Obs.Attribution.report ()).Obs.Attribution.totals,
+          Obs.Flight.records_total () ))
+  in
+  let _, _, _, serial_records = run 1 in
+  let counter, observed, copy_us, records = run 2 in
+  let written = rounds * tasks in
+  Alcotest.(check int) "Counter.get counts every bump" written counter;
+  Alcotest.(check int) "histogram counts every observation" written observed;
+  Alcotest.(check (float 0.0)) "attribution totals keep retired time" (float written) copy_us;
+  Alcotest.(check int) "Flight.records_total matches the serial run" serial_records records;
+  (* The main domain plus the 16 latest exits. *)
+  let bound = 1 + 16 in
+  let cells name n =
+    Alcotest.(check bool) (Printf.sprintf "%s cells %d <= %d" name n bound) true (n <= bound)
+  in
+  cells "registry" (List.length (snd (Obs.Slots.read Obs.Registry.cells)));
+  cells "attribution" (List.length (Obs.Attribution.report ()).Obs.Attribution.domains);
+  cells "gcprof" (List.length (Obs.Gcprof.per_domain ()));
+  cells "flight" (List.length (Obs.Flight.ring_stats ()));
+  Alcotest.(check int) "one pool.queue lock row" 1
+    (List.length
+       (List.filter
+          (fun (s : Obs.Lockprof.stat) -> s.s_name = "pool.queue")
+          (Obs.Lockprof.all ())));
+  Obs.Registry.reset ();
+  Obs.Attribution.reset ();
+  Obs.Gcprof.reset ();
+  Obs.Lockprof.reset ()
+
 let suite =
   [
     Alcotest.test_case "span nesting and ordering" `Quick test_span_nesting;
@@ -661,4 +732,6 @@ let suite =
     Alcotest.test_case "prometheus empty families" `Quick test_prometheus_empty_families;
     Alcotest.test_case "prometheus reserved-char names" `Quick
       test_prometheus_reserved_names;
+    Alcotest.test_case "pool rounds keep telemetry cells bounded" `Quick
+      test_pool_rounds_bounded;
   ]

@@ -83,6 +83,8 @@ let sample : Telemetry.t =
         { rs_dom = 0; rs_capacity = 4096; rs_records = 5000; rs_dropped = 904; rs_occupancy = 4096 };
         { rs_dom = 1; rs_capacity = 4096; rs_records = 10; rs_dropped = 0; rs_occupancy = 10 };
       ];
+    flight_records = 5010;
+    flight_dropped = 904;
     retained = 2;
     retained_live = 2;
     dump_bytes = 0;
