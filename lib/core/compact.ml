@@ -45,21 +45,38 @@ let make (s : Types.t) =
   let n_nodes = Array.length s.nodes in
   let n_chans = Array.length s.chans in
   (* Intern every technology name that can reach a lookup: component
-     technologies, per-node weight keys and per-bus annotation keys.  A
+     technologies, per-bus annotation keys and per-node weight keys.  A
      dense id per name lets the weight rows and bus matrices below replace
-     string-keyed assoc scans with array reads. *)
+     string-keyed assoc scans with array reads.  A decoded v2 store shares
+     one string per technology, so [intern] first compares physically with
+     the string last seen for each of the first eight ids and hashes only
+     on a miss, which repoints that id: fresh strings (a v1 decode) cost a
+     bounded scan besides the hash, shared ones no hash at all. *)
   let tech_ix = Hashtbl.create 16 in
+  let last_seen = Array.make 8 "" in
   let tech_rev = ref [] in
   let next_tech = ref 0 in
   let intern name =
-    match Hashtbl.find_opt tech_ix name with
-    | Some i -> i
-    | None ->
-        let i = !next_tech in
-        Hashtbl.add tech_ix name i;
-        tech_rev := name :: !tech_rev;
-        incr next_tech;
-        i
+    let scan = min !next_tech (Array.length last_seen) in
+    let rec find i =
+      if i = scan then begin
+        let id =
+          match Hashtbl.find_opt tech_ix name with
+          | Some id -> id
+          | None ->
+              let id = !next_tech in
+              Hashtbl.add tech_ix name id;
+              tech_rev := name :: !tech_rev;
+              incr next_tech;
+              id
+        in
+        if id < Array.length last_seen then last_seen.(id) <- name;
+        id
+      end
+      else if last_seen.(i) == name then i
+      else find (i + 1)
+    in
+    find 0
   in
   let comp_tech =
     Array.append
@@ -75,13 +92,6 @@ let make (s : Types.t) =
           ignore (intern bt))
         b.b_td_by_pair)
     s.buses;
-  Array.iter
-    (fun (n : Types.node) ->
-      List.iter (fun (tn, _) -> ignore (intern tn)) n.n_ict;
-      List.iter (fun (tn, _) -> ignore (intern tn)) n.n_size)
-    s.nodes;
-  let n_techs = !next_tech in
-  let tech_names = Array.of_list (List.rev !tech_rev) in
   (* Node kinds and weight rows. *)
   let node_is_var = Bytes.make n_nodes '\000' in
   let ict_off = Array.make (n_nodes + 1) 0 in
@@ -115,6 +125,8 @@ let make (s : Types.t) =
         incr k)
       n.n_size
   done;
+  let n_techs = !next_tech in
+  let tech_names = Array.of_list (List.rev !tech_rev) in
   (* Channels as parallel arrays. *)
   let chan_src = Array.make n_chans 0 in
   let chan_dst = Array.make n_chans 0 in

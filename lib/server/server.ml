@@ -177,9 +177,8 @@ type stored =
    mutable accounting.  Handles are keyed by path and shared across
    workers; a [Lazy_store.t] is domain-safe, so the cache's mutex only
    guards the cache itself.  The cache is a bounded LRU: a stream of
-   distinct store paths evicts the least recently used handle (its
-   mapping is reclaimed once unreferenced) instead of growing a table
-   without limit. *)
+   distinct store paths evicts the least recently used handle instead
+   of growing a table without limit. *)
 type exec_env = {
   x_cfg : config;
   x_lru : Slif.Types.t Lru.Sharded.t;
@@ -187,8 +186,8 @@ type exec_env = {
   x_stores_lock : Mutex.t;
 }
 
-(* Handles are metadata-sized (mmap + directory + META), so the bound
-   only guards against pathological path churn. *)
+(* Handles are metadata-sized (directory + META, no descriptor held), so
+   the bound only guards against pathological path churn. *)
 let store_handle_capacity = 64
 
 (* A handler-level error with a machine-readable kind ("kind" in the
@@ -248,11 +247,11 @@ let source_of_bundled name =
 
 let stored_key path = "store:" ^ path
 
-(* Resolve a path to a cached handle, revalidating on every hit: the
-   mmap pins the inode it mapped, and [save_slif] replaces stores by
-   atomic rename, so a hit whose (dev, ino, size, mtime) no longer
-   matches the path means the file was regenerated — drop the stale
-   handle *and* its decoded [store:<path>] LRU entry, then reopen.  A
+(* Resolve a path to a cached handle, revalidating on every hit: a
+   handle reads only the inode it opened, and [save_slif] replaces
+   stores by atomic rename, so a hit whose (dev, ino, size, mtime) no
+   longer matches the path means the file was regenerated — drop the
+   stale handle *and* its decoded [store:<path>] LRU entry, then reopen.  A
    path with no handle cached drops the decoded entry too: nothing
    vouches for it any more. *)
 let store_handle env path =

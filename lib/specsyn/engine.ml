@@ -395,26 +395,30 @@ let create ?(weights = Cost.default_weights) ?(constraints = Cost.no_constraints
     Array.append proc_comps (Array.init n_mems (fun m -> Slif.Partition.Cmem m))
   in
   let incident =
-    (* Channel ids incident to each node (out-row then in-row, first
-       occurrence kept), straight off the compact CSR — no channel-record
-       lists are materialized for engine construction. *)
+    (* Channel ids incident to each node: the out-row, then the in-row
+       minus self-loops (their channel is already in the out-row), straight
+       off the compact CSR — no channel-record lists are materialized for
+       engine construction. *)
     let cg = Slif.Graph.compact graph in
+    let open Slif.Compact in
     Array.init n_nodes (fun i ->
-        let seen = Hashtbl.create 8 in
-        let acc = ref [] in
-        let add cid =
-          if not (Hashtbl.mem seen cid) then begin
-            Hashtbl.add seen cid ();
-            acc := cid :: !acc
+        let out_lo = cg.out_off.(i) and out_hi = cg.out_off.(i + 1) in
+        let in_lo = cg.in_off.(i) and in_hi = cg.in_off.(i + 1) in
+        let loops = ref 0 in
+        for k = in_lo to in_hi - 1 do
+          if cg.chan_src.(cg.in_chan.(k)) = i then incr loops
+        done;
+        let row = Array.make (out_hi - out_lo + (in_hi - in_lo) - !loops) 0 in
+        Array.blit cg.out_chan out_lo row 0 (out_hi - out_lo);
+        let j = ref (out_hi - out_lo) in
+        for k = in_lo to in_hi - 1 do
+          let c = cg.in_chan.(k) in
+          if cg.chan_src.(c) <> i then begin
+            row.(!j) <- c;
+            incr j
           end
-        in
-        for k = cg.Slif.Compact.out_off.(i) to cg.Slif.Compact.out_off.(i + 1) - 1 do
-          add cg.Slif.Compact.out_chan.(k)
         done;
-        for k = cg.Slif.Compact.in_off.(i) to cg.Slif.Compact.in_off.(i + 1) - 1 do
-          add cg.Slif.Compact.in_chan.(k)
-        done;
-        Array.of_list (List.rev !acc))
+        row)
   in
   let deadlines =
     Array.of_list

@@ -1,11 +1,8 @@
-type map = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 type identity = { id_dev : int; id_ino : int; id_size : int; id_mtime : float }
 
 type t = {
   path : string;
   size : int;
-  map : map;
   entries : Store.section_info list;
   meta : Store.v2_meta;
   ident : identity;
@@ -18,91 +15,101 @@ type t = {
   mutable memo_err : Store.error option;
 }
 
-(* Copy a byte range out of the mapping.  The copy is what the Codec
-   readers need anyway (they consume strings), and it confines page
-   faults to decode time — an un-forced handle touches only the header
-   pages.  Subtraction-form bounds check: [pos + len] can wrap past
-   max_int on a crafted directory entry, so never sum untrusted
-   offsets; the reads stay bounds-checked too. *)
-let fetch_map map size ~pos ~len =
-  if pos < 0 || len < 0 || pos > size || len > size - pos then ""
-  else String.init len (fun i -> Bigarray.Array1.get map (pos + i))
-
-(* A corrupt directory can still drive the codec into [String.sub] /
-   [String.init] with absurd arguments; keep the [result] contract by
-   mapping those to a typed decode error instead of escaping. *)
-let guarded f =
-  match f () with
-  | r -> r
-  | exception Invalid_argument msg -> Error (Store.Decode msg)
-
 let ( let* ) = Result.bind
+let shrank = Store.Truncated "store file shrank since open"
 
-let identity_of_stat (st : Unix.stats) =
-  {
-    id_dev = st.Unix.st_dev;
-    id_ino = st.Unix.st_ino;
-    id_size = st.Unix.st_size;
-    id_mtime = st.Unix.st_mtime;
-  }
+exception Short_read (* the file shrank between the [fstat] and a read *)
 
-let open_file path =
+(* Read [len] bytes at [pos] into one fresh buffer.  Subtraction-form
+   bounds check: [pos + len] can wrap past max_int on a crafted directory
+   entry, so never sum untrusted offsets. *)
+let read_range fd size ~pos ~len =
+  if pos < 0 || len < 0 || pos > size || len > size - pos then ""
+  else begin
+    let buf = Bytes.create len in
+    ignore (Unix.lseek fd pos Unix.SEEK_SET);
+    let rec fill off =
+      if off < len then
+        match Unix.read fd buf off (len - off) with
+        | 0 -> raise Short_read
+        | n -> fill (off + n)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill off
+    in
+    fill 0;
+    Bytes.unsafe_to_string buf
+  end
+
+(* One operation on the file: open [path], vet the fresh [fstat] with
+   [check], run [f] over a fetch on the descriptor, close it — no
+   descriptor outlives the call.  The outer [Error] says the file could
+   not be read as opened (unlinked, replaced, shrunk, an I/O error), which
+   a later call may not repeat; the inner result is [f]'s verdict on the
+   bytes, where a corrupt directory driving [String.sub] out of bounds
+   is a typed [Decode] error, not an exception. *)
+let with_file path ~check f =
   match
-    let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+    let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
     Fun.protect
       ~finally:(fun () -> Unix.close fd)
       (fun () ->
         let st = Unix.fstat fd in
-        let size = st.Unix.st_size in
-        if size = 0 then Error Store.Bad_magic
-        else begin
-          (* The mapping outlives the descriptor; the kernel drops it when
-             the bigarray is collected. *)
-          let map =
-            Bigarray.array1_of_genarray
-              (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |])
-          in
-          let fetch = fetch_map map size in
-          let* version, entries = guarded (fun () -> Store.directory ~total:size fetch) in
-          (* v1 cannot be decoded piecemeal; callers fall back to an eager load. *)
-          let* () =
-            if version = Store.format_version_v2 then Ok ()
-            else Error (Store.Unsupported_version version)
-          in
-          let* meta_p = guarded (fun () -> Store.section ~fetch entries "META") in
-          let* meta = Store.v2_decode_meta meta_p in
-          Ok
-            {
-              path;
-              size;
-              map;
-              entries;
-              meta;
-              ident = identity_of_stat st;
-              lock = Mutex.create ();
-              memo = Weak.create 1;
-              memo_err = None;
-            }
-        end)
+        let* () = check st in
+        match f st (read_range fd st.Unix.st_size) with
+        | r -> Ok r
+        | exception Invalid_argument msg -> Ok (Error (Store.Decode msg)))
   with
   | r -> r
+  | exception Short_read -> Error shrank
   | exception Unix.Unix_error (e, _, _) -> Error (Store.Io (Unix.error_message e))
-  | exception Sys_error msg -> Error (Store.Io msg)
-  | exception Invalid_argument msg -> Error (Store.Decode msg)
 
-let path t = t.path
+let identity_of_stat (st : Unix.stats) =
+  { id_dev = st.st_dev; id_ino = st.st_ino; id_size = st.st_size; id_mtime = st.st_mtime }
+
+let open_file path =
+  Result.join
+  @@ with_file path ~check:(fun _ -> Ok ()) (fun st fetch ->
+         if st.st_size = 0 then Error Store.Bad_magic
+         else
+           let* version, entries = Store.directory ~total:st.st_size fetch in
+           (* v1 cannot be decoded piecemeal; callers fall back to an eager load. *)
+           let* () =
+             if version = Store.format_version_v2 then Ok ()
+             else Error (Store.Unsupported_version version)
+           in
+           let* meta = Result.bind (Store.section ~fetch entries "META") Store.v2_decode_meta in
+           Ok
+             {
+               path;
+               size = st.st_size;
+               entries;
+               meta;
+               ident = identity_of_stat st;
+               lock = Mutex.create ();
+               memo = Weak.create 1;
+               memo_err = None;
+             })
+
+(* Reopen the handle's own file: the path must still name the inode
+   opened (a [save_slif] renames a fresh one over it), at no less than
+   its size then. *)
+let with_own_file t f =
+  let check (st : Unix.stats) =
+    if st.st_dev <> t.ident.id_dev || st.st_ino <> t.ident.id_ino then
+      Error (Store.Io "store path names a different file than the one opened")
+    else if st.st_size < t.size then Error shrank
+    else Ok ()
+  in
+  with_file t.path ~check (fun _ fetch -> f fetch)
+
 let file_size t = t.size
 let meta t = t.meta
 let design t = t.meta.Store.vm_design
-let kind t = t.meta.Store.vm_kind
 let decoded_bytes_estimate t = t.meta.Store.vm_decoded_bytes
-let identity t = t.ident
 
 let file_identity path =
   match Unix.stat path with
   | st -> Some (identity_of_stat st)
   | exception Unix.Unix_error _ -> None
-  | exception Sys_error _ -> None
 
 (* [save_slif] replaces a store by renaming a fresh temporary over it, so
    a regenerated file is a different inode; size/mtime catch in-place
@@ -112,25 +119,10 @@ let changed path ident = file_identity path <> Some ident
 
 let stale t = changed t.path t.ident
 
-let sections t = t.entries
-
-(* Truncating the mapped file in place turns every read of the mapping
-   past the new end into SIGBUS, so the readers below stat the path
-   first.  Not memoized: the file may grow back. *)
-let shrank = Store.Truncated "store file shrank under its mapping"
-
-let shrunk t =
-  match file_identity t.path with
-  | Some id ->
-      id.id_dev = t.ident.id_dev && id.id_ino = t.ident.id_ino && id.id_size < t.size
-  | None -> false
-
 let provenance t =
-  if shrunk t then Error shrank
-  else
-    guarded (fun () ->
-        let* p = Store.section ~fetch:(fetch_map t.map t.size) t.entries "PROV" in
-        Store.decode_prov p)
+  Result.join
+  @@ with_own_file t (fun fetch ->
+         Result.bind (Store.section ~fetch t.entries "PROV") Store.decode_prov)
 
 let decoded t =
   Mutex.lock t.lock;
@@ -143,22 +135,19 @@ let slif t =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.lock)
     (fun () ->
-      match t.memo_err with
-      | Some e -> Error e
-      | None -> (
-          match Weak.get t.memo 0 with
-          | Some v -> Ok v
-          | None when shrunk t -> Error shrank
-          | None -> (
-              match
-                guarded (fun () ->
-                    Store.decode_slif ~fetch:(fetch_map t.map t.size)
-                      (Store.format_version_v2, t.entries))
-              with
-              | Ok v as r ->
-                  Slif_obs.Counter.incr "store.lazy.full_decode";
-                  Weak.set t.memo 0 (Some v);
-                  r
-              | Error e as r ->
-                  t.memo_err <- Some e;
-                  r)))
+      match (t.memo_err, Weak.get t.memo 0) with
+      | Some e, _ -> Error e
+      | None, Some v -> Ok v
+      | None, None -> (
+          match
+            with_own_file t (fun fetch ->
+                Store.decode_slif ~fetch (Store.format_version_v2, t.entries))
+          with
+          | Error _ as r -> r
+          | Ok (Ok v as r) ->
+              Slif_obs.Counter.incr "store.lazy.full_decode";
+              Weak.set t.memo 0 (Some v);
+              r
+          | Ok (Error e as r) ->
+              t.memo_err <- Some e;
+              r))

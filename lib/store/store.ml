@@ -52,7 +52,7 @@ let ( let* ) = Result.bind
      magic | u32 version=2 | u32 count | count x (tag4, u64 off, u64 len,
      u32 crc) | u32 dir-crc | payloads...
 
-   so a reader maps the file, verifies ~a hundred directory bytes, and
+   so a reader opens the file, verifies ~a hundred directory bytes, and
    then decodes exactly the sections it needs.  Both read into one
    section table; each payload's CRC is checked when (and only when)
    that payload is fetched. *)
@@ -110,8 +110,8 @@ let v2_container sections =
 let u32_le s pos = Int32.to_int (Int32.logand (String.get_int32_le s pos) 0xFFFFFFFFl)
 
 (* Read the section table of either format through a [fetch ~pos ~len]
-   callback, so the same code serves an in-memory string and an mmap'd
-   file.  Every entry is bounds-checked against [total] in subtraction
+   callback, so the same code serves an in-memory string and ranges
+   read from a file.  Every entry is bounds-checked against [total] in subtraction
    form: [off + len] can wrap past max_int on a crafted table, so never
    sum untrusted offsets. *)
 let directory ~total fetch =

@@ -24,8 +24,8 @@
     Reading is one path for both versions: {!directory} reads the
     prelude and the version's framing into one section table, and
     {!section} fetches a payload and checks its CRC-32 — on fetch, so a
-    reader (or an [Unix.map_file] mapping, see {!Lazy_store}) pays only
-    for the sections it decodes.  Every full decode fetches every
+    reader (a loaded string, or {!Lazy_store}'s reads of the file) pays
+    only for the sections it decodes.  Every full decode fetches every
     section it uses, so every decoded byte is under a checked CRC.
 
     Decoding is total: any byte sequence either decodes or yields a typed
@@ -144,7 +144,7 @@ val directory :
   total:int -> (pos:int -> len:int -> string) -> (int * section_info list, error) result
 (** [directory ~total fetch] reads a container's [(version, sections)]
     through a byte-range fetch callback ([String.sub] over a loaded
-    container, or a copy out of an [Unix.map_file] mapping) of a
+    container, or {!Lazy_store}'s [read(2)] of the range) of a
     container [total] bytes long.  Checks the magic ([Bad_magic]) and
     the version ([Unsupported_version] unless 1 or 2), then walks the v1
     section headers or CRC-verifies the v2 directory.  Every entry is

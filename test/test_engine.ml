@@ -393,6 +393,59 @@ let test_small_source_trees_match_oracle () =
       random_moves_match_oracle label problem eng ~steps:60)
     [ 2; 3; 5; 31; 32; 33; 63; 64; 65 ]
 
+(* A recursive behavior is a call channel from a node to itself: it sits
+   in both the node's out-row and its in-row, and the engine's incident
+   list must hold it once.  Synthetic graphs have no self-loop, so this
+   case adds one to every seventh behavior and walks 500 seeded moves,
+   checking the engine against a fresh estimator every 50. *)
+let test_self_loop_walk_matches_oracle () =
+  let s =
+    Slif_synth.Synth.generate
+      (Slif_synth.Synth.default_params ~seed:5 ~nodes:300 Slif_synth.Synth.Mixed)
+  in
+  let n_chans = Array.length s.Slif.Types.chans in
+  let loops =
+    Array.to_list s.Slif.Types.nodes
+    |> List.filter (fun (n : Slif.Types.node) ->
+           n.n_id mod 7 = 0
+           && match n.n_kind with Slif.Types.Behavior _ -> true | _ -> false)
+    |> List.mapi (fun k (n : Slif.Types.node) ->
+           {
+             Slif.Types.c_id = n_chans + k;
+             c_src = n.n_id;
+             c_dst = Slif.Types.Dnode n.n_id;
+             c_accfreq = 2.0;
+             c_accfreq_min = 1.0;
+             c_accfreq_max = 3.0;
+             c_bits = 32;
+             c_tag = None;
+             c_kind = Slif.Types.Call;
+           })
+  in
+  if loops = [] then Alcotest.fail "no behavior to make recursive";
+  let s = { s with Slif.Types.chans = Array.append s.Slif.Types.chans (Array.of_list loops) } in
+  let problem, eng =
+    engine_of_problem
+      (Specsyn.Search.problem ~constraints:(constraints_for s) (Slif.Graph.make s))
+  in
+  check_against_oracle "self-loops created" problem eng;
+  let rng = Slif_util.Prng.create 29 in
+  for step = 1 to 500 do
+    (match Specsyn.Engine.random_move eng rng with
+    | None -> ()
+    | Some move ->
+        ignore (Specsyn.Engine.propose eng move);
+        if Slif_util.Prng.bool rng then Specsyn.Engine.commit eng
+        else Specsyn.Engine.rollback eng);
+    if step mod 50 = 0 then begin
+      let tag = Printf.sprintf "self-loops step %d" step in
+      check_bits (tag ^ " cost")
+        (oracle problem (Specsyn.Engine.partition eng)).Specsyn.Cost.total
+        (Specsyn.Engine.cost eng);
+      check_against_oracle tag problem eng
+    end
+  done
+
 let suite =
   [
     Alcotest.test_case "aggregates match oracle at creation" `Quick
@@ -416,4 +469,6 @@ let suite =
       test_long_walk_matches_oracle;
     Alcotest.test_case "every small per-source tree matches oracle" `Quick
       test_small_source_trees_match_oracle;
+    Alcotest.test_case "500-step walk with self-loops matches oracle" `Quick
+      test_self_loop_walk_matches_oracle;
   ]

@@ -663,6 +663,89 @@ let test_lazy_store_truncated_under_mapping () =
       | Ok _ -> Alcotest.fail "read PROV of a store truncated under its mapping"
       | Error err -> Alcotest.failf "wrong error: %s" (Store.error_message err))
 
+(* A handle names the inode it opened, not the path: once [save_slif]
+   renames a different graph over the path, or the path is unlinked, a
+   force answers with a typed error rather than decoding the new bytes
+   under the old directory. *)
+let test_lazy_store_replaced () =
+  let module Lazy_store = Slif_store.Lazy_store in
+  let synth seed =
+    Slif_synth.Synth.generate
+      (Slif_synth.Synth.default_params ~seed ~nodes:200 Slif_synth.Synth.Mixed)
+  in
+  let path = Filename.temp_file "slif_lazy_replaced" ".slifstore" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Store.save_slif ~path ~version:Store.format_version_v2 (synth 1);
+      let h = check_ok (Lazy_store.open_file path) in
+      let replacement = synth 2 in
+      Store.save_slif ~path ~version:Store.format_version_v2
+        ~provenance:{ Store.no_provenance with pv_source_md5 = "replacement" }
+        replacement;
+      let refused what = function
+        | Ok _ -> Alcotest.failf "%s read the replacement under the old directory" what
+        | Error _ -> ()
+      in
+      refused "slif" (Lazy_store.slif h);
+      refused "provenance" (Lazy_store.provenance h);
+      Alcotest.(check bool) "the error is not memoized" false (Lazy_store.decoded h);
+      let fresh, _ = check_ok (Lazy_store.slif (check_ok (Lazy_store.open_file path))) in
+      Alcotest.(check bool) "a reopened handle decodes the replacement" true
+        (Slif.Types.equal replacement fresh);
+      Sys.remove path;
+      refused "slif after unlink" (Lazy_store.slif h);
+      refused "provenance after unlink" (Lazy_store.provenance h))
+
+(* Handles read with read(2) on a descriptor opened per operation, so
+   neither an open handle nor a forced decode leaves one behind. *)
+let test_lazy_store_no_fd_held () =
+  let module Lazy_store = Slif_store.Lazy_store in
+  let fd_dir = "/proc/self/fd" in
+  if Sys.file_exists fd_dir then begin
+    let slif =
+      Slif_synth.Synth.generate
+        (Slif_synth.Synth.default_params ~seed:1 ~nodes:200 Slif_synth.Synth.Mixed)
+    in
+    let path = Filename.temp_file "slif_lazy_fds" ".slifstore" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        Store.save_slif ~path ~version:Store.format_version_v2 slif;
+        let fds () = Array.length (Sys.readdir fd_dir) in
+        let before = fds () in
+        let handles = List.init 50 (fun _ -> check_ok (Lazy_store.open_file path)) in
+        let graphs = List.map (fun h -> fst (check_ok (Lazy_store.slif h))) handles in
+        Alcotest.(check int) "descriptors after 50 opens and decodes" before (fds ());
+        Alcotest.(check int) "every handle decoded" 50 (List.length graphs))
+  end
+
+(* Known answer, then every window of a random string against a bytewise
+   reference: unaligned heads and tails, and bodies of every length mod 8,
+   go through the sliced loop and its byte-at-a-time remainder. *)
+let test_crc_known_answers () =
+  Alcotest.(check int32) "CRC-32 check value" 0xCBF43926l (Crc32.string "123456789");
+  let reference s ~pos ~len =
+    let crc = ref 0xFFFFFFFF in
+    for i = pos to pos + len - 1 do
+      crc := !crc lxor Char.code s.[i];
+      for _ = 0 to 7 do
+        crc := if !crc land 1 <> 0 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+      done
+    done;
+    Int32.of_int (!crc lxor 0xFFFFFFFF)
+  in
+  let prng = Slif_util.Prng.create 11 in
+  let s = String.init 64 (fun _ -> Char.chr (Slif_util.Prng.int prng 256)) in
+  for pos = 0 to 64 do
+    for len = 0 to 64 - pos do
+      let expected = reference s ~pos ~len in
+      let got = Crc32.sub s ~pos ~len in
+      if got <> expected then
+        Alcotest.failf "Crc32.sub ~pos:%d ~len:%d = %08lx, bytewise %08lx" pos len got expected
+    done
+  done
+
 let suite =
   [
     Alcotest.test_case "round-trip structural (all specs)" `Quick test_roundtrip_structural;
@@ -701,4 +784,8 @@ let suite =
       test_frozen_containers;
     Alcotest.test_case "lazy store truncated under its mapping" `Quick
       test_lazy_store_truncated_under_mapping;
+    Alcotest.test_case "lazy store replaced under its handle" `Quick
+      test_lazy_store_replaced;
+    Alcotest.test_case "lazy store holds no descriptor" `Quick test_lazy_store_no_fd_held;
+    Alcotest.test_case "CRC known answers" `Quick test_crc_known_answers;
   ]
