@@ -778,18 +778,22 @@ let a11 () =
     "(the off row is the shipping configuration: its only residual cost is one\n\
     \ atomic load per probe site and a quick_stat at task boundaries — the\n\
     \ armed-vs-off delta is what you pay only while [slif profile] runs)";
-  (* Residual cost with everything off, measured directly: a disabled
-     probe is one atomic load; the always-on GC delta is one quick_stat
-     per task boundary.  Related to the armed run's p50 task duration,
-     this bounds the disabled-profiler tax per task. *)
+  (* Residual cost with everything off, measured directly: the pool's
+     disabled task-run probe is a call and the switches' atomic loads;
+     the always-on GC delta is one quick_stat per task boundary.
+     Related to the armed run's p50 task duration, this bounds the
+     disabled-profiler tax per task. *)
   let n_probe = 1_000_000 and n_stat = 100_000 in
+  Slif_obs.Registry.disable ();
   let t_probe =
     snd
       (Slif_obs.Clock.time (fun () ->
            for _ = 1 to n_probe do
-             Slif_obs.Attribution.add Slif_obs.Attribution.Task_run 1.0
+             Slif_obs.Span.timed ~hist:"pool.task_run_us"
+               ~category:Slif_obs.Attribution.Task_run ignore
            done))
   in
+  Slif_obs.Registry.enable ();
   let t_stat =
     snd
       (Slif_obs.Clock.time (fun () ->

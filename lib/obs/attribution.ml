@@ -48,13 +48,22 @@ let enable () = Atomic.set enabled true
 let disable () = Atomic.set enabled false
 
 let charge i us =
-  if Atomic.get enabled && Float.is_finite us && us > 0.0 then begin
+  let ok = Atomic.get enabled && Float.is_finite us && us > 0.0 in
+  if ok then begin
     let c = Slots.get cells in
     c.(i) <- c.(i) +. us
+  end;
+  ok
+
+(* A category charge also lands in the domain's running total, which a
+   categorised span reads at both ends to charge only its self time. *)
+let add cat us =
+  if charge (index_of cat) us then begin
+    let ctx = Flight.context () in
+    ctx.Flight.charged_ns <- ctx.Flight.charged_ns + Float.to_int (Float.round (us *. 1e3))
   end
 
-let add cat us = charge (index_of cat) us
-let add_wall us = charge wall_slot us
+let add_wall us = ignore (charge wall_slot us)
 
 let reset () =
   Slots.reset cells zero
@@ -62,7 +71,6 @@ let reset () =
 type per_domain = {
   dom : int;
   wall_us : float;
-  raw : (category * float) list;
   net : (category * float) list;
   other_us : float;
 }
@@ -75,14 +83,11 @@ type report = {
   coverage : float;
 }
 
-let raw_of_cell c = List.map (fun cat -> (cat, c.(index_of cat))) categories
-
-(* The GC/lock/copy time measured inside a task is already part of the
-   gross task-run figure; carving it out keeps one domain's categories
-   summing to at most its wall.  A process-wide GC time (runtime_events
-   cannot attribute pauses to [Domain.self] ids) is spread over the
-   domains in proportion to their gross task time — the allocation the
-   pauses interrupted. *)
+(* Lock waits and engine acquires were charged as self time at record
+   time, so task-run holds none of them.  GC is the one carve left: a
+   process-wide GC time (runtime_events cannot attribute pauses to
+   [Domain.self] ids) is spread over the domains in proportion to their
+   task-run time — the allocation the pauses interrupted. *)
 let report ?gc_us () =
   (* Cells persist across profiled runs (only as zeros after a reset);
      all-zero cells are domains that took no part in this run and would
@@ -95,8 +100,8 @@ let report ?gc_us () =
         if Array.exists (fun v -> v > 0.0) c then Some (dom, Array.copy c) else None)
       ((-1, retired) :: cs)
   in
-  let gross_task (_, c) = c.(index_of Task_run) in
-  let total_gross_task = List.fold_left (fun acc c -> acc +. gross_task c) 0.0 cs in
+  let task (_, c) = c.(index_of Task_run) in
+  let total_task = List.fold_left (fun acc c -> acc +. task c) 0.0 cs in
   let recorded_gc = List.fold_left (fun acc (_, c) -> acc +. c.(index_of Gc)) 0.0 cs in
   let gc_total = match gc_us with Some g -> Float.max g recorded_gc | None -> recorded_gc in
   let all =
@@ -104,11 +109,10 @@ let report ?gc_us () =
       (fun ((dom, c) as dc) ->
         let gc_share =
           if gc_us = None then c.(index_of Gc)
-          else if total_gross_task <= 0.0 then 0.0
-          else gc_total *. gross_task dc /. total_gross_task
+          else if total_task <= 0.0 then 0.0
+          else gc_total *. task dc /. total_task
         in
-        let carve = c.(index_of Lock_wait) +. c.(index_of Copy) +. gc_share in
-        let net_task = Float.max 0.0 (gross_task dc -. carve) in
+        let net_task = Float.max 0.0 (task dc -. gc_share) in
         let net =
           List.map
             (fun cat ->
@@ -122,7 +126,6 @@ let report ?gc_us () =
         {
           dom;
           wall_us = c.(wall_slot);
-          raw = raw_of_cell c;
           net;
           other_us = Float.max 0.0 (c.(wall_slot) -. named);
         })

@@ -5,8 +5,9 @@
     module folds each domain's wall time into named categories so a
     scaling report can answer "where did the cores go":
 
-    - [Task_run] — executing pool task bodies (gross, including any GC
-      pauses, lock waits and engine acquires that happened inside);
+    - [Task_run] — executing pool task bodies, less the lock waits and
+      engine acquires charged inside them (and, in {!report}, less a
+      share of GC time);
     - [Queue_wait] — pool-internal queue machinery: waiting on and
       holding the pool's queue lock between tasks;
     - [Lock_wait] — blocked acquiring an instrumented {!Lockprof} lock;
@@ -14,18 +15,21 @@
     - [Copy] — [Specsyn.Engine.acquire] per-task replica rescoring cost;
     - [Idle] — parked on the pool's condition variable with no work.
 
-    Producers ({!Slif_util.Pool}, {!Lockprof}, the engine) call {!add}
-    from the domain the time was spent on; the cells follow the same
-    {!Slots} lifecycle as {!Registry}'s, so the hot paths never lock
-    and a retired cell's time moves into a total that {!report}'s
-    totals include.  The accounting is gated by its own switch,
-    independent of the span registry: a disabled profiler costs one atomic load per
-    probe site.  {!report} resolves the double counting: the sub-costs
-    measured inside tasks (lock wait, GC, copy) are carved out of the
-    gross task-run time, so the categories of one domain sum to at most
-    its measured wall time and the [coverage] ratio says how much of the
-    wall the profiler could name.  Readers are meant to run at quiescent
-    points (between sweeps), as all registry exporters are. *)
+    Every charge is {e self time}, made by a probe in this library: a
+    categorised {!Span} charges its duration less what was charged on
+    the same domain while it was open, and {!Lockprof} charges its waits
+    through {!add}, which adds them to that running total.  So a lock
+    wait inside a task is charged once, to lock-wait; one domain's
+    categories sum to at most its wall, and [coverage] says how much of
+    the wall the profiler could name.  GC is the one carve left for
+    {!report}: [runtime_events] cannot attribute a pause to a span, so
+    process-wide GC time is spread over the domains' task-run time.
+
+    The cells follow {!Registry}'s {!Slots} lifecycle, so the hot paths
+    never lock and a retired cell's time stays in {!report}'s totals.
+    The switch is independent of the span registry; disabled, a probe
+    site pays one atomic load.  Read at quiescent points (between
+    sweeps), as every registry exporter does. *)
 
 type category = Task_run | Queue_wait | Lock_wait | Gc | Copy | Idle
 
@@ -46,7 +50,10 @@ val disable : unit -> unit
 
 val add : category -> float -> unit
 (** [add cat us] charges [us] microseconds of the calling domain's time
-    to [cat].  No-op while disabled. *)
+    to [cat] and counts them in the domain's running total, so a
+    categorised {!Span} open around the charge leaves them out of its
+    own.  No-op while disabled.  The probes in this library are its
+    callers; code outside it times an interval with {!Span}. *)
 
 val add_wall : float -> unit
 (** Charge measured wall time (microseconds) to the calling domain: the
@@ -57,10 +64,9 @@ val add_wall : float -> unit
 type per_domain = {
   dom : int;  (** [Domain.self] of the recording domain *)
   wall_us : float;
-  raw : (category * float) list;  (** as recorded, task-run gross *)
   net : (category * float) list;
-      (** task-run with the lock/GC/copy sub-costs carved out (clamped
-          at zero); other categories unchanged *)
+      (** as charged, except task-run with this domain's share of the
+          process-wide GC time carved out (clamped at zero) *)
   other_us : float;  (** wall minus the net categories, clamped at 0 *)
 }
 
@@ -76,10 +82,10 @@ type report = {
 }
 
 val report : ?gc_us:float -> unit -> report
-(** Fold the cells into the deduplicated report.  [gc_us] (default: the
-    cells' recorded [Gc] time) substitutes a process-wide GC time
-    measured elsewhere ({!Gcprof.gc_time_us}); it is charged against the
-    domains' gross task time proportionally to their share of it. *)
+(** Fold the cells into the report.  [gc_us] (default: the cells'
+    recorded [Gc] time) substitutes a process-wide GC time measured
+    elsewhere ({!Gcprof.gc_time_us}); it is carved out of the domains'
+    task-run time proportionally to their share of it. *)
 
 val reset : unit -> unit
 (** Zero every domain's cell.  Call between profiled sweeps. *)

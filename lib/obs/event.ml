@@ -6,13 +6,6 @@ let level_to_string = function
   | Warn -> "warn"
   | Error -> "error"
 
-let level_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 let severity = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 
 (* One sink per process.  [emit] can be called from several domains (the
@@ -22,7 +15,6 @@ let severity = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 let active = Atomic.make false
 let mu = Mutex.create ()
 let sink : out_channel option ref = ref None
-let owns_sink = ref false
 let min_level = ref Info
 let sample_every = ref 1
 let sample_tick = ref 0
@@ -35,26 +27,15 @@ let locked f =
 
 let close_log () =
   locked (fun () ->
-      (match !sink with
-      | Some oc when !owns_sink -> close_out_noerr oc
-      | Some oc -> ( try flush oc with Sys_error _ -> ())
-      | None -> ());
+      Option.iter close_out_noerr !sink;
       sink := None;
-      owns_sink := false;
       Atomic.set active false)
-
-let set_channel oc =
-  locked (fun () ->
-      sink := Some oc;
-      owns_sink := false;
-      Atomic.set active true)
 
 let open_log path =
   close_log ();
   let oc = open_out path in
   locked (fun () ->
       sink := Some oc;
-      owns_sink := true;
       (* Fresh log, fresh accounting. *)
       emitted_count := 0;
       sampled_out_count := 0;

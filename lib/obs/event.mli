@@ -18,20 +18,13 @@ type level = Debug | Info | Warn | Error
 
 val level_to_string : level -> string
 
-val level_of_string : string -> level option
-
 val open_log : string -> unit
 (** Truncate-open [path] as the sink (closing any previous one) and
     reset the {!emitted}/{!sampled_out} accounting.  Raises [Sys_error]
     when it cannot be created. *)
 
-val set_channel : out_channel -> unit
-(** Use an existing channel as the sink; {!close_log} will flush but not
-    close it. *)
-
 val close_log : unit -> unit
-(** Flush and detach the sink (closing it only if {!open_log} opened
-    it).  Subsequent emits are no-ops. *)
+(** Flush, close and detach the sink.  Subsequent emits are no-ops. *)
 
 val set_level : level -> unit
 (** Minimum severity that reaches the sink.  Default [Info]. *)

@@ -50,18 +50,8 @@ let snapshot t =
   Mutex.unlock t.mu;
   List.sort compare items
 
-let total t = List.fold_left (fun acc (_, v) -> acc + v) 0 (snapshot t)
-
 let all () =
   Mutex.lock registry_mu;
   let fams = Hashtbl.fold (fun _ t acc -> t :: acc) registry [] in
   Mutex.unlock registry_mu;
   List.sort (fun a b -> compare a.f_name b.f_name) fams
-
-let reset () =
-  List.iter
-    (fun t ->
-      Mutex.lock t.mu;
-      Hashtbl.iter (fun _ cell -> cell := 0) t.series;
-      Mutex.unlock t.mu)
-    (all ())

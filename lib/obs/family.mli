@@ -47,12 +47,5 @@ val get : t -> string -> int
 val snapshot : t -> (string * int) list
 (** All series of the family, sorted by label value. *)
 
-val total : t -> int
-(** Sum over every series. *)
-
 val all : unit -> t list
 (** Every registered family, sorted by name. *)
-
-val reset : unit -> unit
-(** Zero every series of every family (the families and their series
-    stay registered).  For test isolation, like {!Registry.reset}. *)

@@ -44,7 +44,7 @@ let on () = Atomic.get enabled
 let enable () = Atomic.set enabled true
 let disable () = Atomic.set enabled false
 
-type context = { mutable trace : string option; mutable span : int }
+type context = { mutable trace : string option; mutable span : int; mutable charged_ns : int }
 
 (* One ring per domain, parallel arrays so a record is a few plain
    stores.  [rg_head] counts records ever written; the live window is
@@ -106,7 +106,7 @@ let rings =
     ~fresh:(fun () ->
       let r =
         {
-          rg_ctx = { trace = None; span = 0 };
+          rg_ctx = { trace = None; span = 0; charged_ns = 0 };
           rg_cap = 0;
           rg_head = 0;
           rg_kinds = Bytes.empty;

@@ -60,6 +60,10 @@ type context = {
   mutable trace : string option;  (** ambient request trace id, if any *)
   mutable span : int;
       (** innermost open span id (maintained by {!Span.with_}); 0 = none *)
+  mutable charged_ns : int;
+      (** running total of the {!Attribution} time charged on this
+          domain; a categorised {!Span} subtracts what accrued while it
+          was open to charge only its self time *)
 }
 
 val context : unit -> context

@@ -137,8 +137,6 @@ let start_timing () =
     ok
   end
 
-let timing_on () = Atomic.get timing
-
 let poll () =
   if Atomic.get timing then begin
     Mutex.lock poll_mu;

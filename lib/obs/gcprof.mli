@@ -67,8 +67,6 @@ val start_timing : unit -> bool
     that case pause time simply reads 0 and the counter layer still
     works. *)
 
-val timing_on : unit -> bool
-
 val poll : unit -> unit
 (** Drain pending runtime events into the accumulated pause totals.
     Call at region boundaries (end of a sweep); a no-op when timing is

@@ -126,6 +126,16 @@ let merged_tbl () = (Registry.merged ()).Registry.hists
 let summary name = Option.map stats (Hashtbl.find_opt (merged_tbl ()) name)
 let quantiles name = Option.map quantile_summary (Hashtbl.find_opt (merged_tbl ()) name)
 
+let quantiles_json q =
+  Json.Obj
+    [
+      ("count", Json.Int q.q_count);
+      ("p50", Json.Float q.q_p50);
+      ("p90", Json.Float q.q_p90);
+      ("p99", Json.Float q.q_p99);
+      ("max", Json.Float q.q_max);
+    ]
+
 let snapshot () =
   Hashtbl.fold (fun name h acc -> (name, stats h) :: acc) (merged_tbl ()) []
   |> List.sort compare

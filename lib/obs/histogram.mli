@@ -37,6 +37,10 @@ val quantiles : string -> quantiles option
 (** Estimated p50/p90/p99 (bucket midpoints, never above the true max)
     plus the exact max. *)
 
+val quantiles_json : quantiles -> Json.t
+(** [{count, p50, p90, p99, max}] — the one rendering every JSON
+    surface (the daemon's [stats], [slif profile]) shares. *)
+
 val snapshot : unit -> (string * summary) list
 (** All histograms, sorted by name. *)
 

@@ -38,9 +38,6 @@ let create ?(category = Attribution.Lock_wait) name =
   Mutex.protect locks_mu (fun () -> locks := t :: !locks);
   t
 
-let name t = t.name
-let mutex t = t.mu
-
 (* Add [t]'s counts to [tbl]'s row for its name. *)
 let absorb tbl t =
   let row =
@@ -95,9 +92,8 @@ let unlock t =
   Mutex.unlock t.mu
 
 (* Close the hold segment before parking, reopen it on wake: blocked
-   time belongs to the wait's category (idle by default), never to the
-   hold histogram. *)
-let wait ?(category = Attribution.Idle) t cond =
+   time is idle, never part of the hold histogram. *)
+let wait t cond =
   if not (Atomic.get enabled) then Condition.wait cond t.mu
   else begin
     let t0 = Clock.now_us () in
@@ -105,7 +101,7 @@ let wait ?(category = Attribution.Idle) t cond =
     t.acquired_at <- Float.nan;
     Condition.wait cond t.mu;
     let t1 = Clock.now_us () in
-    Attribution.add category (t1 -. t0);
+    Attribution.add Attribution.Idle (t1 -. t0);
     if Atomic.get enabled then t.acquired_at <- t1
   end
 

@@ -4,8 +4,10 @@
     enabled, records two log-bucket histograms per lock — microseconds
     spent {e waiting} to acquire it and microseconds spent {e holding}
     it — plus acquisition and contended-acquisition counts.  The wait
-    time is also charged to the lock's {!Attribution} category, so a
-    scaling report can show lock contention per domain.
+    time is also charged to the lock's {!Attribution} category through
+    {!Attribution.add}, the path every probe charges through, so a
+    scaling report can show lock contention per domain and a task that
+    waited is not also charged for the wait.
 
     Cost model: while disabled, {!lock} is one atomic load, a branch and
     [Mutex.lock] — indistinguishable from a bare mutex.  While enabled,
@@ -26,27 +28,19 @@ val create : ?category:Attribution.category -> string -> t
     {!Attribution.Lock_wait}) is where acquisition waits are charged;
     the pool's queue lock passes {!Attribution.Queue_wait}. *)
 
-val name : t -> string
-
-val mutex : t -> Mutex.t
-(** The underlying mutex — for [Condition.signal]/[broadcast] call
-    sites and for code that must interoperate with a bare mutex.  For
-    condition waits prefer {!wait}, which keeps the hold histogram
-    honest. *)
-
 val release : t -> unit
 (** Unregister [t]; its counts fold into its name's row of {!all}.
     Idempotent.  Call when the lock's owner is done with it (a pool at
     shutdown), so a process that makes one per job keeps one row per
     name, not one record per lock ever made. *)
 
-val wait : ?category:Attribution.category -> t -> Condition.t -> unit
-(** [wait t cond] is [Condition.wait cond (mutex t)] with the profiling
+val wait : t -> Condition.t -> unit
+(** [wait t cond] is [Condition.wait] on [t]'s mutex with the profiling
     kept consistent: the current hold segment is closed before parking
     and a fresh one opened on wake, so time blocked on the condition
     never counts as holding the lock.  The parked time is charged to
-    [category] (default {!Attribution.Idle}) — a pool worker with an
-    empty queue is idle, not contending. *)
+    {!Attribution.Idle} — a pool worker with an empty queue is idle,
+    not contending. *)
 
 val lock : t -> unit
 

@@ -86,8 +86,7 @@ type job = {
   jb_tid : string;
   jb_root : int;  (** flight span id of the request root, minted at dispatch *)
   jb_line : string;
-  jb_enq_us : float;
-  jb_enq_ns : int;  (** same instant on the ns clock, for flight spans *)
+  jb_enq_ns : int;  (** dispatch instant: where the queue wait starts *)
 }
 
 type outcome =
@@ -776,16 +775,13 @@ let worker_loop sh env w =
     else begin
       let job = Queue.pop sh.jq in
       Obs.Lockprof.unlock sh.jq_lock;
-      let wait_us = Obs.Clock.now_us () -. job.jb_enq_us in
       (* The queue wait as a span on the worker's lane, parented under
          the root the acceptor minted — the first cross-domain edge of
          the request tree. *)
-      if Obs.Flight.on () then begin
-        let now_ns = Int64.to_int (Obs.Clock.now_ns ()) in
-        Obs.Flight.record_span ~trace:job.jb_tid ~id:(Obs.Flight.next_id ())
-          ~parent:job.jb_root ~name:"server.queue_wait" ~t0_ns:job.jb_enq_ns
-          ~dur_ns:(now_ns - job.jb_enq_ns) ()
-      end;
+      let wait_ns =
+        Obs.Span.record ~trace:job.jb_tid ~parent:job.jb_root ~t0_ns:job.jb_enq_ns
+          "server.queue_wait"
+      in
       let out =
         Obs.Flight.with_causality ~trace:job.jb_tid ~parent:job.jb_root @@ fun () ->
         let out =
@@ -815,7 +811,7 @@ let worker_loop sh env w =
               cp_root = job.jb_root;
               cp_enq_ns = job.jb_enq_ns;
               cp_worker = w;
-              cp_wait_us = wait_us;
+              cp_wait_us = float_of_int wait_ns /. 1e3;
               cp_out = out;
             }
             sh.cq);
@@ -984,7 +980,7 @@ let dispatch st c line =
   st.jobs_inflight <- st.jobs_inflight + 1;
   let job =
     { jb_cid = c.cid; jb_seq = seq; jb_tid = tid; jb_root = root; jb_line = line;
-      jb_enq_us = Obs.Clock.now_us (); jb_enq_ns = enq_ns }
+      jb_enq_ns = enq_ns }
   in
   Obs.Lockprof.lock st.sh.jq_lock;
   Queue.add job st.sh.jq;
@@ -1094,11 +1090,12 @@ let drain_completions st conns =
          decide retention: slow or failing completions keep their whole
          cross-domain tree, fast ones paid only the ring writes. *)
       if Obs.Flight.on () then begin
-        let now_ns = Int64.to_int (Obs.Clock.now_ns ()) in
+        let dur_ns =
+          Obs.Span.record ~trace:cp.cp_tid ~id:cp.cp_root ~parent:0 ~t0_ns:cp.cp_enq_ns
+            "server.request"
+        in
         Obs.Flight.record_span ~trace:cp.cp_tid ~id:(Obs.Flight.next_id ())
-          ~parent:cp.cp_root ~name:"server.respond" ~t0_ns:now_ns ~dur_ns:0 ();
-        Obs.Flight.record_span ~trace:cp.cp_tid ~id:cp.cp_root ~parent:0
-          ~name:"server.request" ~t0_ns:cp.cp_enq_ns ~dur_ns:(now_ns - cp.cp_enq_ns) ();
+          ~parent:cp.cp_root ~name:"server.respond" ~t0_ns:(cp.cp_enq_ns + dur_ns) ~dur_ns:0 ();
         match retain_reason st ~dur_us ~ok:(response_is_ok resp) with
         | Some reason -> retain_trace st ~tid:cp.cp_tid ~op ~dur_us ~reason
         | None -> ()
@@ -1278,14 +1275,10 @@ let run ?on_ready cfg =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
     in
     (* Blocking in select with nothing ready is the acceptor's idle
-       time: part of its wall, useful both for the metrics scrape and —
-       when a profiled sweep runs in-process — for the attribution
-       report. *)
-    let sel_dur = Obs.Clock.now_us () -. sel_t0 in
+       time, for the metrics scrape. *)
     (match sel with
     | Some ([], [], _) | None ->
-        st.select_idle_us <- st.select_idle_us +. sel_dur;
-        Obs.Attribution.add Obs.Attribution.Idle sel_dur
+        st.select_idle_us <- st.select_idle_us +. (Obs.Clock.now_us () -. sel_t0)
     | Some _ -> ());
     match sel with
     | None -> ()

@@ -77,16 +77,6 @@ let pool_json s =
       ("tasks_completed", J.Int g.g_tasks_completed);
     ]
 
-let quantiles_json (q : Obs.Histogram.quantiles) =
-  J.Obj
-    [
-      ("count", J.Int q.q_count);
-      ("p50", J.Float q.q_p50);
-      ("p90", J.Float q.q_p90);
-      ("p99", J.Float q.q_p99);
-      ("max", J.Float q.q_max);
-    ]
-
 let flight s =
   let ring (r : Obs.Flight.ring_stat) =
     J.Obj
@@ -155,7 +145,7 @@ let stats s =
     ( "latency_us",
       J.Obj
         (List.filter_map
-           (fun o -> Option.map (fun q -> (o.op, quantiles_json q)) o.recent)
+           (fun o -> Option.map (fun q -> (o.op, Obs.Histogram.quantiles_json q)) o.recent)
            s.ops) );
     ( "gc",
       J.Obj

@@ -472,26 +472,18 @@ let of_problem (problem : Search.problem) part =
    with zero allocation shared across domains. *)
 let acquire t part =
   if t.txn <> None then invalid_arg "Engine.acquire: a transaction is pending";
-  let rebind () =
-    Slif_obs.Span.with_ "engine.acquire" @@ fun () ->
-    Slif_obs.Counter.incr "engine.acquires";
-    t.part <- part;
-    Slif.Estimate.rebind t.est part;
-    t.scored <- 0;
-    (* The additive aggregates must restart from zero; the remaining
-       arrays are fully overwritten by [init_aggregates]. *)
-    Array.fill t.comp_size 0 t.n_comps 0.0;
-    Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) t.cut_count;
-    init_aggregates t
-  in
-  if not (Slif_obs.Attribution.on ()) then rebind ()
-  else begin
-    let t0 = Slif_obs.Clock.now_us () in
-    rebind ();
-    (* The re-acquisition cost is engine-setup work inside the task
-       body, carved out of gross task-run by the report. *)
-    Slif_obs.Attribution.add Slif_obs.Attribution.Copy (Slif_obs.Clock.now_us () -. t0)
-  end
+  (* The re-acquisition cost is engine-setup work inside the task body:
+     charged to copy, so the task's self time leaves it out. *)
+  Slif_obs.Span.with_ ~category:Slif_obs.Attribution.Copy "engine.acquire" @@ fun () ->
+  Slif_obs.Counter.incr "engine.acquires";
+  t.part <- part;
+  Slif.Estimate.rebind t.est part;
+  t.scored <- 0;
+  (* The additive aggregates must restart from zero; the remaining
+     arrays are fully overwritten by [init_aggregates]. *)
+  Array.fill t.comp_size 0 t.n_comps 0.0;
+  Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) t.cut_count;
+  init_aggregates t
 
 let start ?replica problem part =
   match replica with

@@ -135,17 +135,6 @@ let run ?constraints ?weights ?algos ?allocs ?chunk ?trace ~name ~jobs slif =
 
 (* --- JSON ------------------------------------------------------------------ *)
 
-let quantiles_json (q : Obs.Histogram.quantiles) =
-  let module J = Obs.Json in
-  J.Obj
-    [
-      ("count", J.Int q.q_count);
-      ("p50", J.Float q.q_p50);
-      ("p90", J.Float q.q_p90);
-      ("p99", J.Float q.q_p99);
-      ("max", J.Float q.q_max);
-    ]
-
 let categories_json cats =
   let module J = Obs.Json in
   J.Obj (List.map (fun (c, us) -> (Obs.Attribution.category_name c, J.Float us)) cats)
@@ -174,7 +163,7 @@ let report_json (r : Obs.Attribution.report) =
 
 let run_json r =
   let module J = Obs.Json in
-  let opt_q = function Some q -> quantiles_json q | None -> J.Null in
+  let opt_q = function Some q -> Obs.Histogram.quantiles_json q | None -> J.Null in
   J.Obj
     [
       ("jobs", J.Int r.p_jobs);
@@ -206,9 +195,9 @@ let run_json r =
                    ("name", J.String s.s_name);
                    ("acquisitions", J.Int s.acquisitions);
                    ("contended", J.Int s.contended);
-                   ("wait_us", quantiles_json s.wait_quantiles);
+                   ("wait_us", Obs.Histogram.quantiles_json s.wait_quantiles);
                    ("wait_total_us", J.Float s.wait_us.sum);
-                   ("hold_us", quantiles_json s.hold_quantiles);
+                   ("hold_us", Obs.Histogram.quantiles_json s.hold_quantiles);
                  ])
              r.p_locks) );
       ("task_run_us", opt_q r.p_task_run);

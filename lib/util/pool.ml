@@ -7,9 +7,10 @@
 
    Instrumentation never changes scheduling: tasks still execute in
    submission order off one queue, results are still reassembled by
-   index, so a profiled sweep returns byte-identical results.  With both
-   the span registry and the attribution switch off, the added cost per
-   task is one atomic load and a [Gc.quick_stat] at completion. *)
+   index, so a profiled sweep returns byte-identical results.  With the
+   flight recorder, the span registry and the attribution switch off,
+   the added cost per task is the probes' atomic loads and a
+   [Gc.quick_stat] at completion. *)
 
 type t = {
   n_jobs : int;                  (* requested parallelism; drives seeds/chunks *)
@@ -291,54 +292,44 @@ let mapi pool f tasks =
       let failures = Array.make n None in
       let remaining = ref n in
       let settled = Condition.create () in
-      (* One flag per call: with every profiling surface off, the thunks
-         skip the clock reads entirely.  The always-on flight recorder
-         is its own (cheaper) switch: a queue-wait span per task plus
-         causality propagation, so a task executing on another domain
-         still parents its spans under the submitter's open span. *)
-      let profiled = Slif_obs.Registry.on () || Slif_obs.Attribution.on () in
+      (* With every profiling surface off the thunks skip the clock
+         entirely.  The always-on flight recorder is its own (cheaper)
+         switch: a queue-wait span per task plus causality propagation,
+         so a task executing on another domain still parents its spans
+         under the submitter's open span. *)
       let fl = Slif_obs.Flight.on () in
+      let reg = Slif_obs.Registry.on () in
+      let att = Slif_obs.Attribution.on () in
       let sub_trace = Slif_obs.Flight.current_trace () in
       let sub_span = Slif_obs.Flight.current_span () in
-      let wall0 = if profiled then Slif_obs.Clock.now_us () else 0.0 in
-      let t_submit = if profiled then Slif_obs.Clock.now_us () else 0.0 in
-      let t_submit_ns = if fl then Int64.to_int (Slif_obs.Clock.now_ns ()) else 0 in
+      (* One submission stamp: every task's queue wait starts here, and
+         so does the submitting domain's wall. *)
+      let t_submit = if fl || reg || att then Int64.to_int (Slif_obs.Clock.now_ns ()) else 0 in
       let run_task i =
         Slif_obs.Flight.with_causality ?trace:sub_trace
           ?parent:(if sub_span = 0 then None else Some sub_span)
           (fun () ->
-            if fl then begin
-              (* Submission-to-start as a span on the *executing*
-                 domain, parented under the submitter's open span: the
-                 cross-domain queue-wait linkage. *)
-              let now = Int64.to_int (Slif_obs.Clock.now_ns ()) in
-              Slif_obs.Flight.record_span ?trace:sub_trace
-                ~id:(Slif_obs.Flight.next_id ()) ~parent:sub_span
-                ~name:"pool.queue_wait" ~t0_ns:t_submit_ns ~dur_ns:(now - t_submit_ns)
-                ()
-            end;
             match f i arr.(i) with
             | v -> results.(i) <- Some v
             | exception e -> failures.(i) <- Some e)
       in
       let thunk i () =
-        (if profiled then begin
-           let t_start = Slif_obs.Clock.now_us () in
-           (* Submission-to-start latency: how long the task sat queued. *)
-           Slif_obs.Histogram.observe "pool.task_queue_wait_us" (t_start -. t_submit);
-           run_task i;
-           let dur = Slif_obs.Clock.now_us () -. t_start in
-           Slif_obs.Histogram.observe "pool.task_run_us" dur;
-           Slif_obs.Attribution.add Slif_obs.Attribution.Task_run dur
-         end
-         else run_task i);
+        (* Submission-to-start as a span on the *executing* domain,
+           parented under the submitter's open span: the cross-domain
+           queue-wait linkage. *)
+        if fl || reg then
+          ignore
+            (Slif_obs.Span.record ?trace:sub_trace ~parent:sub_span
+               ~hist:"pool.task_queue_wait_us" ~t0_ns:t_submit "pool.queue_wait");
+        Slif_obs.Span.timed ~hist:"pool.task_run_us" ~category:Slif_obs.Attribution.Task_run
+          (fun () -> run_task i);
         (* Always-on, sub-microsecond: keeps per-domain GC pressure
            counters live for the daemon without any switch. *)
         Slif_obs.Gcprof.sample ();
         Slif_obs.Lockprof.lock pool.lock;
         pool.completed <- pool.completed + 1;
         decr remaining;
-        if profiled then begin
+        if reg || att then begin
           (* Counter tracks for the trace export: queue drain and task
              completion over time. *)
           Slif_obs.Flight.record_counter "pool.queue_depth" (Queue.length pool.queue);
@@ -380,7 +371,9 @@ let mapi pool f tasks =
       end;
       Atomic.fetch_and_add g_completed n |> ignore;
       (* The submitting domain's wall denominator: each map call's span. *)
-      if profiled then Slif_obs.Attribution.add_wall (Slif_obs.Clock.now_us () -. wall0);
+      if att then
+        Slif_obs.Attribution.add_wall
+          (float_of_int (Int64.to_int (Slif_obs.Clock.now_ns ()) - t_submit) /. 1e3);
       Array.iter (function Some e -> raise e | None -> ()) failures;
       Array.to_list (Array.map Option.get results)
 

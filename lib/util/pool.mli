@@ -20,15 +20,22 @@
     each other.  A pool is meant to be driven from one domain at a time;
     concurrent {!map} calls from different domains are not supported.
 
-    The pool is also the parallelism profiler's main probe site.  Its
-    internal mutex is the {!Slif_obs.Lockprof} lock ["pool.queue"]
-    (waits charged to {!Slif_obs.Attribution.Queue_wait}); while
-    profiling is enabled each task feeds the [pool.task_run_us] and
-    [pool.task_queue_wait_us] histograms and the per-domain
-    {!Slif_obs.Attribution} cells (task bodies as task-run, condition
-    parks as idle, worker loop lifetimes and map-call spans as wall
-    time).  Instrumented or not, the queue discipline is identical, so
-    results never depend on whether a sweep was profiled. *)
+    The pool is also the parallelism profiler's main probe site, one
+    {!Slif_obs.Span} probe per timed interval:
+
+    - queue wait: one submission stamp per map call, closed by each
+      task as it starts — a [pool.queue_wait] flight span under the
+      submitter's span, and the [pool.task_queue_wait_us] histogram;
+    - task run: the [pool.task_run_us] histogram and, as self time,
+      task-run attribution (no flight span: the task's own spans parent
+      under the submitter's);
+    - the queue mutex is the {!Slif_obs.Lockprof} lock ["pool.queue"]:
+      waits to acquire it count as queue-wait, condition parks as idle;
+    - attribution wall time: each worker's loop lifetime, and each map
+      call from its submission stamp.
+
+    Instrumented or not, the queue discipline is identical, so results
+    never depend on whether a sweep was profiled. *)
 
 type t
 

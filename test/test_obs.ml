@@ -690,6 +690,60 @@ let test_pool_rounds_bounded () =
   Obs.Gcprof.reset ();
   Obs.Lockprof.reset ()
 
+(* One probe per timed interval: every sink of a probe site is fed the
+   same clock pair.  An explore sweep at -j 2 charges engine acquires to
+   copy exactly what their [span.engine.acquire] histogram holds, task
+   run gets the task histogram less those acquires (self time), and
+   the pool's queue-wait histogram sums exactly the [pool.queue_wait]
+   spans the flight rings kept. *)
+let test_probe_sinks_agree () =
+  let spec = Specs.Registry.find_exn "ether" in
+  let sem = Vhdl.Sem.build (Vhdl.Parser.parse spec.Specs.Registry.source) in
+  let slif = Slif.Annotate.run ~techs:Tech.Parts.all sem (Slif.Build.build sem) in
+  Obs.Registry.reset ();
+  Obs.Attribution.reset ();
+  Obs.Registry.enable ();
+  Obs.Attribution.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Attribution.disable ();
+      Obs.Registry.disable ();
+      Obs.Attribution.reset ();
+      Obs.Registry.reset ())
+    (fun () ->
+      ignore
+        (Specsyn.Explore.run ~jobs:2
+           ~algos:[ Specsyn.Explore.Random 10; Specsyn.Explore.Greedy ]
+           ~allocs:[ Specsyn.Alloc.proc_asic () ]
+           slif);
+      Alcotest.(check int) "no flight record dropped" 0 (Obs.Flight.dropped_total ());
+      let hist_sum name =
+        match Obs.Histogram.summary name with
+        | Some s -> s.Obs.Histogram.sum
+        | None -> Alcotest.failf "histogram %s is empty" name
+      in
+      let close label a b =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %.6f vs %.6f" label a b)
+          true
+          (a > 0.0 && Float.abs (a -. b) <= 1e-9 *. Float.abs b)
+      in
+      let totals = (Obs.Attribution.report ()).Obs.Attribution.totals in
+      let copy = List.assoc Obs.Attribution.Copy totals in
+      close "copy = engine.acquire histogram" copy (hist_sum "span.engine.acquire");
+      close "task-run is self time: task-run histogram less copy"
+        (List.assoc Obs.Attribution.Task_run totals)
+        (hist_sum "pool.task_run_us" -. copy);
+      let spans_us =
+        List.fold_left
+          (fun acc (r : Obs.Flight.record) ->
+            if r.fr_name = "pool.queue_wait" then acc +. (float_of_int r.fr_dur_ns /. 1e3)
+            else acc)
+          0.0 (Obs.Flight.snapshot ())
+      in
+      close "queue-wait histogram = pool.queue_wait spans"
+        (hist_sum "pool.task_queue_wait_us") spans_us)
+
 let suite =
   [
     Alcotest.test_case "span nesting and ordering" `Quick test_span_nesting;
@@ -734,4 +788,6 @@ let suite =
       test_prometheus_reserved_names;
     Alcotest.test_case "pool rounds keep telemetry cells bounded" `Quick
       test_pool_rounds_bounded;
+    Alcotest.test_case "one probe feeds every sink the same duration" `Quick
+      test_probe_sinks_agree;
   ]
