@@ -71,10 +71,16 @@ let build ?(profile = Flow.Profile.empty) ?name sem =
       ignore
         (add_port p.port_name (Sem.transfer_bits sem p.port_type) (port_dir_of p.port_mode)))
     design.ports;
+  (* --- Each behavior's access events, walked once --- *)
+  let behavior_events =
+    List.map
+      (fun (bname, _, body) -> (bname, Flow.Count.events ~profile ~behavior:bname body))
+      (Ast.behaviors design)
+  in
   (* --- Message channel endpoints: collect receivers per abstract name --- *)
   let receivers = Hashtbl.create 8 in
   List.iter
-    (fun (bname, _, body) ->
+    (fun (bname, events) ->
       List.iter
         (fun (e : Flow.Count.event) ->
           match e.access with
@@ -82,8 +88,8 @@ let build ?(profile = Flow.Profile.empty) ?name sem =
               let prev = Option.value (Hashtbl.find_opt receivers ch) ~default:[] in
               if not (List.mem bname prev) then Hashtbl.replace receivers ch (bname :: prev)
           | _ -> ())
-        (Flow.Count.events ~profile ~behavior:bname body))
-    (Ast.behaviors design);
+        events)
+    behavior_events;
   (* --- Channels --- *)
   let chans = Hashtbl.create 128 in
   let chan_order = ref [] in
@@ -96,12 +102,11 @@ let build ?(profile = Flow.Profile.empty) ?name sem =
         Hashtbl.replace chans key pc;
         chan_order := key :: !chan_order
   in
-  let process_behavior (bname, _decls, body) =
+  let process_behavior (bname, events) =
     match Hashtbl.find_opt node_names bname with
     | None -> ()
     | Some src ->
         let env = Sem.env_of_behavior sem bname in
-        let events = Flow.Count.events ~profile ~behavior:bname body in
         List.iter
           (fun (e : Flow.Count.event) ->
             let site = { s_mult = e.mult; s_par = e.par_group; s_seq = e.seq } in
@@ -160,7 +165,7 @@ let build ?(profile = Flow.Profile.empty) ?name sem =
             | Flow.Count.Message_in _ -> ())
           events
   in
-  List.iter process_behavior (Ast.behaviors design);
+  List.iter process_behavior behavior_events;
   (* --- Aggregate proto-channels --- *)
   let chan_list = List.rev !chan_order in
   let channels =

@@ -40,8 +40,9 @@ let next_seq st =
   st.seq <- s + 1;
   s
 
-(* Generic walker shared by [events] and [fold_stmts].  [on_stmt] sees every
-   statement with its multiplier; [on_access] sees every access event. *)
+(* The one walker behind [iter] and [events].  [on_stmt] sees
+   every statement with its multiplier; [on_access] sees every access
+   event; [on_expr] every source-level expression occurrence. *)
 let walk st ~on_stmt ~on_access ~on_expr body =
   let emit access mult par_group seq = on_access { access; mult; par_group; seq } in
   let rec expr_reads mult par seq e =
@@ -78,8 +79,9 @@ let walk st ~on_stmt ~on_access ~on_expr body =
     | If (arms, els) ->
         let site = fresh_branch_site st in
         let n_arms = List.length arms + 1 in
-        (* Probability that control reaches the test of arm k. *)
-        let reach = ref 1.0 in
+        (* Probability that control reaches the test of arm k, and the sum
+           of the arms' probabilities, added in arm order for the else arm. *)
+        let reach = ref 1.0 and taken = ref 0.0 in
         List.iteri
           (fun arm (cond, body) ->
             let p =
@@ -98,19 +100,11 @@ let walk st ~on_stmt ~on_access ~on_expr body =
             let cond_seq = next_seq st in
             expr_reads cond_mult None cond_seq cond;
             reach := !reach -. p;
+            taken := !taken +. p;
             let body_mult = mult_scale mult { avg = p; mn = 0.0; mx = 1.0 } in
             List.iter (stmt body_mult) body)
           arms;
-        let p_else =
-          let taken =
-            List.mapi
-              (fun arm _ ->
-                Profile.branch_prob st.profile ~behavior:st.behavior ~site ~arm
-                  ~arms:n_arms)
-              arms
-          in
-          max 0.0 (1.0 -. List.fold_left ( +. ) 0.0 taken)
-        in
+        let p_else = max 0.0 (1.0 -. !taken) in
         let else_mult = mult_scale mult { avg = p_else; mn = 0.0; mx = 1.0 } in
         List.iter (stmt else_mult) els
     | Case (subject, alts) ->
@@ -181,32 +175,11 @@ let make_state ~profile ~behavior =
     loop_vars = [];
   }
 
-let no_expr _ _ = ()
+let iter ~profile ~behavior ?(on_stmt = fun _ _ -> ()) ?(on_access = ignore)
+    ?(on_expr = fun _ _ -> ()) body =
+  walk (make_state ~profile ~behavior) ~on_stmt ~on_access ~on_expr body
 
 let events ~profile ~behavior body =
-  let st = make_state ~profile ~behavior in
   let acc = ref [] in
-  walk st
-    ~on_stmt:(fun _ _ -> ())
-    ~on_access:(fun e -> acc := e :: !acc)
-    ~on_expr:no_expr body;
+  iter ~profile ~behavior ~on_access:(fun e -> acc := e :: !acc) body;
   List.rev !acc
-
-let fold_stmts ~profile ~behavior body ~init ~f =
-  let st = make_state ~profile ~behavior in
-  let acc = ref init in
-  walk st
-    ~on_stmt:(fun mult s -> acc := f !acc mult s)
-    ~on_access:(fun _ -> ())
-    ~on_expr:no_expr body;
-  !acc
-
-let fold_exprs ~profile ~behavior body ~init ~f =
-  let st = make_state ~profile ~behavior in
-  let acc = ref init in
-  walk st
-    ~on_stmt:(fun _ _ -> ())
-    ~on_access:(fun _ -> ())
-    ~on_expr:(fun mult e -> acc := f !acc mult e)
-    body;
-  !acc

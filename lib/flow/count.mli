@@ -37,30 +37,26 @@ type event = {
   seq : int;               (* pre-order statement index, for tagging *)
 }
 
+val iter :
+  profile:Profile.t ->
+  behavior:string ->
+  ?on_stmt:(mult -> Vhdl.Ast.stmt -> unit) ->
+  ?on_access:(event -> unit) ->
+  ?on_expr:(mult -> Vhdl.Ast.expr -> unit) ->
+  Vhdl.Ast.stmt list ->
+  unit
+(** [iter] walks the body once, in traversal order, and feeds each
+    callback given; a consumer that needs several views makes one walk.
+    - [on_stmt] sees every statement (composite statements included,
+      before their children) with that statement's execution multiplier;
+      the technology models build their op censuses from it.
+    - [on_access] sees each event of {!events}.
+    - [on_expr] sees every source-level expression occurrence (assignment
+      right-hand sides, branch and loop conditions — each with its exact
+      evaluation multiplier, e.g. a while condition scaled by its trip
+      count) but not its subexpressions; consumers walk the expression
+      themselves. *)
+
 val events : profile:Profile.t -> behavior:string -> Vhdl.Ast.stmt list -> event list
 (** All access events of the behavior body, in traversal order.  Loop
     indices are recognized and do not generate read events. *)
-
-val fold_stmts :
-  profile:Profile.t ->
-  behavior:string ->
-  Vhdl.Ast.stmt list ->
-  init:'a ->
-  f:('a -> mult -> Vhdl.Ast.stmt -> 'a) ->
-  'a
-(** [fold_stmts] calls [f] on every statement (composite statements
-    included, before their children) with that statement's execution
-    multiplier.  The technology models use this for their op censuses. *)
-
-val fold_exprs :
-  profile:Profile.t ->
-  behavior:string ->
-  Vhdl.Ast.stmt list ->
-  init:'a ->
-  f:('a -> mult -> Vhdl.Ast.expr -> 'a) ->
-  'a
-(** [fold_exprs] calls [f] on every source-level expression occurrence
-    (assignment right-hand sides, branch and loop conditions — each with
-    its exact evaluation multiplier, e.g. a while condition scaled by its
-    trip count) but not on subexpressions; consumers walk the expression
-    themselves. *)

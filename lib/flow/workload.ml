@@ -18,30 +18,25 @@ let expected_statements ~profile sem ~behavior =
               invalid_arg
                 (Printf.sprintf "Workload.expected_statements: unknown behavior %s" name)
         in
-        (* Own statements, loop- and probability-weighted. *)
-        let own =
-          Count.fold_stmts ~profile ~behavior:name body ~init:0.0
-            ~f:(fun acc mult _ -> acc +. mult.Count.avg)
+        (* One walk: own statements, loop- and probability-weighted, and
+           how often each callee runs. *)
+        let own = ref 0.0 and callees = Hashtbl.create 8 in
+        let called callee (mult : Count.mult) =
+          Hashtbl.replace callees callee
+            (mult.avg +. Option.value (Hashtbl.find_opt callees callee) ~default:0.0)
         in
-        (* Callee statements, weighted by how often each callee runs. *)
-        let callees = Hashtbl.create 8 in
-        List.iter
-          (fun (e : Count.event) ->
+        Count.iter ~profile ~behavior:name body
+          ~on_stmt:(fun mult _ -> own := !own +. mult.Count.avg)
+          ~on_access:(fun (e : Count.event) ->
             match e.access with
-            | Count.Call callee when Hashtbl.mem bodies callee ->
-                Hashtbl.replace callees callee
-                  (e.mult.Count.avg
-                  +. Option.value (Hashtbl.find_opt callees callee) ~default:0.0)
-            | Count.Read r when Hashtbl.mem bodies r ->
-                (* A zero-argument function call parsed as a name read. *)
-                Hashtbl.replace callees r
-                  (e.mult.Count.avg +. Option.value (Hashtbl.find_opt callees r) ~default:0.0)
-            | _ -> ())
-          (Count.events ~profile ~behavior:name body);
+            | Count.Call callee when Hashtbl.mem bodies callee -> called callee e.mult
+            (* A zero-argument function call parsed as a name read. *)
+            | Count.Read r when Hashtbl.mem bodies r -> called r e.mult
+            | _ -> ());
         let v =
           Hashtbl.fold
             (fun callee freq acc -> acc +. (freq *. total callee (name :: stack)))
-            callees own
+            callees !own
         in
         Hashtbl.replace memo name v;
         v

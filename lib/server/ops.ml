@@ -1,6 +1,7 @@
+(* The first token alone tells a SpecCharts text from a VHDL one. *)
 let parse_any source =
-  match Vhdl.Lexer.tokenize source with
-  | (Vhdl.Token.Ident "spec", _) :: _ ->
+  match Vhdl.Lexer.next (Vhdl.Lexer.create source) with
+  | Vhdl.Token.Ident "spec" ->
       Spc.Lower.design_of_spec (Spc.Parser.parse source)
   | _ -> Vhdl.Parser.parse source
 

@@ -14,10 +14,11 @@ let fail st fmt =
     fmt
 
 let eat st tok =
-  if current st = tok then advance st else fail st "expected %s" (Token.to_string tok)
+  if Token.equal (current st) tok then advance st
+  else fail st "expected %s" (Token.to_string tok)
 
 let accept st tok =
-  if current st = tok then begin
+  if Token.equal (current st) tok then begin
     advance st;
     true
   end

@@ -24,9 +24,10 @@ let rec expr_ops f e =
       f (Optype.of_unop op);
       expr_ops f a
 
-let stmt_ops t (mult : Flow.Count.mult) s =
+(* Statement-level overheads; [dyn] takes each dynamic term. *)
+let stmt_ops dyn t (mult : Flow.Count.mult) s =
   let both op ~d ~s:n =
-    add_dyn t op d;
+    dyn op d;
     add_stat t op n
   in
   match s with
@@ -41,7 +42,7 @@ let stmt_ops t (mult : Flow.Count.mult) s =
       both Optype.Cmp ~d:(mult.avg *. trips) ~s:1;
       both Optype.Branch ~d:(mult.avg *. trips) ~s:1
   | Vhdl.Ast.While _ ->
-      (* The condition's own ops arrive trip-scaled via [fold_exprs]; only
+      (* The condition's own ops arrive trip-scaled as expression terms; only
          the back-edge is approximated with the default trip count. *)
       both Optype.Branch ~d:(mult.avg *. Flow.Profile.default_while_trips) ~s:1
   | Vhdl.Ast.Loop_forever _ -> both Optype.Branch ~d:mult.avg ~s:1
@@ -52,38 +53,59 @@ let stmt_ops t (mult : Flow.Count.mult) s =
   | Vhdl.Ast.Null_stmt | Vhdl.Ast.Exit_loop ->
       ()
 
+(* Dynamic terms held back in walk order.  One walk feeds three kinds of
+   terms, and each op's float sum adds them as expression terms, then
+   statement terms, then access terms; a later kind waits here until the
+   earlier ones are in. *)
+type pending = { mutable ops : int array; mutable xs : float array; mutable n : int }
+
+let pending () = { ops = Array.make 64 0; xs = Array.make 64 0.0; n = 0 }
+
+let defer p op x =
+  if p.n = Array.length p.ops then begin
+    p.ops <- Array.append p.ops (Array.make p.n 0);
+    p.xs <- Array.append p.xs (Array.make p.n 0.0)
+  end;
+  p.ops.(p.n) <- Optype.index op;
+  p.xs.(p.n) <- x;
+  p.n <- p.n + 1
+
+let replay t p =
+  for i = 0 to p.n - 1 do
+    t.dynamic.(p.ops.(i)) <- t.dynamic.(p.ops.(i)) +. p.xs.(i)
+  done
+
 let of_behavior ~profile ~is_local ~is_sub ~name body =
   let t =
     { dynamic = Array.make Optype.count 0.0; static = Array.make Optype.count 0 }
   in
-  (* Pure computation from expressions, with exact evaluation multipliers. *)
-  Flow.Count.fold_exprs ~profile ~behavior:name body ~init:()
-    ~f:(fun () (mult : Flow.Count.mult) e ->
+  let stmt_terms = pending () and access_terms = pending () in
+  let stmt_dyn = defer stmt_terms in
+  Flow.Count.iter ~profile ~behavior:name body
+    ~on_expr:(fun (mult : Flow.Count.mult) e ->
+      (* Pure computation from expressions, with exact evaluation multipliers. *)
       expr_ops
         (fun op ->
           add_dyn t op mult.avg;
           add_stat t op 1)
-        e);
-  (* Statement-level overheads. *)
-  Flow.Count.fold_stmts ~profile ~behavior:name body ~init:() ~f:(fun () mult s ->
-      stmt_ops t mult s);
-  (* Storage and linkage traffic from access events.  Local accesses are
-     internal computation; non-local ones are channels, whose time the
-     estimator adds, so they contribute to static size only. *)
-  let events = Flow.Count.events ~profile ~behavior:name body in
-  List.iter
-    (fun (e : Flow.Count.event) ->
+        e)
+    ~on_stmt:(fun mult s -> stmt_ops stmt_dyn t mult s)
+    ~on_access:(fun (e : Flow.Count.event) ->
+      (* Storage and linkage traffic.  Local accesses are internal
+         computation; non-local ones are channels, whose time the estimator
+         adds, so they contribute to static size only. *)
       match e.access with
       | Flow.Count.Read n when is_sub n -> add_stat t Optype.Call_op 1
       | Flow.Count.Read n ->
           add_stat t Optype.Load 1;
-          if is_local n then add_dyn t Optype.Load e.mult.avg
+          if is_local n then defer access_terms Optype.Load e.mult.avg
       | Flow.Count.Write n ->
           add_stat t Optype.Store 1;
-          if is_local n then add_dyn t Optype.Store e.mult.avg
+          if is_local n then defer access_terms Optype.Store e.mult.avg
       | Flow.Count.Call _ -> add_stat t Optype.Call_op 1
-      | Flow.Count.Message_out _ | Flow.Count.Message_in _ -> add_stat t Optype.Io_op 1)
-    events;
+      | Flow.Count.Message_out _ | Flow.Count.Message_in _ -> add_stat t Optype.Io_op 1);
+  replay t stmt_terms;
+  replay t access_terms;
   t
 
 let total_dynamic t = Array.fold_left ( +. ) 0.0 t.dynamic

@@ -1,10 +1,17 @@
 open Ast
 
-type state = { toks : (Token.t * Loc.t) array; mutable pos : int }
+(* The parser pulls one token at a time: [tok] is the current token and
+   the lexer holds its location, so a syntax error is raised before any
+   later token is scanned. *)
+type state = { lx : Lexer.t; mutable tok : Token.t }
 
-let current st = fst st.toks.(st.pos)
-let current_loc st = snd st.toks.(st.pos)
-let advance st = if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
+let start source =
+  let lx = Lexer.create source in
+  { lx; tok = Lexer.next lx }
+
+let current st = st.tok
+let current_loc st = Lexer.loc st.lx
+let advance st = match st.tok with Token.Eof -> () | _ -> st.tok <- Lexer.next st.lx
 
 let fail st fmt =
   Printf.ksprintf
@@ -13,19 +20,27 @@ let fail st fmt =
     fmt
 
 let eat st tok =
-  if current st = tok then advance st
+  if Token.equal st.tok tok then advance st
   else fail st "expected %s" (Token.to_string tok)
 
-let eat_kw st k = eat st (Token.Keyword k)
+let eat_kw st k =
+  match st.tok with
+  | Token.Keyword k' when k' == k -> advance st
+  | _ -> fail st "expected %s" (Token.keyword_to_string k)
 
 let accept st tok =
-  if current st = tok then begin
+  if Token.equal st.tok tok then begin
     advance st;
     true
   end
   else false
 
-let accept_kw st k = accept st (Token.Keyword k)
+let accept_kw st k =
+  match st.tok with
+  | Token.Keyword k' when k' == k ->
+      advance st;
+      true
+  | _ -> false
 
 let ident st =
   match current st with
@@ -118,21 +133,17 @@ and parse_type_def st =
 
 let rec parse_expr_prec st = parse_or st
 
-and parse_or st =
-  let lhs = parse_and st in
-  let rec loop lhs =
-    if accept_kw st Token.K_or then loop (Binop (Or, lhs, parse_and st))
-    else if accept_kw st Token.K_xor then loop (Binop (Xor, lhs, parse_and st))
-    else lhs
-  in
-  loop lhs
+and parse_or st = or_rest st (parse_and st)
 
-and parse_and st =
-  let lhs = parse_rel st in
-  let rec loop lhs =
-    if accept_kw st Token.K_and then loop (Binop (And, lhs, parse_rel st)) else lhs
-  in
-  loop lhs
+and or_rest st lhs =
+  if accept_kw st Token.K_or then or_rest st (Binop (Or, lhs, parse_and st))
+  else if accept_kw st Token.K_xor then or_rest st (Binop (Xor, lhs, parse_and st))
+  else lhs
+
+and parse_and st = and_rest st (parse_rel st)
+
+and and_rest st lhs =
+  if accept_kw st Token.K_and then and_rest st (Binop (And, lhs, parse_rel st)) else lhs
 
 and parse_rel st =
   let lhs = parse_add st in
@@ -157,42 +168,38 @@ and parse_rel st =
       Binop (Ge, lhs, parse_add st)
   | _ -> lhs
 
-and parse_add st =
-  let lhs = parse_mul st in
-  let rec loop lhs =
-    match current st with
-    | Token.Plus ->
-        advance st;
-        loop (Binop (Add, lhs, parse_mul st))
-    | Token.Minus ->
-        advance st;
-        loop (Binop (Sub, lhs, parse_mul st))
-    | Token.Amp ->
-        advance st;
-        loop (Binop (Concat, lhs, parse_mul st))
-    | _ -> lhs
-  in
-  loop lhs
+and parse_add st = add_rest st (parse_mul st)
 
-and parse_mul st =
-  let lhs = parse_unary st in
-  let rec loop lhs =
-    match current st with
-    | Token.Star ->
-        advance st;
-        loop (Binop (Mul, lhs, parse_unary st))
-    | Token.Slash ->
-        advance st;
-        loop (Binop (Div, lhs, parse_unary st))
-    | Token.Keyword Token.K_mod ->
-        advance st;
-        loop (Binop (Mod, lhs, parse_unary st))
-    | Token.Keyword Token.K_rem ->
-        advance st;
-        loop (Binop (Rem, lhs, parse_unary st))
-    | _ -> lhs
-  in
-  loop lhs
+and add_rest st lhs =
+  match current st with
+  | Token.Plus ->
+      advance st;
+      add_rest st (Binop (Add, lhs, parse_mul st))
+  | Token.Minus ->
+      advance st;
+      add_rest st (Binop (Sub, lhs, parse_mul st))
+  | Token.Amp ->
+      advance st;
+      add_rest st (Binop (Concat, lhs, parse_mul st))
+  | _ -> lhs
+
+and parse_mul st = mul_rest st (parse_unary st)
+
+and mul_rest st lhs =
+  match current st with
+  | Token.Star ->
+      advance st;
+      mul_rest st (Binop (Mul, lhs, parse_unary st))
+  | Token.Slash ->
+      advance st;
+      mul_rest st (Binop (Div, lhs, parse_unary st))
+  | Token.Keyword Token.K_mod ->
+      advance st;
+      mul_rest st (Binop (Mod, lhs, parse_unary st))
+  | Token.Keyword Token.K_rem ->
+      advance st;
+      mul_rest st (Binop (Rem, lhs, parse_unary st))
+  | _ -> lhs
 
 and parse_unary st =
   match current st with
@@ -242,10 +249,10 @@ and parse_primary st =
       | _ -> Name name)
   | _ -> fail st "expected an expression"
 
-and parse_args st =
-  let first = parse_expr_prec st in
-  let rec loop acc = if accept st Token.Comma then loop (parse_expr_prec st :: acc) else acc in
-  List.rev (loop [ first ])
+and parse_args st = List.rev (args_rest st [ parse_expr_prec st ])
+
+and args_rest st acc =
+  if accept st Token.Comma then args_rest st (parse_expr_prec st :: acc) else acc
 
 (* --- Statements ------------------------------------------------------- *)
 
@@ -255,14 +262,22 @@ let parse_target_of_expr st e =
   | Index (n, i) -> Tindex (n, i)
   | _ -> fail st "expected an assignable name"
 
-let rec parse_stmts st stop =
-  let rec loop acc =
-    if stop (current st) then List.rev acc else loop (parse_stmt st :: acc)
-  in
-  loop []
+(* Where a statement list ends: at [end], and in an if arm or a case
+   alternative also at the next arm. *)
+let stop_end = function Token.Keyword Token.K_end -> true | _ -> false
 
-and stop_end tok = tok = Token.Keyword Token.K_end
-and stop_end_or tok kws = tok = Token.Keyword Token.K_end || List.exists (fun k -> tok = Token.Keyword k) kws
+let stop_if_arm = function
+  | Token.Keyword (Token.K_end | Token.K_elsif | Token.K_else) -> true
+  | _ -> false
+
+let stop_case_alt = function
+  | Token.Keyword (Token.K_end | Token.K_when) -> true
+  | _ -> false
+
+let rec parse_stmts st stop = stmts_rest st stop []
+
+and stmts_rest st stop acc =
+  if stop (current st) then List.rev acc else stmts_rest st stop (parse_stmt st :: acc)
 
 and parse_stmt st =
   match current st with
@@ -347,15 +362,12 @@ and parse_if st =
   eat_kw st Token.K_if;
   let cond = parse_expr_prec st in
   eat_kw st Token.K_then;
-  let stop tok =
-    stop_end_or tok [ Token.K_elsif; Token.K_else ]
-  in
-  let body = parse_stmts st stop in
+  let body = parse_stmts st stop_if_arm in
   let rec arms acc =
     if accept_kw st Token.K_elsif then begin
       let c = parse_expr_prec st in
       eat_kw st Token.K_then;
-      let b = parse_stmts st stop in
+      let b = parse_stmts st stop_if_arm in
       arms ((c, b) :: acc)
     end
     else List.rev acc
@@ -383,8 +395,7 @@ and parse_case st =
       in
       let cs = choices [] in
       eat st Token.Arrow;
-      let stop tok = stop_end_or tok [ Token.K_when ] in
-      let body = parse_stmts st stop in
+      let body = parse_stmts st stop_case_alt in
       alts ((cs, body) :: acc)
     end
     else List.rev acc
@@ -414,7 +425,7 @@ and parse_for st =
 and parse_par st =
   eat_kw st Token.K_par;
   let rec calls acc =
-    if current st = Token.Keyword Token.K_end then List.rev acc
+    if stop_end (current st) then List.rev acc
     else begin
       let name = ident st in
       let args =
@@ -669,17 +680,20 @@ let parse_architecture st =
   eat st Token.Semicolon;
   (arch_name, decls, subs, processes)
 
+let expect_eof st what =
+  match current st with Token.Eof -> () | _ -> fail st "trailing input after %s" what
+
 let parse source =
   Slif_obs.Span.with_ "vhdl.parse" @@ fun () ->
-  let st = { toks = Array.of_list (Lexer.tokenize source); pos = 0 } in
-  Slif_obs.Counter.add "parse.tokens" (Array.length st.toks);
+  let st = start source in
   let entity_name, ports = parse_entity st in
   let arch_name, arch_decls, subprograms, processes = parse_architecture st in
-  if current st <> Token.Eof then fail st "trailing input after design";
+  expect_eof st "design";
+  Slif_obs.Counter.add "parse.tokens" (Lexer.count st.lx);
   { entity_name; ports; arch_name; arch_decls; subprograms; processes }
 
 let parse_expr source =
-  let st = { toks = Array.of_list (Lexer.tokenize source); pos = 0 } in
+  let st = start source in
   let e = parse_expr_prec st in
-  if current st <> Token.Eof then fail st "trailing input after expression";
+  expect_eof st "expression";
   e

@@ -30,64 +30,17 @@ type t =
   | Bar             (* | choice separator *)
   | Eof
 
-let keyword_of_string s =
-  match String.lowercase_ascii s with
-  | "entity" -> Some K_entity
-  | "is" -> Some K_is
-  | "port" -> Some K_port
-  | "in" -> Some K_in
-  | "out" -> Some K_out
-  | "inout" -> Some K_inout
-  | "end" -> Some K_end
-  | "architecture" -> Some K_architecture
-  | "of" -> Some K_of
-  | "begin" -> Some K_begin
-  | "process" -> Some K_process
-  | "procedure" -> Some K_procedure
-  | "function" -> Some K_function
-  | "variable" -> Some K_variable
-  | "signal" -> Some K_signal
-  | "constant" -> Some K_constant
-  | "type" -> Some K_type
-  | "array" -> Some K_array
-  | "to" -> Some K_to
-  | "downto" -> Some K_downto
-  | "if" -> Some K_if
-  | "then" -> Some K_then
-  | "elsif" -> Some K_elsif
-  | "else" -> Some K_else
-  | "case" -> Some K_case
-  | "when" -> Some K_when
-  | "others" -> Some K_others
-  | "for" -> Some K_for
-  | "loop" -> Some K_loop
-  | "while" -> Some K_while
-  | "wait" -> Some K_wait
-  | "until" -> Some K_until
-  | "on" -> Some K_on
-  | "return" -> Some K_return
-  | "and" -> Some K_and
-  | "or" -> Some K_or
-  | "not" -> Some K_not
-  | "xor" -> Some K_xor
-  | "mod" -> Some K_mod
-  | "rem" -> Some K_rem
-  | "abs" -> Some K_abs
-  | "integer" -> Some K_integer
-  | "boolean" -> Some K_boolean
-  | "bit" -> Some K_bit
-  | "bit_vector" -> Some K_bit_vector
-  | "natural" -> Some K_natural
-  | "range" -> Some K_range
-  | "true" -> Some K_true
-  | "false" -> Some K_false
-  | "null" -> Some K_null
-  | "par" -> Some K_par
-  | "shared" -> Some K_shared
-  | "us" -> Some K_us
-  | "ns" -> Some K_ns
-  | "ms" -> Some K_ms
-  | _ -> None
+let all_keywords =
+  [|
+    K_entity; K_is; K_port; K_in; K_out; K_inout; K_end;
+    K_architecture; K_of; K_begin; K_process; K_procedure; K_function;
+    K_variable; K_signal; K_constant; K_type; K_array; K_to; K_downto;
+    K_if; K_then; K_elsif; K_else; K_case; K_when; K_others;
+    K_for; K_loop; K_while; K_wait; K_until; K_on; K_return;
+    K_and; K_or; K_not; K_xor; K_mod; K_rem; K_abs;
+    K_integer; K_boolean; K_bit; K_bit_vector; K_natural; K_range;
+    K_true; K_false; K_null; K_par; K_shared; K_us; K_ns; K_ms;
+  |]
 
 let keyword_to_string = function
   | K_entity -> "entity" | K_is -> "is" | K_port -> "port" | K_in -> "in"
@@ -120,3 +73,13 @@ let to_string = function
   | Tick -> "'"
   | Bar -> "|"
   | Eof -> "<eof>"
+
+(* Structural equality without the polymorphic compare: the parser asks
+   it of every token it expects. *)
+let equal a b =
+  match (a, b) with
+  | Ident x, Ident y | Str_lit x, Str_lit y -> String.equal x y
+  | Int_lit x, Int_lit y -> Int.equal x y
+  | Keyword x, Keyword y -> x == y
+  | (Ident _ | Int_lit _ | Str_lit _ | Keyword _), _ -> false
+  | _ -> a == b

@@ -177,24 +177,22 @@ let test_elsif_chain_reach () =
   checkf "second condition read at reach probability" (2.0 /. 3.0)
     (freq_of (Flow.Count.Read "y") evs)
 
-let test_fold_stmts_multipliers () =
+let test_iter_stmt_multipliers () =
   let body = wrap "for i in 1 to 6 loop x := 1; end loop; y := 2;" in
-  let assigns =
-    Flow.Count.fold_stmts ~profile:Flow.Profile.empty ~behavior:"main" body ~init:[]
-      ~f:(fun acc mult s ->
-        match s with Vhdl.Ast.Assign _ -> mult.Flow.Count.avg :: acc | _ -> acc)
-  in
-  Alcotest.(check (list (float 1e-9))) "multipliers" [ 1.0; 6.0 ] assigns
+  let assigns = ref [] in
+  Flow.Count.iter ~profile:Flow.Profile.empty ~behavior:"main" body ~on_stmt:(fun mult s ->
+      match s with Vhdl.Ast.Assign _ -> assigns := mult.Flow.Count.avg :: !assigns | _ -> ());
+  Alcotest.(check (list (float 1e-9))) "multipliers" [ 1.0; 6.0 ] !assigns
 
-let test_fold_exprs_condition_scaling () =
+let test_iter_expr_condition_scaling () =
   let body = wrap "while z > 0 loop x := 1; end loop;" in
-  let cond_mults =
-    Flow.Count.fold_exprs ~profile:Flow.Profile.empty ~behavior:"main" body ~init:[]
-      ~f:(fun acc mult e ->
-        match e with Vhdl.Ast.Binop (Vhdl.Ast.Gt, _, _) -> mult.Flow.Count.avg :: acc | _ -> acc)
-  in
+  let cond_mults = ref [] in
+  Flow.Count.iter ~profile:Flow.Profile.empty ~behavior:"main" body ~on_expr:(fun mult e ->
+      match e with
+      | Vhdl.Ast.Binop (Vhdl.Ast.Gt, _, _) -> cond_mults := mult.Flow.Count.avg :: !cond_mults
+      | _ -> ());
   Alcotest.(check (list (float 1e-9))) "condition scaled by trips"
-    [ Flow.Profile.default_while_trips ] cond_mults
+    [ Flow.Profile.default_while_trips ] !cond_mults
 
 (* --- Control-site numbering (Sites must mirror Count) --------------------- *)
 
@@ -252,8 +250,8 @@ let suite =
     Alcotest.test_case "messages" `Quick test_messages;
     Alcotest.test_case "case alternatives" `Quick test_case_alternatives;
     Alcotest.test_case "elsif reach probabilities" `Quick test_elsif_chain_reach;
-    Alcotest.test_case "fold_stmts multipliers" `Quick test_fold_stmts_multipliers;
-    Alcotest.test_case "fold_exprs condition scaling" `Quick test_fold_exprs_condition_scaling;
+    Alcotest.test_case "iter on_stmt multipliers" `Quick test_iter_stmt_multipliers;
+    Alcotest.test_case "iter on_expr condition scaling" `Quick test_iter_expr_condition_scaling;
     Alcotest.test_case "control-site numbering" `Quick test_sites_numbering;
     Alcotest.test_case "sites inside loop bodies" `Quick test_sites_loop_bodies_descend;
   ]

@@ -206,6 +206,42 @@ let test_profile_changes_estimates () =
   Alcotest.(check bool) "frequencies move with the profile" true
     (abs_float (total_freq base -. total_freq skewed) > 1e-6)
 
+(* A non-empty profile, pinned bitwise: ether under the fixed profile
+   [golden/ether.profile], every ict, size and channel frequency printed
+   with %h.  The empty profile is pinned by the slifbench goldens; this
+   pins the profiled path through Count, Census and Build, where float
+   sums depend on the order of their terms. *)
+let render_weights (s : Slif.Types.t) =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun (n : Slif.Types.node) ->
+      List.iter (fun (t, v) -> Printf.bprintf b "ict %s %s %h\n" n.n_name t v) n.n_ict;
+      List.iter (fun (t, v) -> Printf.bprintf b "size %s %s %h\n" n.n_name t v) n.n_size)
+    s.nodes;
+  Array.iter
+    (fun (c : Slif.Types.channel) ->
+      Printf.bprintf b "chan %d %h %h %h %d\n" c.c_id c.c_accfreq c.c_accfreq_min
+        c.c_accfreq_max c.c_bits)
+    s.chans;
+  Buffer.contents b
+
+let test_profiled_ether_golden () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let profile = Flow.Profile.of_string (read "golden/ether.profile") in
+  let spec = Specs.Registry.find_exn "ether" in
+  let sem = Vhdl.Sem.build (Vhdl.Parser.parse spec.source) in
+  let slif = Slif.Build.build ~profile sem in
+  let got = render_weights (Slif.Annotate.run ~profile ~techs:Tech.Parts.all sem slif) in
+  let want = read "golden/ether_profiled.txt" in
+  (* Report the first differing line, not two 2,700-line texts. *)
+  let rec first i = function
+    | x :: xs, y :: ys when x = y -> first (i + 1) (xs, ys)
+    | x :: _, y :: _ -> Alcotest.failf "line %d: got %S, want %S" i x y
+    | [], [] -> ()
+    | _ -> Alcotest.failf "line %d: one text ends early" i
+  in
+  first 1 (String.split_on_char '\n' got, String.split_on_char '\n' want)
+
 let suite =
   [
     Alcotest.test_case "all specs parse and build" `Quick test_all_specs_parse_and_build;
@@ -220,4 +256,5 @@ let suite =
     Alcotest.test_case "dot export renders" `Quick test_dot_export_renders;
     Alcotest.test_case "dot partition clusters" `Quick test_dot_with_partition_clusters;
     Alcotest.test_case "profile changes estimates" `Quick test_profile_changes_estimates;
+    Alcotest.test_case "profiled ether weights match golden" `Quick test_profiled_ether_golden;
   ]

@@ -207,6 +207,54 @@ garbage|} in
   | exception Loc.Error _ -> ()
   | _ -> Alcotest.fail "expected trailing-input error"
 
+(* --- Front-end parity --------------------------------------------------- *)
+
+(* [vhdl.tokens_per_s] divides the [parse.tokens] counter by parse time;
+   the counter must count exactly the tokens [tokenize] returns. *)
+let test_token_counter_matches_tokenize () =
+  Slif_obs.Registry.reset ();
+  Slif_obs.Registry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Slif_obs.Registry.disable ();
+      Slif_obs.Registry.reset ())
+    (fun () ->
+      List.iter
+        (fun (spec : Specs.Registry.spec) ->
+          let before = Slif_obs.Counter.get "parse.tokens" in
+          ignore (Parser.parse spec.source);
+          Alcotest.(check int) spec.spec_name
+            (List.length (Lexer.tokenize spec.source))
+            (Slif_obs.Counter.get "parse.tokens" - before))
+        Specs.Registry.all)
+
+(* Parsing pulls tokens one at a time and keeps no token list: on ether it
+   allocates about 5 minor words per token, nearly all of it the AST.  A
+   front end that materialises its tokens (about 61 words per token) fails. *)
+let test_parse_minor_words_per_token () =
+  let src = (Specs.Registry.find_exn "ether").source in
+  let tokens = float_of_int (List.length (Lexer.tokenize src)) in
+  ignore (Parser.parse src);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Parser.parse src));
+  let per_token = (Gc.minor_words () -. w0) /. tokens in
+  if per_token > 12.0 then Alcotest.failf "%.2f minor words per token (bound 12)" per_token
+
+(* The first error in source order is the one reported, whether the lexer
+   or the parser finds it. *)
+let test_first_error_in_source_order_wins () =
+  let error_at src =
+    match Parser.parse src with
+    | exception Loc.Error (loc, msg) -> Loc.to_string loc ^ ": " ^ msg
+    | _ -> Alcotest.failf "no error in %S" src
+  in
+  Alcotest.(check string) "parse error before an illegal character"
+    "2:24: expected identifier (found ))"
+    (error_at "entity e is\n  port (a : in integer;);\nend e;\n$");
+  Alcotest.(check string) "illegal character before a parse error"
+    "1:8: illegal character '$'"
+    (error_at "entity $ is\n  port (a : in integer;);\nend e;\n")
+
 let suite =
   [
     Alcotest.test_case "arithmetic precedence" `Quick test_precedence_arith;
@@ -228,4 +276,10 @@ let suite =
     Alcotest.test_case "all specs round-trip via printer" `Quick test_roundtrip_through_pretty;
     Alcotest.test_case "parse error carries location" `Quick test_error_has_location;
     Alcotest.test_case "trailing input rejected" `Quick test_trailing_garbage_rejected;
+    Alcotest.test_case "parse.tokens counts every token" `Quick
+      test_token_counter_matches_tokenize;
+    Alcotest.test_case "parse allocates little per token" `Quick
+      test_parse_minor_words_per_token;
+    Alcotest.test_case "first error in source order wins" `Quick
+      test_first_error_in_source_order_wins;
   ]

@@ -156,6 +156,29 @@ let test_all_technologies_distinct_names () =
   Alcotest.(check int) "no duplicates" (List.length names)
     (List.length (List.sort_uniq compare names))
 
+(* Each op's dynamic count adds its expression terms, then its statement
+   terms, in walk order, whatever the order the walk meets them in.  Here
+   the walk meets the adds as 0.1 (x + 1), 0.5 (the for loop's increment,
+   a statement term), 0.5 (the body's x + 1) and 0.1; summed in meeting
+   order the last bit differs. *)
+let test_census_term_order () =
+  let profile =
+    Flow.Profile.set_branch Flow.Profile.empty ~behavior:"main" ~site:0 ~arm:0 0.1
+  in
+  let c =
+    Tech.Census.of_behavior ~profile ~is_local:(fun _ -> true) ~is_sub:(fun _ -> false)
+      ~name:"main"
+      (body_of ()
+         "if l = 1 then l := l + 1;\n\
+         \  for i in 1 to 5 loop l := l + 1; end loop;\n\
+         \  l := l + 1; end if;")
+  in
+  let by_kind = ((0.1 +. 0.5) +. 0.1) +. 0.5 and by_walk = ((0.1 +. 0.5) +. 0.5) +. 0.1 in
+  Alcotest.(check bool) "the two orders differ" true (by_kind <> by_walk);
+  let add = Tech.Census.dyn c Tech.Optype.Add in
+  if Int64.bits_of_float add <> Int64.bits_of_float by_kind then
+    Alcotest.failf "dynamic adds %h, expected %h" add by_kind
+
 let suite =
   [
     Alcotest.test_case "census arithmetic ops" `Quick test_census_arith_ops;
@@ -175,4 +198,5 @@ let suite =
     Alcotest.test_case "dsp MAC advantage" `Quick test_dsp_beats_cpu_on_mac_code;
     Alcotest.test_case "eeprom characteristics" `Quick test_eeprom_slow_but_dense;
     Alcotest.test_case "technology names unique" `Quick test_all_technologies_distinct_names;
+    Alcotest.test_case "census adds terms kind by kind" `Quick test_census_term_order;
   ]
