@@ -239,6 +239,8 @@ let r4 () =
     List.fold_left (fun acc e -> acc + e.Specsyn.Explore.solution.Specsyn.Search.evaluated) 0 entries
   in
   let time = List.fold_left (fun acc e -> acc +. e.Specsyn.Explore.elapsed_s) 0.0 entries in
+  Slif_obs.Counter.add "bench.r4.partitions" total;
+  Slif_obs.Counter.add "bench.r4.designs_per_s" (int_of_float (float_of_int total /. time));
   Printf.printf "\ntotal: %d partitions in %.2fs -> %.0f designs/second\n" total time
     (float_of_int total /. time)
 
@@ -263,7 +265,7 @@ let a1 () =
     Slif.Partition.assign_node part ~node target;
     (match invalidate with
     | `Full -> Slif.Estimate.invalidate_all est
-    | `Incremental -> Slif.Estimate.note_node_moved est node);
+    | `Incremental -> ignore (Slif.Estimate.note_node_moved est node));
     List.iter
       (fun (n : Slif.Types.node) -> ignore (Slif.Estimate.exectime_us est n.n_id))
       procs

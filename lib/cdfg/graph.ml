@@ -204,10 +204,3 @@ let of_design (design : Ast.design) =
 
 let node_count (t : t) = Array.length t.nodes
 let edge_count (t : t) = Array.length t.edges
-
-let op_nodes (t : t) =
-  Array.to_list t.nodes |> List.filter (fun n -> match n.kind with Op _ -> true | _ -> false)
-
-let data_predecessors (t : t) id =
-  Array.to_list t.edges
-  |> List.filter_map (fun e -> if e.e_dst = id && e.e_kind = Data then Some e.e_src else None)

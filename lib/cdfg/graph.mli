@@ -32,9 +32,3 @@ val of_design : Vhdl.Ast.design -> t
 
 val node_count : t -> int
 val edge_count : t -> int
-
-val op_nodes : t -> node list
-(** The schedulable operation nodes (kind [Op]). *)
-
-val data_predecessors : t -> int -> int list
-(** Ids of nodes feeding data into the given node. *)

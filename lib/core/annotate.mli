@@ -17,7 +17,3 @@ val run :
     filled in for each node and each applicable technology (behaviors get
     no weights on memory technologies, in line with the paper's rule that
     behaviors map only to processors). *)
-
-val local_storage_bits : Vhdl.Sem.t -> string -> int
-(** Total bits of a behavior's local variables (registers / data segment
-    that travel with the behavior). *)

@@ -39,7 +39,7 @@ type t = {
   chan_dst : int array;  (** destination node id, or [-(port+1)] for a port *)
   chan_bits : int array;
   chan_tag : int array;  (** concurrency tag, [-1] when untagged *)
-  chan_kind : int array;  (** {!kind_call} … {!kind_message} *)
+  chan_kind : int array;  (** {!kind_call} (0) … {!kind_message} (3) *)
   chan_freq : float array;
   chan_freq_min : float array;
   chan_freq_max : float array;
@@ -64,9 +64,9 @@ type t = {
 }
 
 val kind_call : int
-val kind_var_access : int
-val kind_port_access : int
 val kind_message : int
+(** The [chan_kind] codes of [Call] and [Message] channels ([Var_access]
+    and [Port_access] have codes 1 and 2). *)
 
 val make : Types.t -> t
 (** One O(nodes + channels + weight entries) pass; no further allocation

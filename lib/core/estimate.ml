@@ -136,16 +136,24 @@ let invalidate_chan t chan =
   t.slot_gen.(t.cg.Compact.chan_slot.(chan)) <- 0;
   t.w_gen.(t.cg.Compact.chan_src.(chan)) <- 0
 
+(* The one owner of each move's invalidation rule: the moved node's (or
+   the moved channel's source's) transitive callers, plus the cached
+   costs the move itself staled.  The set is returned for the engine's
+   rollback journal. *)
 let note_node_moved t node =
-  invalidate_nodes t (Graph.transitive_callers t.graph node);
-  invalidate_out_row t node
+  let set = Graph.transitive_callers t.graph node in
+  invalidate_nodes t set;
+  invalidate_out_row t node;
+  set
 
 let note_chan_moved t chan =
   let s = Graph.slif t.graph in
   if chan < 0 || chan >= Array.length s.Types.chans then
     invalid_arg "Estimate.note_chan_moved: no such channel";
-  invalidate_nodes t (Graph.transitive_callers t.graph s.Types.chans.(chan).Types.c_src);
-  invalidate_chan t chan
+  let set = Graph.transitive_callers t.graph s.Types.chans.(chan).Types.c_src in
+  invalidate_nodes t set;
+  invalidate_chan t chan;
+  set
 
 (* Re-point the estimator at another (total) partition of the same SLIF,
    dropping the whole memo.  This is how an engine replica re-engages a
@@ -356,13 +364,6 @@ let src_bitrate_mbps t bus src =
    this value to the bit. *)
 let bus_bitrate_mbps t bus =
   Slif_util.Sumtree.sum t.cg.Compact.n_nodes (src_bitrate_mbps t bus)
-
-let bus_bitrate_capacity_limited_mbps t bus =
-  let s = Graph.slif t.graph in
-  let raw = bus_bitrate_mbps t bus in
-  match s.Types.buses.(bus).Types.b_capacity_mbps with
-  | Some cap -> min raw cap
-  | None -> raw
 
 (* --- Capacity-aware (contended) execution time --------------------------
    Transfers on an over-committed bus slow by the demand/capacity ratio;

@@ -76,10 +76,6 @@ val bus_bitrate_mbps : t -> int -> float
     shape the move engine maintains per bus, one leaf per source, so the
     engine's bitrates equal this value to the bit. *)
 
-val bus_bitrate_capacity_limited_mbps : t -> int -> float
-(** Bitrate clipped to the bus's capacity when one is declared — the
-    "more sophisticated" estimate the paper defers to reference [2]. *)
-
 val bus_slowdowns : ?iterations:int -> t -> float array
 (** Per-bus contention factors (>= 1): when the aggregate demand on a bus
     exceeds its declared capacity, its transfers slow by the excess ratio,
@@ -113,26 +109,30 @@ val crosses : t -> int -> Types.channel -> bool
 
 val invalidate_all : t -> unit
 
-val note_node_moved : t -> int -> unit
-(** Incremental invalidation: drop cached execution times of the moved
-    node's transitive accessors only (ablation A1), and the cached costs
-    of the moved node's own channels ({!invalidate_nodes} plus
-    {!invalidate_out_row}). *)
+val note_node_moved : t -> int -> int list
+(** Incremental invalidation after a node moved: drop cached execution
+    times of the moved node's transitive accessors only (ablation A1),
+    and the cached costs of the moved node's own channels
+    ({!invalidate_nodes} on that set, then {!invalidate_out_row}).
+    Returns the set ({!Graph.transitive_callers}), which the move engine
+    journals to re-stale on rollback.  This and {!note_chan_moved} are
+    the one statement of each move's invalidation rule. *)
 
-val note_chan_moved : t -> int -> unit
+val note_chan_moved : t -> int -> int list
 (** Incremental invalidation after a channel moved to another bus: only
     the channel's source node and its transitive accessors see a changed
     transfer time, so only their memo entries and the channel's cached
-    cost are dropped — the fine-grained replacement for
-    {!invalidate_all} on channel moves.  Raises [Invalid_argument] when
-    the channel id is out of range. *)
+    cost are dropped ({!invalidate_nodes} on that set, then
+    {!invalidate_chan}) — the fine-grained replacement for
+    {!invalidate_all} on channel moves.  Returns the set, like
+    {!note_node_moved}.  Raises [Invalid_argument] when the channel id
+    is out of range. *)
 
 val invalidate_nodes : t -> int list -> unit
 (** Drop the memo entries of exactly the given nodes, and the cached
     costs of the channels into them, and mark the estimator as synced
-    with the partition's current version.  For callers (the move engine)
-    that already computed the invalidation set; {!note_node_moved} and
-    {!note_chan_moved} are the curated wrappers. *)
+    with the partition's current version.  The engine's rollback calls
+    it with the journaled sets. *)
 
 val invalidate_out_row : t -> int -> unit
 (** Drop the cached costs of the node's outgoing channels — what a move

@@ -41,16 +41,6 @@ let in_chans t id = (Lazy.force t.in_).(id)
 
 let dedup ids = List.sort_uniq compare ids
 
-let callers t id =
-  let cg = t.compact in
-  let acc = ref [] in
-  for k = cg.Compact.in_off.(id) to cg.Compact.in_off.(id + 1) - 1 do
-    let c = cg.Compact.in_chan.(k) in
-    if cg.Compact.chan_kind.(c) = Compact.kind_call then
-      acc := cg.Compact.chan_src.(c) :: !acc
-  done;
-  dedup !acc
-
 let callees t id =
   let cg = t.compact in
   let acc = ref [] in
@@ -90,16 +80,6 @@ let bfs ~next start =
         end
   in
   loop [] [ start ]
-
-let reachable_from t id =
-  let cg = t.compact in
-  bfs id ~next:(fun id ->
-      let acc = ref [] in
-      for k = cg.Compact.out_off.(id + 1) - 1 downto cg.Compact.out_off.(id) do
-        let c = cg.Compact.out_chan.(k) in
-        if cg.Compact.chan_dst.(c) >= 0 then acc := cg.Compact.chan_dst.(c) :: !acc
-      done;
-      !acc)
 
 let transitive_callers t id =
   (* Any behavior with a channel to [id] depends on its mapping; so do that

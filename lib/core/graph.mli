@@ -19,19 +19,9 @@ val out_chans : t -> int -> Types.channel list
 val in_chans : t -> int -> Types.channel list
 (** Channels whose destination is the given node. *)
 
-val callers : t -> int -> int list
-(** Source nodes of incoming [Call] channels, deduplicated. *)
-
-val callees : t -> int -> int list
-(** Destination behavior nodes of outgoing [Call] channels, deduplicated. *)
-
 val has_call_cycle : t -> bool
 (** True when the call-channel subgraph has a cycle — recursion in the
     specification (the paper notes an AG cycle represents recursion). *)
-
-val reachable_from : t -> int -> int list
-(** All nodes reachable from the given node over any channel kind,
-    including itself. *)
 
 val transitive_callers : t -> int -> int list
 (** All behaviors whose execution time depends on the given node: the

@@ -55,9 +55,6 @@ let demands ?(profile = Flow.Profile.empty) ~techs sem =
 let lookup t ~tech name =
   Option.bind (Smap.find_opt name t.by_behavior) (Smap.find_opt tech)
 
-let behavior_fu_area t ~tech name =
-  Option.map (fun a -> a.fu_area) (lookup t ~tech name)
-
 let find_asic tech =
   match Tech.Parts.find tech with Some (Tech.Parts.Asic a) -> Some a | _ -> None
 
@@ -95,5 +92,3 @@ let size est t comp =
           shared 0.0
       in
       naive -. !summed_fu +. shared_fu
-
-let sharing_saving est t comp = Float.max 0.0 (Estimate.size est comp -. size est t comp)

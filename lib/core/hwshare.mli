@@ -30,15 +30,7 @@ val demands :
 (** One pseudo-synthesis census per behavior per custom technology, as in
     {!Annotate.run} (the two are meant to be computed together). *)
 
-val behavior_fu_area : t -> tech:Types.tech_name -> string -> float option
-(** Unit area the named behavior would occupy alone on [tech]; [None] for
-    unknown behaviors or non-custom technologies. *)
-
 val size : Estimate.t -> t -> Partition.comp -> float
 (** Equations 4-5 with unit sharing on custom processors.  For standard
     processors and memories this equals [Estimate.size] (bytes and words
     do not share).  Raises like [Estimate.size] on missing weights. *)
-
-val sharing_saving : Estimate.t -> t -> Partition.comp -> float
-(** [Estimate.size] minus {!size}: the gates the naive summation
-    over-reports for this component (>= 0). *)

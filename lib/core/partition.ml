@@ -61,12 +61,6 @@ let assign_node t ~node comp =
   t.node_comp.(node) <- k;
   bump t
 
-let unassign_node t ~node =
-  if node < 0 || node >= Array.length t.node_comp then
-    invalid_arg "Partition.unassign_node: no such node";
-  t.node_comp.(node) <- -1;
-  bump t
-
 let check_bus t bus name =
   if bus < 0 || bus >= Array.length t.slif.Types.buses then
     invalid_arg ("Partition." ^ name ^ ": no such bus")
@@ -101,9 +95,6 @@ let bus_of_exn t chan =
   if b < 0 then invalid_arg (Printf.sprintf "Partition.bus_of_exn: channel %d is unassigned" chan)
   else b
 
-let is_total t =
-  Array.for_all (fun k -> k >= 0) t.node_comp && Array.for_all (fun b -> b >= 0) t.chan_bus
-
 let matching slots v =
   let acc = ref [] in
   if v >= 0 then
@@ -113,14 +104,10 @@ let matching slots v =
   !acc
 
 let nodes_of_comp t comp = matching t.node_comp (index_of_comp t comp)
-let chans_of_bus t bus = matching t.chan_bus bus
 
 let same_component_nodes t src d =
   let a = t.node_comp.(src) in
   a >= 0 && a = t.node_comp.(d)
-
-let same_component t src dst =
-  match dst with Types.Dport _ -> false | Types.Dnode d -> same_component_nodes t src d
 
 let comp_name (s : Types.t) = function
   | Cproc p -> s.procs.(p).Types.p_name
@@ -129,18 +116,6 @@ let comp_name (s : Types.t) = function
 let comp_tech (s : Types.t) = function
   | Cproc p -> s.procs.(p).Types.p_tech
   | Cmem m -> s.mems.(m).Types.m_tech
-
-(* Ascending-id enumeration of the assigned slots. *)
-let assigned slots value =
-  let acc = ref [] in
-  for i = Array.length slots - 1 downto 0 do
-    let v = slots.(i) in
-    if v >= 0 then acc := (i, value v) :: !acc
-  done;
-  !acc
-
-let assignments t = assigned t.node_comp (fun k -> t.comps.(k))
-let chan_assignments t = assigned t.chan_bus Fun.id
 
 let assign_all_chans t ~bus =
   if Array.length t.chan_bus > 0 then check_bus t bus "assign_all_chans";

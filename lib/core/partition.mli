@@ -40,7 +40,6 @@ val restore_version : t -> int -> unit
     value is negative or ahead of the current version. *)
 
 val assign_node : t -> node:int -> comp -> unit
-val unassign_node : t -> node:int -> unit
 val assign_chan : t -> chan:int -> bus:int -> unit
 
 val comp_index : t -> int -> int
@@ -60,24 +59,12 @@ val bus_of : t -> int -> int option
 val bus_of_exn : t -> int -> int
 (** The paper's GetChanBus. *)
 
-val is_total : t -> bool
-(** Every node and every channel is assigned. *)
-
 val nodes_of_comp : t -> comp -> int list
 (** Ascending node ids; [[]] for a component the specification lacks. *)
 
-val chans_of_bus : t -> int -> int list
-(** Ascending channel ids; [[]] for a bus the specification lacks. *)
-
 val same_component_nodes : t -> int -> int -> bool
 (** Whether two nodes are currently mapped to the same component; false
-    when either is unassigned.  The int-indexed variant the compact
-    estimation path uses ({!same_component} takes a [Types.dest]). *)
-
-val same_component : t -> int -> Types.dest -> bool
-(** Whether a channel's source node and destination lie on the same
-    component; destinations that are external ports are never on a
-    component. *)
+    when either is unassigned. *)
 
 val comp_name : Types.t -> comp -> string
 val comp_tech : Types.t -> comp -> Types.tech_name
@@ -85,10 +72,3 @@ val comp_tech : Types.t -> comp -> Types.tech_name
 val assign_all_chans : t -> bus:int -> unit
 (** Convenience: map every channel to the given bus.  Raises
     [Invalid_argument] when there are channels and no such bus. *)
-
-val assignments : t -> (int * comp) list
-(** Every assigned node as [(node id, component)], ascending by id — the
-    stable enumeration serializers ({!Decision}, [Slif_store]) walk. *)
-
-val chan_assignments : t -> (int * int) list
-(** Every assigned channel as [(channel id, bus id)], ascending by id. *)

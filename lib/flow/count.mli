@@ -20,9 +20,6 @@
 
 type mult = { avg : float; mn : float; mx : float }
 
-val mult_one : mult
-val mult_scale : mult -> mult -> mult
-
 type access =
   | Read of string          (* variable / signal / port / constant read *)
   | Write of string         (* variable / signal / port write *)

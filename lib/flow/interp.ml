@@ -27,7 +27,7 @@ type recorder = {
 type t = {
   sem : Sem.t;
   globals : (string, value ref) Hashtbl.t;
-  mutable inputs : string -> int;
+  inputs : string -> int;
   outputs : (string, int) Hashtbl.t;
   queues : (string, int Queue.t) Hashtbl.t;
   limits : limits;
@@ -112,7 +112,6 @@ let create ?(limits = default_limits) ~inputs sem =
     sites;
   }
 
-let set_inputs t f = t.inputs <- f
 
 (* --- Recording ------------------------------------------------------------- *)
 

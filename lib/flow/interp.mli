@@ -23,9 +23,6 @@ type value = Vint of int | Vbool of bool | Varr of int array
 
 type limits = { max_steps : int; max_while_iters : int }
 
-val default_limits : limits
-(** 200_000 steps, 10_000 iterations. *)
-
 exception Limit_exceeded of string
 (** Step or iteration budget exhausted; carries the behavior name. *)
 
@@ -35,13 +32,11 @@ exception Runtime_error of string
 type t
 
 val create : ?limits:limits -> inputs:(string -> int) -> Vhdl.Sem.t -> t
-(** [create ~inputs sem] builds a machine with all architecture-level
+(** [create ~inputs sem] (default limits: 200_000 steps, 10_000
+    iterations) builds a machine with all architecture-level
     variables and signals initialized (declared initializers evaluated,
     otherwise zero / false / range minimum).  [inputs name] supplies the
     value read from input port [name]. *)
-
-val set_inputs : t -> (string -> int) -> unit
-(** Replace the stimulus between passes. *)
 
 val run_process : t -> string -> unit
 (** One start-to-finish execution of the named process.

@@ -33,9 +33,6 @@
 
 type category = Task_run | Queue_wait | Lock_wait | Gc | Copy | Idle
 
-val categories : category list
-(** All categories, in report order. *)
-
 val category_name : category -> string
 (** ["task-run"], ["queue-wait"], ["lock-wait"], ["gc"], ["copy"],
     ["idle"]. *)

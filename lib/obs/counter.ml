@@ -1,4 +1,4 @@
-(* Counters live in padded per-domain cells (Registry.cell_words words,
+(* Counters live in padded per-domain cells ([Registry.new_cell],
    value in slot 0) so two domains bumping different counters never
    contend on a cache line.  A cell that exists with value 0 is treated
    as absent everywhere below, which keeps [Registry.reset] — which

@@ -18,8 +18,6 @@ let sink : out_channel option ref = ref None
 let min_level = ref Info
 let sample_every = ref 1
 let sample_tick = ref 0
-let emitted_count = ref 0
-let sampled_out_count = ref 0
 
 let locked f =
   Mutex.lock mu;
@@ -36,9 +34,7 @@ let open_log path =
   let oc = open_out path in
   locked (fun () ->
       sink := Some oc;
-      (* Fresh log, fresh accounting. *)
-      emitted_count := 0;
-      sampled_out_count := 0;
+      (* Fresh log, fresh sampling phase. *)
       sample_tick := 0;
       Atomic.set active true)
 
@@ -49,9 +45,6 @@ let set_sample n =
   locked (fun () ->
       sample_every := n;
       sample_tick := 0)
-
-let emitted () = locked (fun () -> !emitted_count)
-let sampled_out () = locked (fun () -> !sampled_out_count)
 
 let emit ?(level = Info) ?(fields = []) name =
   (* The flight recorder sees every event whether or not a log sink is
@@ -101,9 +94,7 @@ let emit ?(level = Info) ?(fields = []) name =
                    Json.to_channel oc (Json.Obj (base @ fields));
                    output_char oc '\n';
                    flush oc
-                 with Sys_error _ -> ());
-                emitted_count := !emitted_count + 1
+                 with Sys_error _ -> ())
               end
-              else sampled_out_count := !sampled_out_count + 1
             end)
   end

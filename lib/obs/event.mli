@@ -16,12 +16,10 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_to_string : level -> string
-
 val open_log : string -> unit
 (** Truncate-open [path] as the sink (closing any previous one) and
-    reset the {!emitted}/{!sampled_out} accounting.  Raises [Sys_error]
-    when it cannot be created. *)
+    restart the sampling phase.  Raises [Sys_error] when it cannot be
+    created. *)
 
 val close_log : unit -> unit
 (** Flush, close and detach the sink.  Subsequent emits are no-ops. *)
@@ -36,9 +34,3 @@ val set_sample : int -> unit
 val emit : ?level:level -> ?fields:(string * Json.t) list -> string -> unit
 (** Write one event line.  No-op without a sink; never raises on a
     broken sink (the daemon must not die because its log pipe did). *)
-
-val emitted : unit -> int
-(** Lines written since the sink was opened. *)
-
-val sampled_out : unit -> int
-(** Debug/Info lines dropped by the sampling knob. *)

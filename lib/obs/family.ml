@@ -38,12 +38,6 @@ let incr ?(by = 1) t v =
   | None -> Hashtbl.add t.series v (ref by));
   Mutex.unlock t.mu
 
-let get t v =
-  Mutex.lock t.mu;
-  let r = match Hashtbl.find_opt t.series v with Some cell -> !cell | None -> 0 in
-  Mutex.unlock t.mu;
-  r
-
 let snapshot t =
   Mutex.lock t.mu;
   let items = Hashtbl.fold (fun k cell acc -> (k, !cell) :: acc) t.series [] in

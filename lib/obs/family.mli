@@ -41,9 +41,6 @@ val incr : ?by:int -> t -> string -> unit
 (** [incr t v] adds [by] (default 1) to the series labeled [v],
     creating it at zero first.  Always on, exact across domains. *)
 
-val get : t -> string -> int
-(** Current value of one series; 0 if it never fired. *)
-
 val snapshot : t -> (string * int) list
 (** All series of the family, sorted by label value. *)
 

@@ -44,12 +44,10 @@ val enable : unit -> unit
 val disable : unit -> unit
 (** For the telemetry-off ablation baseline and quiet-ring tests. *)
 
-val default_capacity : int
-(** Per-domain ring slots (4096). *)
-
 val set_capacity : int -> unit
 (** Resize every ring (clearing them) and set the capacity future
-    domains allocate with.  Call at startup or a quiescent point. *)
+    domains allocate with (4096 slots per domain by default).  Call at
+    startup or a quiescent point. *)
 
 (** {2 Causality context}
 

@@ -35,8 +35,6 @@ type counts = {
   major_words : float;  (** words allocated directly on the major heap, plus promotions *)
 }
 
-val zero_counts : counts
-
 val sample : unit -> unit
 (** Fold the calling domain's [Gc.quick_stat] delta into its cell (the
     first call pins the baseline).  Always on — cheap enough that task

@@ -148,8 +148,6 @@ let snapshot_full () =
     (merged_tbl ()) []
   |> List.sort compare
 
-let quantile (t : t) q = quantile_of_buckets ~count:t.h_count ~max_seen:t.h_max t.h_buckets q
-
 (* --- Sliding window --------------------------------------------------------
 
    A ring of the most recent observations; quantiles over it are exact

@@ -67,9 +67,6 @@ val clear : t -> unit
 
 val stats : t -> summary
 
-val quantile : t -> float -> float
-(** [quantile t q] for [q] in [0,1]; [nan] when empty. *)
-
 val quantile_summary : t -> quantiles
 
 (** {2 Sliding window} *)
@@ -84,9 +81,6 @@ val window : ?capacity:int -> unit -> window
 
 val window_record : window -> float -> unit
 (** O(1); overwrites the oldest observation once full. *)
-
-val window_size : window -> int
-(** Observations currently held (≤ capacity). *)
 
 val window_quantiles : window -> quantiles option
 (** Exact quantiles of the held observations; [None] when empty. *)

@@ -61,8 +61,6 @@ let release t =
       end)
 
 let set_enabled b = Atomic.set enabled b
-let on () = Atomic.get enabled
-
 (* The stat cells are only ever mutated by the thread currently holding
    [t.mu]: the wait is recorded right after acquisition, the hold right
    before release.  The profiling therefore needs no lock of its own. *)

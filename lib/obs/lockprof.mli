@@ -53,8 +53,6 @@ val set_enabled : bool -> unit
 (** Master switch for every profiled lock (independent of the span
     registry's switch). *)
 
-val on : unit -> bool
-
 type stat = {
   s_name : string;
   acquisitions : int;  (** successful [lock] calls while enabled *)
@@ -64,8 +62,6 @@ type stat = {
   hold_us : Histogram.summary;
   hold_quantiles : Histogram.quantiles;
 }
-
-val stats : t -> stat
 
 val all : unit -> stat list
 (** One row per lock name, sorted: the live locks of that name and the

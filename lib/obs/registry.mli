@@ -64,19 +64,16 @@ type hist = {
           width) is owned by {!Histogram} *)
 }
 
-val cell_words : int
-(** Size of a padded counter cell in words.  The live value sits in slot
-    0; the rest is padding so a cell owns its cache lines outright and a
+val new_cell : unit -> int array
+(** A fresh zeroed padded counter cell.  The live value sits in slot 0;
+    the rest is padding so a cell owns its cache lines outright and a
     domain bumping its counter never invalidates a line another domain's
     counter lives on (the false-sharing fix the scaling work needed). *)
-
-val new_cell : unit -> int array
-(** A fresh zeroed padded cell. *)
 
 type local = {
   dom : int;  (** [Domain.self] of the owning domain; -1 for merged totals *)
   counters : (string, int array) Hashtbl.t;
-      (** padded cells ({!cell_words} words, value in slot 0); zeroed in
+      (** padded cells ({!new_cell}, value in slot 0); zeroed in
           place by {!reset}, so resolved {!Counter.cell} handles
           survive *)
   hists : (string, hist) Hashtbl.t;

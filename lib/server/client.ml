@@ -95,9 +95,6 @@ let pipeline_raw t lines =
   write_all t.fd (Buffer.contents buf);
   List.map (fun _ -> read_line t) lines
 
-let pipeline t jsons = List.map Protocol.response_of_line
-    (pipeline_raw t (List.map Slif_obs.Json.to_string jsons))
-
 (* The [batch] op's request object: one wire line, many items. *)
 let batch_request items =
   Slif_obs.Json.Obj

@@ -39,10 +39,6 @@ val pipeline_raw : t -> string list -> string list
     interleave, so response [k] matches request [k].  Same exceptions as
     {!request_raw}. *)
 
-val pipeline : t -> Slif_obs.Json.t list -> (Slif_obs.Json.t, string) result list
-(** {!pipeline_raw} over request objects, each response parsed through
-    {!Protocol.response_of_line}. *)
-
 val batch_request : Slif_obs.Json.t list -> Slif_obs.Json.t
 (** The [batch] request object wrapping [items] — one wire line, many
     operations. *)

@@ -88,18 +88,16 @@ module Sharded = struct
             });
     }
 
-  let shards t = Array.length t.shards
-  let capacity t = Array.fold_left (fun acc s -> acc + plain_capacity s.core) 0 t.shards
-
   (* Routing is a pure function of the key bytes ([Hashtbl.hash] is
      deterministic on strings), so a key lives in exactly one shard for
      the daemon's whole life — the differential tests count on it. *)
   let shard_of_key t key = Hashtbl.hash key mod Array.length t.shards
 
-  let with_shard t key f =
-    let s = t.shards.(shard_of_key t key) in
+  let locked s f =
     Slif_obs.Lockprof.lock s.lock;
     Fun.protect ~finally:(fun () -> Slif_obs.Lockprof.unlock s.lock) (fun () -> f s)
+
+  let with_shard t key f = locked t.shards.(shard_of_key t key) f
 
   let find t key =
     with_shard t key (fun s ->
@@ -114,17 +112,8 @@ module Sharded = struct
   let add t key value = with_shard t key (fun s -> plain_add s.core key value)
   let remove t key = with_shard t key (fun s -> plain_remove s.core key)
 
-  let locked s f =
-    Slif_obs.Lockprof.lock s.lock;
-    Fun.protect ~finally:(fun () -> Slif_obs.Lockprof.unlock s.lock) (fun () -> f s)
-
-  let size t = Array.fold_left (fun acc s -> acc + locked s (fun s -> plain_size s.core)) 0 t.shards
-
   let keys t =
     Array.to_list t.shards |> List.concat_map (fun s -> locked s (fun s -> plain_keys s.core))
-
-  let hits t = Array.fold_left (fun acc s -> acc + locked s (fun s -> s.hits)) 0 t.shards
-  let misses t = Array.fold_left (fun acc s -> acc + locked s (fun s -> s.misses)) 0 t.shards
 
   type shard_stat = { sh_index : int; sh_size : int; sh_capacity : int; sh_hits : int; sh_misses : int }
 

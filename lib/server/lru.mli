@@ -11,9 +11,6 @@ type 'a t
 val create : capacity:int -> 'a t
 (** Raises [Invalid_argument] when [capacity < 1]. *)
 
-val capacity : 'a t -> int
-val size : 'a t -> int
-
 val find : 'a t -> string -> 'a option
 (** Refreshes the entry's recency on a hit. *)
 
@@ -23,9 +20,6 @@ val add : 'a t -> string -> 'a -> unit
 
 val remove : 'a t -> string -> unit
 (** Drops the binding if present; a no-op otherwise. *)
-
-val keys : 'a t -> string list
-(** Resident keys, most recently used first. *)
 
 (** Domain-safe sharded wrapper — the multi-worker daemon's resident
     set.
@@ -45,16 +39,10 @@ module Sharded : sig
   val create : ?shards:int -> capacity:int -> unit -> 'a t
   (** [create ~shards ~capacity ()] (default 8 shards) splits [capacity]
       over the shards, rounding up so every shard holds at least one
-      entry — {!capacity} reports the rounded total, [>=] the request.
-      Raises [Invalid_argument] when [shards < 1] or [capacity < 1]. *)
-
-  val shards : 'a t -> int
-  val capacity : 'a t -> int
-  val size : 'a t -> int
-
-  val shard_of_key : 'a t -> string -> int
-  (** The shard a key routes to — a pure function of the key bytes,
-      stable for the cache's whole life. *)
+      entry — the shards' capacities sum to [>=] the request.  A key
+      routes to a shard by a pure function of its bytes and the shard
+      count.  Raises [Invalid_argument] when [shards < 1] or
+      [capacity < 1]. *)
 
   val find : 'a t -> string -> 'a option
   (** Refreshes recency within the key's shard on a hit; counts a hit
@@ -71,9 +59,6 @@ module Sharded : sig
   val keys : 'a t -> string list
   (** Resident keys, grouped by shard (ascending), most recently used
       first within each shard. *)
-
-  val hits : 'a t -> int
-  val misses : 'a t -> int
 
   type shard_stat = {
     sh_index : int;

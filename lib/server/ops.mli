@@ -24,8 +24,6 @@ val algo_of_string : string -> (Specsyn.Explore.algo, string) result
 (** The CLI's algorithm vocabulary: random, greedy, gm/group-migration,
     sa/annealing, cluster/clustering. *)
 
-val run_algo : Specsyn.Explore.algo -> Specsyn.Search.problem -> Specsyn.Search.solution
-
 val parse_deadline : string -> (string * float, string) result
 (** ["proc=us"] → [(proc, us)]. *)
 

@@ -566,28 +566,46 @@ let exec_obj env req =
       let msg = exn_message e in
       (Protocol.error_obj msg, Some msg)
 
+(* A request's one interval: stamped by the caller at [t0_ns] (before
+   the line is parsed), closed here once the op has run, as the
+   [server.request.<op>] span that the op's own spans parent under.  The
+   duration it returns (in microseconds) is the request's latency. *)
+let request_span ~t0_ns op f =
+  let name = "server.request." ^ op in
+  let parent = Obs.Flight.current_span () in
+  let id = if Obs.Flight.on () then Obs.Flight.next_id () else 0 in
+  let close () =
+    float_of_int
+      (Obs.Span.record ?trace:(Obs.Flight.current_trace ())
+         ?id:(if id = 0 then None else Some id)
+         ~parent ~hist:("span." ^ name) ~t0_ns name)
+    /. 1e3
+  in
+  match Obs.Flight.with_causality ~parent:id f with
+  | v -> (v, close ())
+  | exception e ->
+      ignore (close ());
+      raise e
+
+let since_us t0_ns = float_of_int (Int64.to_int (Obs.Clock.now_ns ()) - t0_ns) /. 1e3
+
 (* One batch slot: its own span, its own timing, its own error
    isolation — a malformed or failing item never touches its
    neighbours. *)
 let exec_item env item =
-  let t0 = Obs.Clock.now_us () in
+  let t0_ns = Int64.to_int (Obs.Clock.now_ns ()) in
   match item with
   | Error msg ->
       ( Protocol.error_obj msg,
-        {
-          a_op = "malformed";
-          a_wire = false;
-          a_dur_us = Obs.Clock.now_us () -. t0;
-          a_err = Some msg;
-        } )
+        { a_op = "malformed"; a_wire = false; a_dur_us = since_us t0_ns; a_err = Some msg } )
   | Ok req ->
       let op = Protocol.op_name req in
-      let obj, err = Obs.Span.with_ ("server.request." ^ op) (fun () -> exec_obj env req) in
-      (obj, { a_op = op; a_wire = false; a_dur_us = Obs.Clock.now_us () -. t0; a_err = err })
+      let (obj, err), dur_us = request_span ~t0_ns op (fun () -> exec_obj env req) in
+      (obj, { a_op = op; a_wire = false; a_dur_us = dur_us; a_err = err })
 
 let execute env job =
   let module J = Obs.Json in
-  let t0 = Obs.Clock.now_us () in
+  let t0_ns = Int64.to_int (Obs.Clock.now_ns ()) in
   match
     Protocol.request_of_line ~max_batch_items:env.x_cfg.max_batch_items job.jb_line
   with
@@ -595,17 +613,13 @@ let execute env job =
       Resp
         ( Protocol.error msg,
           [
-            {
-              a_op = "malformed";
-              a_wire = true;
-              a_dur_us = Obs.Clock.now_us () -. t0;
-              a_err = Some msg;
-            };
+            { a_op = "malformed"; a_wire = true; a_dur_us = since_us t0_ns; a_err = Some msg };
           ] )
   | Ok req when Protocol.is_control req -> Control req
   | Ok (Protocol.Batch items) ->
-      Obs.Span.with_ "server.request.batch" @@ fun () ->
-      let pairs = List.map (exec_item env) items in
+      let pairs, dur_us =
+        request_span ~t0_ns "batch" (fun () -> List.map (exec_item env) items)
+      in
       let resp =
         Protocol.ok
           [
@@ -613,23 +627,12 @@ let execute env job =
             ("results", J.List (List.map fst pairs));
           ]
       in
-      let wire =
-        {
-          a_op = "batch";
-          a_wire = true;
-          a_dur_us = Obs.Clock.now_us () -. t0;
-          a_err = None;
-        }
-      in
+      let wire = { a_op = "batch"; a_wire = true; a_dur_us = dur_us; a_err = None } in
       Resp (resp, wire :: List.map snd pairs)
   | Ok req ->
       let op = Protocol.op_name req in
-      let obj, err = Obs.Span.with_ ("server.request." ^ op) (fun () -> exec_obj env req) in
-      Resp
-        ( J.to_string obj,
-          [
-            { a_op = op; a_wire = true; a_dur_us = Obs.Clock.now_us () -. t0; a_err = err };
-          ] )
+      let (obj, err), dur_us = request_span ~t0_ns op (fun () -> exec_obj env req) in
+      Resp (J.to_string obj, [ { a_op = op; a_wire = true; a_dur_us = dur_us; a_err = err } ])
 
 let response_is_ok response =
   String.length response >= 10 && String.sub response 0 10 = {|{"ok":true|}
@@ -830,10 +833,10 @@ let worker_loop sh env w =
 let render_control st ~tid ~root req =
   let module J = Obs.Json in
   Obs.Flight.with_causality ~trace:tid ~parent:root @@ fun () ->
-  let t0 = Obs.Clock.now_us () in
+  let t0_ns = Int64.to_int (Obs.Clock.now_ns ()) in
   let op = Protocol.op_name req in
-  let resp =
-    Obs.Span.with_ ("server.request." ^ op) @@ fun () ->
+  let resp, dur_us =
+    request_span ~t0_ns op @@ fun () ->
     match req with
     | Protocol.Stats -> Protocol.ok (Telemetry.stats (snapshot st))
     | Protocol.Health -> Protocol.ok (Telemetry.health (snapshot st))
@@ -880,7 +883,6 @@ let render_control st ~tid ~root req =
     | Protocol.Batch _ ->
         assert false
   in
-  let dur_us = Obs.Clock.now_us () -. t0 in
   emit_request_event st.cfg tid op dur_us (response_is_ok resp);
   (resp, { a_op = op; a_wire = true; a_dur_us = dur_us; a_err = None })
 

@@ -67,8 +67,9 @@ type config = {
       (** unread response bytes per connection before the slow reader is
           disconnected with a protocol error *)
   max_connections : int option;
-      (** concurrent connections, clamped to {!default_max_connections}
-          ([None] means that cap); an extra connection is answered with
+      (** concurrent connections, clamped to 1000 so every polled fd
+          stays below [select]'s FD_SETSIZE of 1024 ([None] means that
+          cap); an extra connection is answered with
           one error of kind ["connection_limit"] and closed at once *)
   max_graph_mb : int option;
       (** admission control for store-file targets: reject (typed error
@@ -93,13 +94,10 @@ val default_max_line_bytes : int
 val default_max_outq_bytes : int
 (** 32 MB. *)
 
-val default_max_connections : int
-(** 1000: every polled fd stays below [select]'s FD_SETSIZE of 1024. *)
-
 val default_config : addr -> config
 (** lru_capacity 8 over 8 shards, 1 worker, jobs 1, no cache dir, no
     request limit, no slow-log, 64 MB line cap, 4096 batch items, 32 MB
-    outq cap, {!default_max_connections} connections, no graph budget,
+    outq cap, 1000 connections, no graph budget,
     32 retained traces, no trace dir. *)
 
 val accept : Unix.file_descr -> Unix.file_descr * Unix.sockaddr

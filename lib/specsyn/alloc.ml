@@ -5,14 +5,14 @@ type t = {
   buses : Slif.Types.bus list;
 }
 
-let bus_of_kind ~id ?(capacity = true) (k : Tech.Parts.bus_kind) =
+let bus_of_kind ~id (k : Tech.Parts.bus_kind) =
   {
     Slif.Types.b_id = id;
     b_name = k.bk_name;
     b_bitwidth = k.bk_bitwidth;
     b_ts_us = k.bk_ts_us;
     b_td_us = k.bk_td_us;
-    b_capacity_mbps = (if capacity then Some k.bk_capacity_mbps else None);
+    b_capacity_mbps = Some k.bk_capacity_mbps;
     b_ts_by_tech = [];
     b_td_by_pair = [];
   }

@@ -13,11 +13,6 @@ type t = {
   buses : Slif.Types.bus list;
 }
 
-val bus_of_kind : id:int -> ?capacity:bool -> Tech.Parts.bus_kind -> Slif.Types.bus
-(** Instantiate a catalog bus; [capacity] (default true) carries the
-    catalog's peak bitrate into the instance for capacity-aware
-    estimates. *)
-
 val single_cpu : ?size_cap:float -> unit -> t
 (** One standard 32-bit processor and one 16-bit bus. *)
 
@@ -28,14 +23,12 @@ val proc_asic : ?cpu_cap:float -> ?asic_cap:float -> ?asic_pins:int -> unit -> t
 val proc_asic_mem : unit -> t
 (** Processor + ASIC + standalone memory, two buses (16- and 8-bit). *)
 
-val cpu_dsp : unit -> t
-(** A control processor next to a DSP, sharing a 16-bit bus. *)
-
-val dual_asic : unit -> t
-(** Two custom components (gate array + FPGA) and a 32-bit bus. *)
-
 val catalog : t list
-(** All stock allocations, for design-space exploration. *)
+(** All stock allocations, for design-space exploration: the ones above,
+    plus a control processor next to a DSP sharing a 16-bit bus, and two
+    custom components (gate array + FPGA) on a 32-bit bus.  Catalog buses
+    carry their peak bitrate as a capacity, for capacity-aware
+    estimates. *)
 
 val apply : Slif.Types.t -> t -> Slif.Types.t
 (** Install the allocation's components into the SLIF (the P, M, I sets of

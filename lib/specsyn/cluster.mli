@@ -18,8 +18,6 @@ type params = {
   balance_limit : float; (* soft cap on a cluster's share of total size, in (0,1] *)
 }
 
-val default_params : params
-
 val closeness : ?params:params -> Slif.Graph.t -> int -> int -> float
 (** [closeness graph a b] for two node ids; symmetric, non-negative. *)
 

@@ -55,7 +55,6 @@ let slif t = Slif.Graph.slif t.graph
 let graph t = t.graph
 let partition t = t.part
 let estimate t = t.est
-let pending t = t.txn <> None
 let moves_scored t = t.scored
 
 (* --- Per-term recomputation (each mirrors one Cost.evaluate term) --------- *)
@@ -178,10 +177,6 @@ let refresh_comp_viol t comps =
 
 (* --- Applying moves ------------------------------------------------------- *)
 
-let invalidate t txn set =
-  Slif.Estimate.invalidate_nodes t.est set;
-  txn.inval <- List.rev_append set txn.inval
-
 let apply_node t txn node to_ =
   let s = slif t in
   if node < 0 || node >= Array.length s.Slif.Types.nodes then
@@ -212,9 +207,8 @@ let apply_node t txn node to_ =
     (* Execution times of the node and its transitive accessors changed
        (new ict/transfer technologies), so their memo entries, dependent
        channel bitrates and dependent deadlines are refreshed. *)
-    let set = Slif.Graph.transitive_callers t.graph node in
-    invalidate t txn set;
-    Slif.Estimate.invalidate_out_row t.est node;
+    let set = Slif.Estimate.note_node_moved t.est node in
+    txn.inval <- List.rev_append set txn.inval;
     refresh_rates t set;
     refresh_comp_viol t (if ki = kj then [ ki ] else [ ki; kj ]);
     refresh_time t set
@@ -243,9 +237,8 @@ let apply_chan t txn chan to_bus =
        node's execution time and everything upstream of it — the
        fine-grained invalidation that replaces invalidate_all.  The source
        is in the set, so its leaves on both buses are refreshed. *)
-    let set = Slif.Graph.transitive_callers t.graph c.c_src in
-    invalidate t txn set;
-    Slif.Estimate.invalidate_chan t.est chan;
+    let set = Slif.Estimate.note_chan_moved t.est chan in
+    txn.inval <- List.rev_append set txn.inval;
     refresh_rates t set;
     refresh_comp_viol t ks;
     refresh_time t set

@@ -138,7 +138,6 @@ val rollback : t -> unit
     pre-{!propose} state.  Raises [Invalid_argument] when no transaction
     is pending. *)
 
-val pending : t -> bool
 
 val moves_scored : t -> int
 (** Number of {!propose} calls so far — the engine's partitions-scored

@@ -19,12 +19,10 @@ val score : Slif.Graph.t -> Slif.Partition.t -> weight_time:float -> point
 (** Evaluate one partition.  Raises like {!Slif.Estimate} on improper
     partitions. *)
 
-val dominated : point -> point -> bool
-(** [dominated a b] is true when [b] is at least as good as [a] on both
-    axes and strictly better on one. *)
-
 val front : point list -> point list
-(** Non-dominated subset, sorted by execution time (fastest first). *)
+(** Non-dominated subset, sorted by execution time (fastest first): a
+    point is dropped when another is at least as good on both axes and
+    strictly better on one. *)
 
 val sweep :
   ?jobs:int ->

@@ -57,8 +57,4 @@ let seed_partition (s : Slif.Types.t) =
   Slif.Partition.assign_all_chans part ~bus:0;
   part
 
-let evaluate problem est =
-  Slif_obs.Counter.incr "search.partitions_scored";
-  Cost.total ~weights:problem.weights ~constraints:problem.constraints est
-
 let estimator graph part = Slif.Estimate.create ~recursion_depth:4 graph part

@@ -15,17 +15,15 @@ type solution = {
   evaluated : int;   (* number of partitions scored *)
 }
 
-val better : solution -> solution -> solution
-(** The one winner fold of every restart sweep: the cheaper solution —
-    the first on a tie, so an earlier restart beats a later one — with
-    [evaluated] summed over both.  Folding in index order picks the same
-    winner, and the same total, for every slicing of the index space. *)
-
 val best : solution list -> solution
-(** {!better} folded from the left.  Raises [Invalid_argument] on []. *)
+(** The one winner fold of every restart sweep, from the left: the
+    cheaper solution — the first on a tie, so an earlier restart beats a
+    later one — with [evaluated] summed over all.  Folding in index order
+    picks the same winner, and the same total, for every slicing of the
+    index space.  Raises [Invalid_argument] on []. *)
 
 val best_range : start:int -> len:int -> (int -> solution) -> solution
-(** [best_range ~start ~len f] folds {!better} over
+(** [best_range ~start ~len f] folds the same winner rule over
     [f start .. f (start + len - 1)] as each restart finishes; [len >= 1]. *)
 
 val restarts :
@@ -37,8 +35,6 @@ val restarts :
     calling domain) and returns their {!best}.  Raises
     [Invalid_argument] when [n <= 0] or [chunk < 1]. *)
 
-val all_comps : Slif.Types.t -> Slif.Partition.comp list
-
 val comps_for_node : Slif.Types.t -> Slif.Types.node -> Slif.Partition.comp list
 (** Feasible components: behaviors go to processors only; variables to
     processors or memories (paper, Section 2.2). *)
@@ -47,9 +43,6 @@ val seed_partition : Slif.Types.t -> Slif.Partition.t
 (** Everything on processor 0, every channel on bus 0 — the initial
     all-software partition.  Raises [Invalid_argument] when the SLIF has
     no processor or no bus. *)
-
-val evaluate : problem -> Slif.Estimate.t -> float
-(** Cost of the estimator's partition under the problem's constraints. *)
 
 val estimator : Slif.Graph.t -> Slif.Partition.t -> Slif.Estimate.t
 (** Estimator configured for search (average mode, recursion unrolled a

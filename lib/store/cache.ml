@@ -39,7 +39,15 @@ let load_or_build ~dir ~source ?profile ~build () =
   in
   let build_and_save status =
     let slif = build () in
-    Store.save_slif ~path ~provenance slif;
+    (* The build succeeded: a full or failing disk costs the next caller
+       a rebuild, never this one its result. *)
+    (match Store.save_slif ~path ~provenance slif with
+    | () -> ()
+    | exception Store.Store_error err ->
+        Slif_obs.Counter.incr "store.cache_write_error";
+        Slif_obs.Event.emit ~level:Slif_obs.Event.Warn
+          ~fields:[ ("error", Slif_obs.Json.String (Store.error_message err)) ]
+          "store.cache_write_error");
     (slif, status)
   in
   if Sys.file_exists path then begin

@@ -9,7 +9,10 @@
 
     Counters (when {!Slif_obs} records): [store.cache_hit],
     [store.cache_miss], [store.cache_invalid] (present but unreadable or
-    failing provenance validation — counted as a rebuild). *)
+    failing provenance validation — counted as a rebuild), and
+    [store.cache_write_error]: the entry could not be written (a full
+    disk, say); the built SLIF is still returned, and a
+    [store.cache_write_error] warning event carries the error. *)
 
 val tech_fingerprint : unit -> string
 (** Identifies the {!Tech.Parts} catalog baked into this binary (names
@@ -22,9 +25,6 @@ val key : source:string -> ?profile:string -> unit -> string
     (omit for the static defaults — a distinct key from any real
     profile). *)
 
-val entry_path : dir:string -> key:string -> string
-(** [<dir>/<key>.slifstore]. *)
-
 val load_or_build :
   dir:string ->
   source:string ->
@@ -35,5 +35,6 @@ val load_or_build :
 (** The load-or-build step: return the cached annotated SLIF when a
     valid entry exists, otherwise run [build], persist the result and
     return it.  Creates [dir] (and parents) on first use.  Raises
-    [Store.Store_error (Io _)] when the directory cannot be created, read or
-    written — the caller turns that into a one-line diagnostic. *)
+    [Store.Store_error (Io _)] when the directory cannot be created — the
+    caller turns that into a one-line diagnostic; a failed entry write
+    is counted, not raised. *)

@@ -18,10 +18,8 @@ let table =
 let slice k i = Array.unsafe_get table ((k lsl 8) lor (i land 0xFF))
 let word s i = Int32.to_int (String.get_int32_le s i) land 0xFFFFFFFF
 
-let sub s ~pos ~len =
-  if pos < 0 || len < 0 || pos > String.length s - len then
-    invalid_arg "Crc32.sub: out of bounds";
-  let crc = ref 0xFFFFFFFF and i = ref pos and stop = pos + len in
+let string s =
+  let crc = ref 0xFFFFFFFF and i = ref 0 and stop = String.length s in
   while !i <= stop - 8 do
     let a = !crc lxor word s !i and b = word s (!i + 4) in
     crc :=
@@ -34,5 +32,3 @@ let sub s ~pos ~len =
     incr i
   done;
   Int32.of_int (!crc lxor 0xFFFFFFFF)
-
-let string s = sub s ~pos:0 ~len:(String.length s)

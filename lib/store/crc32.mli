@@ -8,6 +8,3 @@
 
 val string : string -> int32
 (** Checksum of a whole string. *)
-
-val sub : string -> pos:int -> len:int -> int32
-(** Checksum of a substring; [pos]/[len] must be in bounds. *)

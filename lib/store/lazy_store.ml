@@ -103,7 +103,6 @@ let with_own_file t f =
 
 let file_size t = t.size
 let meta t = t.meta
-let design t = t.meta.Store.vm_design
 let decoded_bytes_estimate t = t.meta.Store.vm_decoded_bytes
 
 let file_identity path =
@@ -118,11 +117,6 @@ let file_identity path =
 let changed path ident = file_identity path <> Some ident
 
 let stale t = changed t.path t.ident
-
-let provenance t =
-  Result.join
-  @@ with_own_file t (fun fetch ->
-         Result.bind (Store.section ~fetch t.entries "PROV") Store.decode_prov)
 
 let decoded t =
   Mutex.lock t.lock;

@@ -30,7 +30,6 @@ val open_file : string -> (t, Store.error) result
     overflow — yield a typed error, never an exception. *)
 
 val file_size : t -> int
-val design : t -> string
 val meta : t -> Store.v2_meta
 
 val decoded_bytes_estimate : t -> int
@@ -52,10 +51,6 @@ val stale : t -> bool
 (** Whether the path now names different bytes than the handle was
     opened on ({!changed}) — replaced, rewritten or unlinked.  Callers
     should drop the handle and reopen. *)
-
-val provenance : t -> (Store.provenance, Store.error) result
-(** Reads and decodes the (small) PROV section on demand, with the same
-    checks on the file as {!slif}. *)
 
 val decoded : t -> bool
 (** Whether a forced decode (graph or error) is currently memoized.

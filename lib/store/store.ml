@@ -279,8 +279,6 @@ let r_prov r =
   let pv_tech = Codec.R.str r in
   { pv_source_md5; pv_profile; pv_tech }
 
-let decode_prov payload = decode_payload "PROV" payload r_prov
-
 (* PROV is optional: [None] when the container has none. *)
 let optional_prov ~fetch entries =
   if List.exists (fun e -> e.sec_tag = "PROV") entries then
@@ -736,20 +734,72 @@ let read_file path =
   | text -> Ok text
   | exception Sys_error msg -> Error (Io msg)
 
+(* Run [f]; a [Unix_error] becomes an [Io] error naming the file, the
+   failed call and the errno. *)
+let unix_io file f =
+  try f ()
+  with Unix.Unix_error (err, call, _) ->
+    let errno =
+      match err with
+      | Unix.ENOSPC -> " (ENOSPC)"
+      | Unix.EIO -> " (EIO)"
+      | Unix.EFBIG -> " (EFBIG)"
+      | Unix.EROFS -> " (EROFS)"
+      | Unix.EACCES -> " (EACCES)"
+      | Unix.EEXIST -> " (EEXIST)"
+      | Unix.ENOENT -> " (ENOENT)"
+      | Unix.EUNKNOWNERR n -> Printf.sprintf " (errno %d)" n
+      | _ -> ""
+    in
+    raise
+      (Store_error
+         (Io (Printf.sprintf "%s: %s: %s%s" file call (Unix.error_message err) errno)))
+
+let write_fd ~file fd text =
+  let b = Bytes.unsafe_of_string text in
+  let rec go off =
+    if off < Bytes.length b then
+      match Unix.write fd b off (Bytes.length b - off) with
+      | n -> go (off + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+  in
+  unix_io file (fun () ->
+      go 0;
+      Unix.fsync fd)
+
+(* One temp name per writer: two domains of one process saving the same
+   key never share a file. *)
+let tmp_seq = Atomic.make 0
+
 let write_file path text =
-  (* Write-then-rename so readers never observe a torn file. *)
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
+  (* Write a private temp file, flush it to the device, then rename it
+     over [path] and flush the directory entry, so a reader never sees a
+     torn file and a failed write never replaces a good one. *)
+  let tmp =
+    Printf.sprintf "%s.tmp.%d.%d.%d" path (Unix.getpid ())
+      (Domain.self () :> int)
+      (Atomic.fetch_and_add tmp_seq 1)
+  in
+  let fd =
+    unix_io tmp (fun () ->
+        Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL; Unix.O_CLOEXEC ] 0o644)
+  in
   match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc text);
-    Sys.rename tmp path
+    (match write_fd ~file:tmp fd text with
+    | () -> unix_io tmp (fun () -> Unix.close fd)
+    | exception e ->
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        raise e);
+    unix_io path (fun () -> Unix.rename tmp path)
   with
-  | () -> ()
-  | exception Sys_error msg ->
+  | () ->
+      let dir = Filename.dirname path in
+      unix_io dir (fun () ->
+          let dfd = Unix.openfile dir [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+          Fun.protect ~finally:(fun () -> Unix.close dfd) (fun () -> Unix.fsync dfd))
+  | exception e ->
       (try Sys.remove tmp with Sys_error _ -> ());
-      raise (Store_error (Io msg))
+      raise e
 
 let save_slif ~path ?version ?provenance s =
   write_file path (slif_to_string ?version ?provenance s)
@@ -759,10 +809,6 @@ let load_slif ~path =
   slif_of_string text
 
 let save_decision ~path ?note part = write_file path (decision_to_string ?note part)
-
-let load_decision s ~path =
-  let* text = read_file path in
-  decision_of_string s text
 
 (* --- Inspection ------------------------------------------------------------ *)
 

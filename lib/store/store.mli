@@ -34,7 +34,7 @@
 
 type error =
   | Io of string  (** file could not be read/written (carries the OS message) *)
-  | Bad_magic  (** the file does not start with {!magic} *)
+  | Bad_magic  (** the file does not start with ["SLIFSTOR"] *)
   | Unsupported_version of int
       (** a version word this reader does not decode (newer, or not a
           format version at all) *)
@@ -49,19 +49,14 @@ exception Store_error of error
 (** Raised only by the [save_*] functions (on I/O failure); the read
     path returns [result]s. *)
 
-val magic : string
-(** ["SLIFSTOR"], 8 bytes. *)
-
 val format_version : int
 (** The default {e write} format (1 — the content-addressed cache and the
-    golden corpus are pinned to its bytes); readers accept every version
-    up to {!max_format_version} and reject newer ones with
-    {!Unsupported_version} rather than misdecode. *)
+    golden corpus are pinned to its bytes); readers accept versions 1
+    and 2 and reject newer ones with {!Unsupported_version} rather than
+    misdecode. *)
 
 val format_version_v2 : int
 (** The offset-indexed, lazily decodable format (2). *)
-
-val max_format_version : int
 
 (** Where an annotated SLIF came from — enough to decide whether a cached
     store file still matches its inputs. *)
@@ -70,8 +65,6 @@ type provenance = {
   pv_profile : string option;  (** the branch-probability file text, verbatim *)
   pv_tech : string;  (** technology-catalog fingerprint ({!Cache.tech_fingerprint}) *)
 }
-
-val no_provenance : provenance
 
 (** {2 Annotated SLIF bundles} *)
 
@@ -88,16 +81,16 @@ val slif_of_string : string -> (Slif.Types.t * provenance, error) result
 val save_slif :
   path:string -> ?version:int -> ?provenance:provenance -> Slif.Types.t -> unit
 (** Write-then-rename, so a concurrent reader never sees a half-written
-    file.  Raises [Error (Io _)]. *)
+    file: the bytes go to a temp file private to this writer (pid,
+    domain and a counter; opened [O_EXCL]) with every write checked,
+    which is [fsync]ed, closed and renamed over [path], and then the
+    directory is [fsync]ed.  A failure up to the rename removes the temp
+    file and leaves [path] as it was; any failure raises
+    [Store_error (Io _)] naming the file, the call and the errno. *)
 
 val load_slif : path:string -> (Slif.Types.t * provenance, error) result
 
 (** {2 Recorded partition decisions} *)
-
-val decision_to_string : ?note:string -> Slif.Partition.t -> string
-(** Assignments are recorded by object {e name} (like the legacy text
-    format), so a decision survives node renumbering as long as names are
-    stable. *)
 
 val decision_of_string :
   Slif.Types.t -> string -> (Slif.Partition.t * string option, error) result
@@ -106,7 +99,9 @@ val decision_of_string :
     a SLIF-kind container yield [Decode]. *)
 
 val save_decision : path:string -> ?note:string -> Slif.Partition.t -> unit
-val load_decision : Slif.Types.t -> path:string -> (Slif.Partition.t * string option, error) result
+(** Assignments are recorded by object {e name} (like the legacy text
+    format), so a decision survives node renumbering as long as names are
+    stable. *)
 
 (** {2 Inspection (the [slif store info] subcommand)} *)
 
@@ -137,6 +132,12 @@ val inspect : string -> (info, error) result
 
 val read_file : string -> (string, error) result
 (** Slurp a file, mapping I/O failures to [Io]. *)
+
+val write_fd : file:string -> Unix.file_descr -> string -> unit
+(** The store writer's inner step: every byte of the string to the
+    descriptor (short writes and [EINTR] retried), then [fsync].  Raises
+    [Store_error (Io _)] naming [file], the call and the errno.  Exposed
+    so a test can hand it a descriptor that fails. *)
 
 (** {2 The section table (shared with {!Lazy_store})} *)
 
@@ -178,6 +179,3 @@ type v2_meta = {
 
 val v2_decode_meta : string -> (v2_meta, error) result
 (** Decode a v2 META payload. *)
-
-val decode_prov : string -> (provenance, error) result
-(** Decode a PROV payload. *)

@@ -41,23 +41,13 @@ type params = {
   seed : int;
   nodes : int;  (** total node count (behaviors + variables), >= 2 *)
   family : family;
-  depth : int;  (** max call-chain length (clamped to {!max_depth}) *)
+  depth : int;  (** max call-chain length (clamped to 2048) *)
   fanout : int;  (** children per node in fanout shapes, >= 1 *)
   var_fraction : float;  (** fraction of nodes that are variables, in [0, 1] *)
   sharing : int;  (** variable accesses generated per sharing behavior *)
 }
 
-val max_depth : int
-(** Hard clamp on [depth] (the estimator and cycle check recurse once
-    per call level). *)
-
 val default_params : ?seed:int -> ?nodes:int -> family -> params
-
-val behaviors : params -> int
-val variables : params -> int
-val channels : params -> int
-(** Exact object counts for the graph [generate] would build — pure
-    arithmetic, no generation.  [behaviors p + variables p = p.nodes]. *)
 
 val generate : ?pool:Slif_util.Pool.t -> params -> Slif.Types.t
 (** Build the annotated graph.  With [pool] the per-node fill is chunked

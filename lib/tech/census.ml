@@ -108,5 +108,4 @@ let of_behavior ~profile ~is_local ~is_sub ~name body =
   replay t access_terms;
   t
 
-let total_dynamic t = Array.fold_left ( +. ) 0.0 t.dynamic
 let total_static t = Array.fold_left ( + ) 0 t.static

@@ -29,5 +29,4 @@ val of_behavior :
     call (syntactically identical to an array index) is counted as call
     linkage rather than as a load. *)
 
-val total_dynamic : t -> float
 val total_static : t -> int

@@ -158,7 +158,3 @@ let all =
 
 let find name =
   List.find_opt (fun t -> technology_name t = name) all
-
-let all_buses = [ bus8; bus16; bus32 ]
-
-let find_bus name = List.find_opt (fun b -> b.bk_name = name) all_buses

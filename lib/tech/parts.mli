@@ -21,19 +21,8 @@ type bus_kind = {
   bk_capacity_mbps : float;  (* peak bitrate, for capacity-limited estimates *)
 }
 
-(* Processors *)
-val mcu8 : Proc_model.t    (* small 8-bit microcontroller *)
-val cpu32 : Proc_model.t   (* 32-bit embedded RISC *)
-val dsp16 : Proc_model.t   (* 16-bit DSP: single-cycle MAC, weak control *)
-
 (* Custom processors *)
 val asic_gal : Asic_model.t   (* gate-array ASIC *)
-val fpga : Asic_model.t       (* field-programmable *)
-
-(* Memories *)
-val sram16 : Mem_model.t
-val dram32 : Mem_model.t
-val eeprom8 : Mem_model.t  (* slow serial configuration store *)
 
 (* Buses *)
 val bus8 : bus_kind
@@ -41,6 +30,9 @@ val bus16 : bus_kind
 val bus32 : bus_kind
 
 val all : technology list
+(** Processors [mcu8] (8-bit microcontroller), [cpu32] (32-bit embedded
+    RISC), [dsp16] (16-bit DSP: single-cycle MAC, weak control); custom
+    [asic_gal] (gate array) and [fpga]; memories [sram16], [dram32] and
+    [eeprom8] (slow serial configuration store). *)
+
 val find : string -> technology option
-val find_bus : string -> bus_kind option
-val all_buses : bus_kind list

@@ -4,15 +4,6 @@
     access: the encoding width of a scalar, or element width plus address
     width for an array (paper, Section 2.4.1). *)
 
-val clog2 : int -> int
-(** [clog2 n] is the ceiling of log2 [n] for [n >= 1]; [clog2 1 = 0].
-    Raises [Invalid_argument] for [n <= 0]. *)
-
-val bits_for_cardinality : int -> int
-(** [bits_for_cardinality n] is the number of bits needed to distinguish
-    [n] values, i.e. [clog2 n] with a minimum of 1 bit for [n >= 1].
-    Raises [Invalid_argument] for [n <= 0]. *)
-
 val bits_for_range : lo:int -> hi:int -> int
 (** [bits_for_range ~lo ~hi] is the number of bits to encode the integer
     range [lo..hi]: unsigned binary when [lo >= 0], two's complement

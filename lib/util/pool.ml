@@ -20,21 +20,12 @@ type t = {
   work : Condition.t;            (* signalled when tasks arrive or at shutdown *)
   mutable stop : bool;
   mutable workers : unit Domain.t list;
-  mutable submitted : int;       (* tasks ever handed to [mapi]; under [lock] *)
   mutable completed : int;       (* tasks whose thunk settled; under [lock] *)
   (* Domain-local slot machinery (cold paths, own plain mutex so the
      profiled queue lock never sees it). *)
   aux_mu : Mutex.t;
   mutable cleanups : (int -> unit) list;  (* newest first; arg = domain id *)
   mutable teardown_exn : exn option;      (* first teardown failure, raised by [shutdown] *)
-}
-
-type stats = {
-  st_jobs : int;
-  st_worker_domains : int;
-  st_queued : int;
-  st_submitted : int;
-  st_completed : int;
 }
 
 (* Process-wide totals for the daemon's metrics: pools are transient
@@ -138,7 +129,6 @@ let create ?name ?jobs ?(oversubscribe = false) () =
       work = Condition.create ();
       stop = false;
       workers = [];
-      submitted = 0;
       completed = 0;
       aux_mu = Mutex.create ();
       cleanups = [];
@@ -152,20 +142,6 @@ let create ?name ?jobs ?(oversubscribe = false) () =
 
 let jobs t = t.n_jobs
 let domains t = t.n_domains
-
-let stats t =
-  Slif_obs.Lockprof.lock t.lock;
-  let s =
-    {
-      st_jobs = t.n_jobs;
-      st_worker_domains = List.length t.workers;
-      st_queued = Queue.length t.queue;
-      st_submitted = t.submitted;
-      st_completed = t.completed;
-    }
-  in
-  Slif_obs.Lockprof.unlock t.lock;
-  s
 
 let shutdown t =
   Slif_obs.Lockprof.lock t.lock;
@@ -279,10 +255,10 @@ let default_chunk ~jobs n =
     max 1 (min 64 ((n + (4 * jobs) - 1) / (4 * jobs)))
 
 (* Tasks never let an exception escape into the worker loop: the thunk
-   stores the outcome and the failure is re-raised from [mapi], picking
+   stores the outcome and the failure is re-raised from [map], picking
    the lowest submission index so the raised exception does not depend on
    scheduling. *)
-let mapi pool f tasks =
+let map pool f tasks =
   match tasks with
   | [] -> []
   | _ ->
@@ -309,7 +285,7 @@ let mapi pool f tasks =
         Slif_obs.Flight.with_causality ?trace:sub_trace
           ?parent:(if sub_span = 0 then None else Some sub_span)
           (fun () ->
-            match f i arr.(i) with
+            match f arr.(i) with
             | v -> results.(i) <- Some v
             | exception e -> failures.(i) <- Some e)
       in
@@ -341,16 +317,12 @@ let mapi pool f tasks =
       Slif_obs.Counter.add "pool.tasks" n;
       Atomic.fetch_and_add g_submitted n |> ignore;
       if pool.n_domains = 1 || n = 1 then begin
-        Slif_obs.Lockprof.lock pool.lock;
-        pool.submitted <- pool.submitted + n;
-        Slif_obs.Lockprof.unlock pool.lock;
         for i = 0 to n - 1 do
           thunk i ()
         done
       end
       else begin
         Slif_obs.Lockprof.lock pool.lock;
-        pool.submitted <- pool.submitted + n;
         for i = 0 to n - 1 do
           Queue.add (thunk i) pool.queue
         done;
@@ -376,8 +348,3 @@ let mapi pool f tasks =
           (float_of_int (Int64.to_int (Slif_obs.Clock.now_ns ()) - t_submit) /. 1e3);
       Array.iter (function Some e -> raise e | None -> ()) failures;
       Array.to_list (Array.map Option.get results)
-
-let map pool f tasks = mapi pool (fun _ x -> f x) tasks
-
-let map_seeded pool ~seed f tasks =
-  mapi pool (fun i task -> f (Prng.derive ~root:seed i) task) tasks

@@ -8,9 +8,9 @@
 
     - {!map} returns results in submission order, so the output of a sweep
       is bit-identical no matter how many domains execute it;
-    - {!map_seeded} hands every task a private {!Prng} derived from a root
-      seed and the task's submission index ({!Prng.derive}), never from
-      shared generator state, so random searches are a pure function of
+    - a random search gives every task a private {!Prng} derived from a
+      root seed and the task's index ({!Prng.derive}), never from shared
+      generator state, so its result is a pure function of
       (root seed, task index);
     - a pool of [jobs = 1] executes everything in the submitting domain —
       the serial and parallel code paths are the same code.
@@ -78,18 +78,6 @@ val shutdown : t -> unit
     pool must be idle.  If any slot teardown raised (on any domain), the
     first such exception — in registration order, so deterministic — is
     re-raised here after every domain has joined. *)
-
-type stats = {
-  st_jobs : int;  (** parallelism, including the submitter *)
-  st_worker_domains : int;  (** spawned domains still attached (jobs - 1, 0 after shutdown) *)
-  st_queued : int;  (** tasks sitting in the queue right now *)
-  st_submitted : int;  (** tasks ever handed to {!mapi} on this pool *)
-  st_completed : int;  (** tasks whose body has settled *)
-}
-
-val stats : t -> stats
-(** A consistent snapshot (taken under the queue lock).  Safe to call
-    concurrently with a running {!map}. *)
 
 type global_stats = {
   g_pools_created : int;
@@ -159,10 +147,3 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     the flight recorder on — records a [pool.queue_wait] span parented
     under the submitter's span, so a request's tree stays connected
     across the domain hop. *)
-
-val mapi : t -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** {!map} with the task's submission index. *)
-
-val map_seeded : t -> seed:int -> (Prng.t -> 'a -> 'b) -> 'a list -> 'b list
-(** [map_seeded pool ~seed f tasks] gives task [i] the private generator
-    [Prng.derive ~root:seed i].  Identical results for every [jobs]. *)

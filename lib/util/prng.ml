@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64 finalizer (Steele, Lea, Flood 2014). *)
 let mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -26,8 +24,6 @@ let float t bound =
   Int64.to_float bits53 /. 9007199254740992.0 *. bound
 
 let bool t = Int64.logand (next t) 1L = 1L
-
-let split t = { state = next t }
 
 (* Double-mix derivation: hashing both the root and the index through the
    finalizer puts stream [i] and stream [i+1] at unrelated points of the

@@ -8,8 +8,9 @@
 
     There is deliberately no module-level generator state: every stream
     lives in an explicit [t], owned by exactly one task.  Parallel sweeps
-    ({!Pool.map_seeded}) give task [i] the stream [derive ~root i], so the
-    draws a task sees are a pure function of [(root, i)] — independent of
+    ({!Pool.map} over task indices) give task [i] the stream
+    [derive ~root i], so the draws a task sees are a pure function of
+    [(root, i)] — independent of
     how many domains run the sweep, of scheduling order, and of every
     other task.
 
@@ -29,9 +30,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from [seed]. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val int : t -> int -> int
 (** [int t bound] draws a uniform integer in [0, bound).
     Raises [Invalid_argument] when [bound <= 0]. *)
@@ -42,12 +40,9 @@ val float : t -> float -> float
 val bool : t -> bool
 (** [bool t] draws a uniform boolean. *)
 
-val split : t -> t
-(** [split t] derives a new independent generator, advancing [t]. *)
-
 val derive : root:int -> int -> t
 (** [derive ~root index] is the private generator of task [index] under
-    root seed [root] (see the seed-derivation scheme above).  Unlike
-    {!split} it consults no shared state: any task can derive its own
-    stream from the pair alone.  Raises [Invalid_argument] when [index]
+    root seed [root] (see the seed-derivation scheme above).  It consults
+    no shared state: any task can derive its own stream from the pair
+    alone.  Raises [Invalid_argument] when [index]
     is negative. *)

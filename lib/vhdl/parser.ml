@@ -65,17 +65,21 @@ let int_lit st =
 
 (* --- Types ------------------------------------------------------------ *)
 
+(* [lo to hi] after [range]; an empty range is an error located at [lo]
+   (its width would be undefined). *)
+let int_range st =
+  let loc = current_loc st in
+  let lo = int_lit st in
+  eat_kw st Token.K_to;
+  let hi = int_lit st in
+  if hi < lo then Loc.error loc "empty integer range %d to %d" lo hi;
+  Int_range (lo, hi)
+
 let rec parse_type st =
   match current st with
   | Token.Keyword Token.K_integer ->
       advance st;
-      if accept_kw st Token.K_range then begin
-        let lo = int_lit st in
-        eat_kw st Token.K_to;
-        let hi = int_lit st in
-        Int_range (lo, hi)
-      end
-      else Integer
+      if accept_kw st Token.K_range then int_range st else Integer
   | Token.Keyword Token.K_natural ->
       advance st;
       Natural
@@ -121,12 +125,7 @@ and parse_type_def st =
     let lo = min a b and hi = max a b in
     Array_of { length = hi - lo + 1; lo; elem }
   end
-  else if accept_kw st Token.K_range then begin
-    let lo = int_lit st in
-    eat_kw st Token.K_to;
-    let hi = int_lit st in
-    Int_range (lo, hi)
-  end
+  else if accept_kw st Token.K_range then int_range st
   else parse_type st
 
 (* --- Expressions ------------------------------------------------------ *)

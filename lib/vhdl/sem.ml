@@ -89,9 +89,6 @@ let lookup env name =
   | Some k -> Some k
   | None -> Smap.find_opt name env.table.globals
 
-let lookup_exn env name =
-  match lookup env name with Some k -> k | None -> raise (Unbound name)
-
 let rec resolve t = function
   | Ast.Named n -> (
       match Smap.find_opt n t.types with
@@ -122,11 +119,6 @@ let storage_bits t ty =
   | Ast.Array_of { length; elem; _ } -> length * scalar_bits t elem
   | other -> scalar_bits t other
 
-let array_length t ty =
-  match resolve t ty with
-  | Ast.Array_of { length; _ } -> Some length
-  | _ -> None
-
 let is_function_name t name =
   match Smap.find_opt name t.globals with Some (Subprogram _) -> true | _ -> false
 
@@ -137,6 +129,3 @@ let params_bits t sub =
   List.fold_left (fun acc p -> acc + transfer_bits t p.Ast.par_type) ret_bits
     sub.Ast.sub_params
 
-let behavior_names t =
-  List.map (fun p -> p.Ast.proc_name) t.design.Ast.processes
-  @ List.map (fun s -> s.Ast.sub_name) t.design.Ast.subprograms

@@ -21,7 +21,7 @@ type env
     globals. *)
 
 exception Unbound of string
-(** Raised by [lookup_exn] and the width queries on an unknown name or
+(** Raised by the width queries on an unknown name or
     unresolvable named type. *)
 
 val build : Ast.design -> t
@@ -39,13 +39,8 @@ val global_env : t -> env
     subprograms. *)
 
 val lookup : env -> string -> kind option
-val lookup_exn : env -> string -> kind
-
 val resolve : t -> Ast.type_def -> Ast.type_def
 (** [resolve t ty] chases [Named] references to a concrete type. *)
-
-val scalar_bits : t -> Ast.type_def -> int
-(** Encoding width of a scalar type (arrays: width of the element type). *)
 
 val transfer_bits : t -> Ast.type_def -> int
 (** Bits moved by one access: scalar width for scalars; element width plus
@@ -53,9 +48,6 @@ val transfer_bits : t -> Ast.type_def -> int
 
 val storage_bits : t -> Ast.type_def -> int
 (** Total storage: arrays are length x element width. *)
-
-val array_length : t -> Ast.type_def -> int option
-(** [Some n] when the resolved type is an array of [n] elements. *)
 
 val is_function_name : t -> string -> bool
 (** True when the name is a declared function or procedure; used to
@@ -67,6 +59,3 @@ val params_bits : t -> Ast.subprogram -> int
     behavior.  Zero for a parameterless procedure (a pure control
     transfer). *)
 
-val behavior_names : t -> string list
-(** All behavior names: processes first, then subprograms, in declaration
-    order. *)

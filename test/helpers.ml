@@ -89,6 +89,31 @@ let all_on_cpu slif =
   Slif.Partition.assign_all_chans part ~bus:0;
   (s, part)
 
+(* Every assigned node as [(node id, component)] and every assigned
+   channel as [(channel id, bus id)], ascending by id. *)
+let assignments part =
+  let s = Slif.Partition.slif part in
+  List.filter_map
+    (fun (n : Slif.Types.node) ->
+      Option.map (fun c -> (n.n_id, c)) (Slif.Partition.comp_of part n.n_id))
+    (Array.to_list s.Slif.Types.nodes)
+
+let chan_assignments part =
+  let s = Slif.Partition.slif part in
+  List.filter_map
+    (fun (c : Slif.Types.channel) ->
+      Option.map (fun b -> (c.c_id, b)) (Slif.Partition.bus_of part c.c_id))
+    (Array.to_list s.Slif.Types.chans)
+
+(* Every node and channel assigned: {!Slif.Validate.check} names no
+   unassigned object. *)
+let is_total part =
+  List.for_all
+    (function
+      | Slif.Validate.Unassigned_node _ | Slif.Validate.Unassigned_chan _ -> false
+      | _ -> true)
+    (Slif.Validate.check part)
+
 (* --- Regression corpus ---------------------------------------------------
 
    [corpus/<name>.seed] stores one generator seed per line ('#' comments

@@ -2,27 +2,30 @@ open Slif_util
 
 let check_int = Alcotest.(check int)
 
+(* ceil(log2 n), seen through [address_bits] for n > 1. *)
 let test_clog2 () =
-  check_int "clog2 1" 0 (Bitmath.clog2 1);
-  check_int "clog2 2" 1 (Bitmath.clog2 2);
-  check_int "clog2 3" 2 (Bitmath.clog2 3);
-  check_int "clog2 4" 2 (Bitmath.clog2 4);
-  check_int "clog2 5" 3 (Bitmath.clog2 5);
-  check_int "clog2 128" 7 (Bitmath.clog2 128);
-  check_int "clog2 129" 8 (Bitmath.clog2 129);
-  check_int "clog2 1024" 10 (Bitmath.clog2 1024)
+  let clog2 n = Bitmath.address_bits ~length:n in
+  check_int "clog2 2" 1 (clog2 2);
+  check_int "clog2 3" 2 (clog2 3);
+  check_int "clog2 4" 2 (clog2 4);
+  check_int "clog2 5" 3 (clog2 5);
+  check_int "clog2 128" 7 (clog2 128);
+  check_int "clog2 129" 8 (clog2 129);
+  check_int "clog2 1024" 10 (clog2 1024)
 
 let test_clog2_invalid () =
-  Alcotest.check_raises "clog2 0" (Invalid_argument "Bitmath.clog2: non-positive argument")
-    (fun () -> ignore (Bitmath.clog2 0));
-  Alcotest.check_raises "clog2 -3" (Invalid_argument "Bitmath.clog2: non-positive argument")
-    (fun () -> ignore (Bitmath.clog2 (-3)))
+  Alcotest.check_raises "length 0" (Invalid_argument "Bitmath.address_bits")
+    (fun () -> ignore (Bitmath.address_bits ~length:0));
+  Alcotest.check_raises "length -3" (Invalid_argument "Bitmath.address_bits")
+    (fun () -> ignore (Bitmath.address_bits ~length:(-3)))
 
+(* The bits to tell n values apart, seen through [bits_for_range 0 (n-1)]. *)
 let test_bits_for_cardinality () =
-  check_int "1 value still needs a wire" 1 (Bitmath.bits_for_cardinality 1);
-  check_int "2 values" 1 (Bitmath.bits_for_cardinality 2);
-  check_int "256 values" 8 (Bitmath.bits_for_cardinality 256);
-  check_int "257 values" 9 (Bitmath.bits_for_cardinality 257)
+  let bits n = Bitmath.bits_for_range ~lo:0 ~hi:(n - 1) in
+  check_int "1 value still needs a wire" 1 (bits 1);
+  check_int "2 values" 1 (bits 2);
+  check_int "256 values" 8 (bits 256);
+  check_int "257 values" 9 (bits 257)
 
 let test_bits_for_range_unsigned () =
   check_int "0..255 is 8 bits" 8 (Bitmath.bits_for_range ~lo:0 ~hi:255);

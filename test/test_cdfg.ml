@@ -2,6 +2,17 @@
 
 let tiny_design = lazy (Vhdl.Parser.parse Helpers.tiny_source)
 
+(* The schedulable operation nodes, and the nodes feeding data into one. *)
+let op_nodes (g : Cdfg.Graph.t) =
+  Array.to_list g.nodes
+  |> List.filter (fun (n : Cdfg.Graph.node) ->
+         match n.kind with Cdfg.Graph.Op _ -> true | _ -> false)
+
+let data_predecessors (g : Cdfg.Graph.t) id =
+  Array.to_list g.edges
+  |> List.filter_map (fun (e : Cdfg.Graph.edge) ->
+         if e.e_dst = id && e.e_kind = Cdfg.Graph.Data then Some e.e_src else None)
+
 let test_cdfg_counts_small () =
   let g = Cdfg.Graph.of_design (Lazy.force tiny_design) in
   Alcotest.(check bool) "has nodes" true (Cdfg.Graph.node_count g > 5);
@@ -10,7 +21,7 @@ let test_cdfg_counts_small () =
 let test_cdfg_op_nodes () =
   let g = Cdfg.Graph.of_design (Lazy.force tiny_design) in
   (* helper computes v + 1: at least one Add op. *)
-  let ops = Cdfg.Graph.op_nodes g in
+  let ops = op_nodes g in
   Alcotest.(check bool) "has an add" true
     (List.exists
        (fun (n : Cdfg.Graph.node) -> n.kind = Cdfg.Graph.Op Tech.Optype.Add)
@@ -18,12 +29,12 @@ let test_cdfg_op_nodes () =
 
 let test_cdfg_data_preds () =
   let g = Cdfg.Graph.of_design (Lazy.force tiny_design) in
-  let ops = Cdfg.Graph.op_nodes g in
+  let ops = op_nodes g in
   List.iter
     (fun (n : Cdfg.Graph.node) ->
       match n.kind with
       | Cdfg.Graph.Op _ ->
-          let preds = Cdfg.Graph.data_predecessors g n.id in
+          let preds = data_predecessors g n.id in
           Alcotest.(check bool) "op has operands" true (preds <> []);
           List.iter
             (fun p -> Alcotest.(check bool) "topological ids" true (p < n.id))

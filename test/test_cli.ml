@@ -375,6 +375,37 @@ let test_source_errors_located () =
     check "9999" "99999999999999999999" "integer literal out of range"
   end
 
+(* vol with one range's bounds swapped: a located diagnostic and exit 1,
+   not an uncaught exception from the bit-width arithmetic. *)
+let test_empty_range_located () =
+  if not (Lazy.force available) then ()
+  else begin
+    let source = (Option.get (Specs.Registry.find "vol")).Specs.Registry.source in
+    let good = "range 0 to 1023" and bad = "range 1023 to 0" in
+    let n = String.length good in
+    let rec find i = if String.sub source i n = good then i else find (i + 1) in
+    let at = find 0 in
+    let edited =
+      String.sub source 0 at ^ bad ^ String.sub source (at + n) (String.length source - at - n)
+    in
+    (* Line and column of the range's lower bound. *)
+    let lo = at + String.length "range " in
+    let line = ref 1 and bol = ref 0 in
+    String.iteri (fun i c -> if i < lo && c = '\n' then (incr line; bol := i + 1)) source;
+    let tmp = Filename.temp_file "slif" ".vhd" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove tmp)
+      (fun () ->
+        let oc = open_out_bin tmp in
+        output_string oc edited;
+        close_out oc;
+        let code, text = run_cli (Printf.sprintf "build -f %s" tmp) in
+        Alcotest.(check int) "exit" 1 code;
+        Alcotest.(check string) "diagnostic"
+          (Printf.sprintf "slif: %d:%d: empty integer range 1023 to 0\n" !line (lo - !bol + 1))
+          text)
+  end
+
 let suite =
   [
     Alcotest.test_case "figure4 runs" `Slow test_figure4;
@@ -401,4 +432,5 @@ let suite =
     Alcotest.test_case "--trace keeps span args and counter tracks" `Slow
       test_trace_args_and_counters;
     Alcotest.test_case "source errors are located, never raw" `Slow test_source_errors_located;
+    Alcotest.test_case "empty integer range is a located error" `Slow test_empty_range_located;
   ]

@@ -26,20 +26,23 @@ let spec_names =
 
 (* --- Obs.Family ------------------------------------------------------------- *)
 
+(* One series' value as the exporters read it; zero when never fired. *)
+let family_get f v = Option.value ~default:0 (List.assoc_opt v (Slif_obs.Family.snapshot f))
+
 let test_family_counters () =
   let f = Slif_obs.Family.create "test.family.battery" ~label:"who" in
-  let before = Slif_obs.Family.get f "a" in
+  let before = family_get f "a" in
   Slif_obs.Family.incr f "a";
   Slif_obs.Family.incr f "a" ~by:2;
   Slif_obs.Family.incr f "b";
-  Alcotest.(check int) "series a" (before + 3) (Slif_obs.Family.get f "a");
+  Alcotest.(check int) "series a" (before + 3) (family_get f "a");
   Alcotest.(check int) "absent series reads zero" 0
-    (Slif_obs.Family.get f "never-fired");
+    (family_get f "never-fired");
   (* Re-creating the same name returns the same family... *)
   let f' = Slif_obs.Family.create "test.family.battery" ~label:"who" in
   Slif_obs.Family.incr f' "a";
   Alcotest.(check int) "idempotent create shares series" (before + 4)
-    (Slif_obs.Family.get f "a");
+    (family_get f "a");
   (* ...but never with a different label dimension. *)
   match Slif_obs.Family.create "test.family.battery" ~label:"other" with
   | _ -> Alcotest.fail "label mismatch accepted"
@@ -62,27 +65,36 @@ let test_family_exact_across_domains () =
       Alcotest.(check int)
         (Printf.sprintf "domain %d series exact" d)
         per_domain
-        (Slif_obs.Family.get f (string_of_int d)))
+        (family_get f (string_of_int d)))
     [ 0; 1; 2; 3 ];
   Alcotest.(check int) "contended series exact" (4 * per_domain)
-    (Slif_obs.Family.get f "shared")
+    (family_get f "shared")
 
 (* --- Sharded LRU ------------------------------------------------------------ *)
+
+let stat_sum f l = List.fold_left (fun acc s -> acc + f s) 0 (Lru.Sharded.shard_stats l)
+let size = stat_sum (fun s -> s.Lru.Sharded.sh_size)
+
+(* The shard a key lands in, read off a fresh cache's per-shard sizes. *)
+let shard_of ~shards key =
+  let l = Lru.Sharded.create ~shards ~capacity:shards () in
+  Lru.Sharded.add l key ();
+  (List.find (fun s -> s.Lru.Sharded.sh_size = 1) (Lru.Sharded.shard_stats l)).sh_index
 
 let test_sharded_routing_deterministic () =
   let l = Lru.Sharded.create ~shards:8 ~capacity:16 () in
   let keys = List.init 64 (fun i -> Printf.sprintf "key-%d" i) in
-  let first = List.map (Lru.Sharded.shard_of_key l) keys in
+  let first = List.map (shard_of ~shards:8) keys in
   List.iteri
     (fun i k ->
-      Alcotest.(check int) "routing stable" (List.nth first i)
-        (Lru.Sharded.shard_of_key l k);
+      Alcotest.(check int) "routing stable" (List.nth first i) (shard_of ~shards:8 k);
       Alcotest.(check bool) "routing in range" true
-        (let s = Lru.Sharded.shard_of_key l k in
+        (let s = shard_of ~shards:8 k in
          s >= 0 && s < 8))
     keys;
-  Alcotest.(check int) "shards" 8 (Lru.Sharded.shards l);
-  Alcotest.(check int) "capacity rounded over shards" 16 (Lru.Sharded.capacity l)
+  Alcotest.(check int) "shards" 8 (List.length (Lru.Sharded.shard_stats l));
+  Alcotest.(check int) "capacity rounded over shards" 16
+    (stat_sum (fun s -> s.Lru.Sharded.sh_capacity) l)
 
 (* Eviction happens within the key's shard only: filling one shard far
    past its share never evicts another shard's resident entry. *)
@@ -90,11 +102,11 @@ let test_sharded_no_cross_shard_eviction () =
   let l = Lru.Sharded.create ~shards:4 ~capacity:4 () in
   (* Find a witness key, then flood keys routed to *other* shards. *)
   let witness = "witness" in
-  let ws = Lru.Sharded.shard_of_key l witness in
+  let ws = shard_of ~shards:4 witness in
   Lru.Sharded.add l witness 42;
   let flood =
     List.filter
-      (fun k -> Lru.Sharded.shard_of_key l k <> ws)
+      (fun k -> shard_of ~shards:4 k <> ws)
       (List.init 200 (fun i -> Printf.sprintf "flood-%d" i))
   in
   List.iteri (fun i k -> Lru.Sharded.add l k i) flood;
@@ -120,7 +132,7 @@ let test_sharded_touch_and_reinsert () =
   Alcotest.(check (option int)) "a kept" (Some 1) (Lru.Sharded.find l "a");
   Lru.Sharded.add l "a" 9;
   Alcotest.(check (option int)) "re-insert replaces" (Some 9) (Lru.Sharded.find l "a");
-  Alcotest.(check int) "no duplicate" 2 (Lru.Sharded.size l)
+  Alcotest.(check int) "no duplicate" 2 (size l)
 
 let test_sharded_capacity_one () =
   let l = Lru.Sharded.create ~shards:1 ~capacity:1 () in
@@ -128,7 +140,7 @@ let test_sharded_capacity_one () =
   Lru.Sharded.add l "b" 2;
   Alcotest.(check (option int)) "a evicted" None (Lru.Sharded.find l "a");
   Alcotest.(check (option int)) "b resident" (Some 2) (Lru.Sharded.find l "b");
-  Alcotest.(check int) "size one" 1 (Lru.Sharded.size l)
+  Alcotest.(check int) "size one" 1 (size l)
 
 let test_sharded_rejects_bad_args () =
   (match Lru.Sharded.create ~shards:0 ~capacity:4 () with
@@ -147,7 +159,9 @@ let test_sharded_concurrent_hammer () =
   let l =
     Lru.Sharded.create ~shards:8 ~capacity:(domains * keys_per_domain * 8) ()
   in
-  let h0 = Lru.Sharded.hits l and m0 = Lru.Sharded.misses l in
+  let hits = stat_sum (fun s -> s.Lru.Sharded.sh_hits)
+  and misses = stat_sum (fun s -> s.Lru.Sharded.sh_misses) in
+  let h0 = hits l and m0 = misses l in
   let worker d () =
     let keys =
       Array.init keys_per_domain (fun k -> Printf.sprintf "d%d-k%d" d k)
@@ -172,12 +186,12 @@ let test_sharded_concurrent_hammer () =
   let bad = List.fold_left (fun acc d -> acc + Domain.join d) 0 doms in
   Alcotest.(check int) "every lookup saw its own domain's value" 0 bad;
   Alcotest.(check int) "misses exact" (domains * keys_per_domain)
-    (Lru.Sharded.misses l - m0);
+    (misses l - m0);
   Alcotest.(check int) "hits exact"
     (domains * keys_per_domain * rounds)
-    (Lru.Sharded.hits l - h0);
+    (hits l - h0);
   Alcotest.(check int) "nothing evicted" (domains * keys_per_domain)
-    (Lru.Sharded.size l)
+    (size l)
 
 (* --- Batch edges ------------------------------------------------------------ *)
 

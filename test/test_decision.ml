@@ -64,7 +64,7 @@ let test_survives_rebuild () =
       (Specsyn.Alloc.proc_asic ())
   in
   let part' = Slif.Decision.of_string fresh text in
-  Alcotest.(check bool) "total on the fresh build" true (Slif.Partition.is_total part');
+  Alcotest.(check bool) "total on the fresh build" true (Helpers.is_total part');
   match Slif.Types.node_by_name fresh "convolve" with
   | Some n ->
       Alcotest.(check bool) "convolve still on the asic" true
@@ -96,7 +96,7 @@ let test_partial_decisions_allowed () =
   let part = Slif.Decision.of_string s "map fuzzymain proc cpu\n" in
   Alcotest.(check bool) "one node assigned" true
     (Slif.Partition.comp_of part 0 <> None || Slif.Partition.comp_of part 1 <> None);
-  Alcotest.(check bool) "not total" false (Slif.Partition.is_total part)
+  Alcotest.(check bool) "not total" false (Helpers.is_total part)
 
 let suite =
   [

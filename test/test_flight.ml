@@ -9,6 +9,9 @@
 module Obs = Slif_obs
 module Flight = Obs.Flight
 
+(* The per-domain ring size a process starts with. *)
+let default_capacity = 4096
+
 let with_fresh f =
   Flight.reset ();
   Fun.protect ~finally:Flight.reset f
@@ -41,7 +44,7 @@ let test_record_and_snapshot () =
 
 let test_ring_wrap_drops () =
   with_fresh @@ fun () ->
-  let cap = Flight.default_capacity in
+  let cap = default_capacity in
   for i = 1 to cap + 100 do
     Flight.record_span ~id:i ~parent:0 ~name:"flight.wrap" ~t0_ns:i ~dur_ns:1 ()
   done;
@@ -74,7 +77,7 @@ let test_disable_enable () =
 let test_set_capacity () =
   with_fresh @@ fun () ->
   Flight.set_capacity 8;
-  Fun.protect ~finally:(fun () -> Flight.set_capacity Flight.default_capacity)
+  Fun.protect ~finally:(fun () -> Flight.set_capacity default_capacity)
   @@ fun () ->
   for i = 1 to 20 do
     Flight.record_span ~id:i ~parent:0 ~name:"flight.cap" ~t0_ns:i ~dur_ns:1 ()

@@ -51,20 +51,6 @@ let test_out_in_chans () =
   Alcotest.(check int) "v has two in-channels" 2 (List.length (Slif.Graph.in_chans g 3));
   Alcotest.(check int) "a has none in" 0 (List.length (Slif.Graph.in_chans g 0))
 
-let test_callers_callees () =
-  let g = chain () in
-  Alcotest.(check (list int)) "a calls b" [ 1 ] (Slif.Graph.callees g 0);
-  Alcotest.(check (list int)) "b called by a" [ 0 ] (Slif.Graph.callers g 1);
-  Alcotest.(check (list int)) "variable accesses are not calls" []
-    (Slif.Graph.callers g 3)
-
-let test_reachability () =
-  let g = chain () in
-  Alcotest.(check (list int)) "a reaches everything" [ 0; 1; 2; 3 ]
-    (List.sort compare (Slif.Graph.reachable_from g 0));
-  Alcotest.(check (list int)) "c reaches only itself and v" [ 2; 3 ]
-    (List.sort compare (Slif.Graph.reachable_from g 2))
-
 let test_transitive_callers () =
   let g = chain () in
   (* Moving v invalidates c (direct), b (calls c), a (calls b, accesses v). *)
@@ -144,8 +130,6 @@ let test_channel_order_preserved () =
 let suite =
   [
     Alcotest.test_case "out/in channels" `Quick test_out_in_chans;
-    Alcotest.test_case "callers and callees" `Quick test_callers_callees;
-    Alcotest.test_case "reachability" `Quick test_reachability;
     Alcotest.test_case "transitive callers" `Quick test_transitive_callers;
     Alcotest.test_case "chain acyclic" `Quick test_no_cycle_on_chain;
     Alcotest.test_case "call cycle detected" `Quick test_cycle_detection;

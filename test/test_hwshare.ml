@@ -18,14 +18,11 @@ let move_to_asic s part names =
     names
 
 let test_demands_cover_custom_techs () =
-  let _, _, _, demands = setup () in
-  (match Slif.Hwshare.behavior_fu_area demands ~tech:"asic_gal" "convolve" with
-  | Some area -> Alcotest.(check bool) "positive unit area" true (area > 0.0)
-  | None -> Alcotest.fail "convolve demand missing");
-  Alcotest.(check (option (float 1e-9))) "no demand on a cpu tech" None
-    (Slif.Hwshare.behavior_fu_area demands ~tech:"cpu32" "convolve");
-  Alcotest.(check (option (float 1e-9))) "unknown behavior" None
-    (Slif.Hwshare.behavior_fu_area demands ~tech:"asic_gal" "ghost")
+  let s, graph, part, demands = setup () in
+  move_to_asic s part [ "convolve" ];
+  let est = Specsyn.Search.estimator graph part in
+  Alcotest.(check bool) "positive shared area on the gate array" true
+    (Slif.Hwshare.size est demands (Slif.Partition.Cproc 1) > 0.0)
 
 let test_single_behavior_equals_naive () =
   let s, graph, part, demands = setup () in
@@ -45,9 +42,7 @@ let test_sharing_never_exceeds_naive () =
   (* These behaviors all use adders/multipliers: real sharing occurs. *)
   Alcotest.(check bool)
     (Printf.sprintf "strict saving (%.0f < %.0f)" shared naive)
-    true (shared < naive);
-  Alcotest.(check (float 1e-6)) "saving consistency" (naive -. shared)
-    (Slif.Hwshare.sharing_saving est demands (Slif.Partition.Cproc 1))
+    true (shared < naive)
 
 let test_monotone_in_members () =
   let s, graph, part, demands = setup () in

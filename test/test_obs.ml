@@ -283,7 +283,7 @@ let test_event_cap () =
   (with_fresh @@ fun () ->
    Obs.Registry.set_max_events 3;
    Fun.protect
-     ~finally:(fun () -> Obs.Flight.set_capacity Obs.Flight.default_capacity)
+     ~finally:(fun () -> Obs.Flight.set_capacity 4096 (* the default *))
      (fun () ->
        for _ = 1 to 5 do
          Obs.Span.with_ "spam" (fun () -> ())
@@ -375,14 +375,15 @@ let test_snapshot_full_pairs () =
 
 let test_standalone_histogram () =
   let h = Obs.Histogram.create () in
-  Alcotest.(check bool) "empty quantile is nan" true (Float.is_nan (Obs.Histogram.quantile h 0.5));
+  Alcotest.(check bool) "empty quantile is nan" true
+    (Float.is_nan (Obs.Histogram.quantile_summary h).q_p50);
   for v = 1 to 100 do
     Obs.Histogram.record h (float_of_int v)
   done;
   Alcotest.(check int) "count" 100 (Obs.Histogram.count h);
   Alcotest.(check (float 1e-9)) "sum" 5050.0 (Obs.Histogram.sum h);
-  check_close "standalone p50" 50.0 (Obs.Histogram.quantile h 0.5);
   let q = Obs.Histogram.quantile_summary h in
+  check_close "standalone p50" 50.0 q.q_p50;
   Alcotest.(check (float 1e-9)) "exact max" 100.0 q.q_max;
   (* Works with the registry disabled — it is daemon telemetry, not a
      registry probe. *)
@@ -407,7 +408,6 @@ let test_window_exact_and_wraparound () =
       (* Remaining values are 30,40,50,60: the exact p50 must sit inside. *)
       Alcotest.(check bool) "p50 from survivors" true (q.q_p50 >= 30.0 && q.q_p50 <= 60.0)
   | None -> Alcotest.fail "window lost its contents");
-  Alcotest.(check int) "size capped" 4 (Obs.Histogram.window_size w);
   match Obs.Histogram.window ~capacity:0 () with
   | _ -> Alcotest.fail "capacity 0 accepted"
   | exception Invalid_argument _ -> ()
@@ -461,8 +461,6 @@ let test_event_sampling () =
       Obs.Event.close_log ();
       let events = read_jsonl path in
       Alcotest.(check int) "1-in-3 of 9 plus the warning" 4 (List.length events);
-      Alcotest.(check int) "emitted counter" 4 (Obs.Event.emitted ());
-      Alcotest.(check int) "sampled-out counter" 6 (Obs.Event.sampled_out ());
       match Obs.Event.set_sample 0 with
       | () -> Alcotest.fail "sample 0 accepted"
       | exception Invalid_argument _ -> ())
@@ -481,11 +479,20 @@ let test_event_trace_id () =
       | events -> Alcotest.failf "expected 2 events, got %d" (List.length events))
 
 let test_event_disabled_is_noop () =
-  (* No sink: emit must be free and counters must not move. *)
+  (* No sink: emit writes nothing, and nothing is held back for the next
+     sink to flush. *)
   Obs.Event.close_log ();
-  let before = Obs.Event.emitted () in
   Obs.Event.emit "nobody.listening";
-  Alcotest.(check int) "nothing recorded" before (Obs.Event.emitted ())
+  with_event_log (fun path ->
+      Obs.Event.emit "listening";
+      Obs.Event.close_log ();
+      Alcotest.(check (list string)) "only the event emitted with a sink" [ "listening" ]
+        (List.map
+           (fun e ->
+             match Obs.Json.member "event" e with
+             | Some (Obs.Json.String s) -> s
+             | _ -> "?")
+           (read_jsonl path)))
 
 (* --- Span trace ids -------------------------------------------------------- *)
 

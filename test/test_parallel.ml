@@ -43,10 +43,12 @@ let test_pool_exception_deterministic () =
                (fun i -> if i mod 3 = 1 then failwith (Printf.sprintf "task %d" i) else i)
                (List.init 20 Fun.id))))
 
-let test_pool_map_seeded_jobs_invariant () =
+let test_pool_derived_streams_jobs_invariant () =
   let draws pool =
-    Pool.map_seeded pool ~seed:42
-      (fun rng _ -> List.init 5 (fun _ -> Prng.int rng 1_000_000))
+    Pool.map pool
+      (fun i ->
+        let rng = Prng.derive ~root:42 i in
+        List.init 5 (fun _ -> Prng.int rng 1_000_000))
       (List.init 16 Fun.id)
   in
   let serial = Pool.with_pool ~jobs:1 draws in
@@ -538,8 +540,8 @@ let suite =
     Alcotest.test_case "pool rejects jobs < 1" `Quick test_pool_rejects_bad_jobs;
     Alcotest.test_case "pool failure is deterministic" `Quick
       test_pool_exception_deterministic;
-    Alcotest.test_case "map_seeded streams are jobs-invariant" `Quick
-      test_pool_map_seeded_jobs_invariant;
+    Alcotest.test_case "derived streams are jobs-invariant" `Quick
+      test_pool_derived_streams_jobs_invariant;
     Alcotest.test_case "prng derive yields disjoint streams" `Quick
       test_prng_derive_streams;
     Alcotest.test_case "pool caps domains to the hardware" `Quick test_pool_domain_cap;

@@ -255,6 +255,31 @@ let test_first_error_in_source_order_wins () =
     "1:8: illegal character '$'"
     (error_at "entity $ is\n  port (a : in integer;);\nend e;\n")
 
+(* A range with its bounds swapped is empty; both range sites (a
+   subtype and a [type ... is range] definition) reject it at the lower
+   bound. *)
+let test_empty_range_rejected () =
+  let error_at src =
+    match Parser.parse src with
+    | exception Loc.Error (loc, msg) -> Loc.to_string loc ^ ": " ^ msg
+    | _ -> Alcotest.failf "no error in %S" src
+  in
+  Alcotest.(check string) "subtype range"
+    "2:30: empty integer range 1023 to 0"
+    (error_at "entity e is\n  port (a : in integer range 1023 to 0);\nend e;\n");
+  Alcotest.(check string) "type definition"
+    "3:19: empty integer range 9 to -1"
+    (error_at
+       ("entity e is end e;\narchitecture a of e is\n"
+       ^ "  type t is range 9 to -1;\nbegin\nend a;\n"));
+  match
+    Parser.parse
+      ("entity e is\n  port (a : in integer range 5 to 5);\nend e;\n"
+      ^ "architecture b of e is\nbegin\nend b;\n")
+  with
+  | _ -> ()
+  | exception Loc.Error (_, msg) -> Alcotest.failf "one-value range rejected: %s" msg
+
 let suite =
   [
     Alcotest.test_case "arithmetic precedence" `Quick test_precedence_arith;
@@ -282,4 +307,5 @@ let suite =
       test_parse_minor_words_per_token;
     Alcotest.test_case "first error in source order wins" `Quick
       test_first_error_in_source_order_wins;
+    Alcotest.test_case "empty integer range rejected" `Quick test_empty_range_rejected;
   ]

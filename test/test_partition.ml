@@ -4,9 +4,9 @@ let fixture () = Helpers.all_on_cpu (Lazy.force Helpers.tiny_slif)
 
 let test_totality () =
   let s, part = fixture () in
-  Alcotest.(check bool) "total" true (Slif.Partition.is_total part);
+  Alcotest.(check bool) "total" true (Helpers.is_total part);
   let fresh = Slif.Partition.create s in
-  Alcotest.(check bool) "fresh is not total" false (Slif.Partition.is_total fresh)
+  Alcotest.(check bool) "fresh is not total" false (Helpers.is_total fresh)
 
 let test_version_bumps () =
   let _, part = fixture () in
@@ -56,22 +56,18 @@ let test_same_component () =
     |> List.find (fun (c : Slif.Types.channel) ->
            match c.c_dst with Slif.Types.Dnode _ -> true | Slif.Types.Dport _ -> false)
   in
-  Alcotest.(check bool) "co-located" true
-    (Slif.Partition.same_component part chan.c_src chan.c_dst);
-  (match chan.c_dst with
+  match chan.c_dst with
   | Slif.Types.Dnode d ->
+      Alcotest.(check bool) "co-located" true
+        (Slif.Partition.same_component_nodes part chan.c_src d);
       Slif.Partition.assign_node part ~node:d (Slif.Partition.Cproc 1);
       Alcotest.(check bool) "split" false
-        (Slif.Partition.same_component part chan.c_src chan.c_dst)
-  | Slif.Types.Dport _ -> Alcotest.fail "expected a node destination");
-  (* Ports are never on a component. *)
-  let port_chan =
-    Array.to_list s.Slif.Types.chans
-    |> List.find (fun (c : Slif.Types.channel) ->
-           match c.c_dst with Slif.Types.Dport _ -> true | _ -> false)
-  in
-  Alcotest.(check bool) "port never co-located" false
-    (Slif.Partition.same_component part port_chan.c_src port_chan.c_dst)
+        (Slif.Partition.same_component_nodes part chan.c_src d);
+      (* An unassigned node is on no component. *)
+      let fresh = Slif.Partition.create s in
+      Alcotest.(check bool) "unassigned never co-located" false
+        (Slif.Partition.same_component_nodes fresh chan.c_src d)
+  | Slif.Types.Dport _ -> Alcotest.fail "expected a node destination"
 
 let test_validate_proper () =
   let _, part = fixture () in
@@ -163,20 +159,17 @@ let test_enumerations () =
   let s = Helpers.proc_asic_components (Lazy.force Helpers.tiny_slif) in
   let part = Slif.Partition.create s in
   let n_chans = Array.length s.Slif.Types.chans in
-  Alcotest.(check (list (pair int comp))) "nothing assigned" [] (Slif.Partition.assignments part);
+  Alcotest.(check (list (pair int comp))) "nothing assigned" [] (Helpers.assignments part);
   Slif.Partition.assign_node part ~node:2 (Slif.Partition.Cmem 0);
   Slif.Partition.assign_node part ~node:0 (Slif.Partition.Cproc 1);
   Slif.Partition.assign_chan part ~chan:(n_chans - 1) ~bus:0;
   Alcotest.(check (list (pair int comp)))
     "assignments ascend by node id"
     [ (0, Slif.Partition.Cproc 1); (2, Slif.Partition.Cmem 0) ]
-    (Slif.Partition.assignments part);
+    (Helpers.assignments part);
   Alcotest.(check (list (pair int int)))
-    "chan_assignments" [ (n_chans - 1, 0) ] (Slif.Partition.chan_assignments part);
-  Alcotest.(check (list int)) "chans_of_bus" [ n_chans - 1 ] (Slif.Partition.chans_of_bus part 0);
-  Alcotest.(check (list int)) "chans_of_bus, no such bus" [] (Slif.Partition.chans_of_bus part 7);
-  Alcotest.(check (list int)) "chans_of_bus, negative" [] (Slif.Partition.chans_of_bus part (-1));
-  Alcotest.(check bool) "partial" false (Slif.Partition.is_total part);
+    "chan_assignments" [ (n_chans - 1, 0) ] (Helpers.chan_assignments part);
+  Alcotest.(check bool) "partial" false (Helpers.is_total part);
   Alcotest.(check int) "comp_index" (-1) (Slif.Partition.comp_index part 1);
   Alcotest.(check int) "memory index follows the processors" 2
     (Slif.Partition.comp_index part 2);
@@ -184,16 +177,15 @@ let test_enumerations () =
     (Slif.Partition.index_of_comp part (Slif.Partition.Cmem 0));
   Alcotest.(check int) "index_of_comp, no such memory" (-1)
     (Slif.Partition.index_of_comp part (Slif.Partition.Cmem 1));
-  Slif.Partition.unassign_node part ~node:2;
-  Alcotest.(check (list int)) "unassigned" [ 0 ]
-    (List.map fst (Slif.Partition.assignments part));
   Array.iteri
     (fun i _ -> Slif.Partition.assign_node part ~node:i (Slif.Partition.Cproc 0))
     s.Slif.Types.nodes;
   Slif.Partition.assign_all_chans part ~bus:0;
-  Alcotest.(check bool) "total" true (Slif.Partition.is_total part);
-  Alcotest.(check (list int))
-    "every channel on bus 0" (List.init n_chans Fun.id) (Slif.Partition.chans_of_bus part 0)
+  Alcotest.(check bool) "total" true (Helpers.is_total part);
+  Alcotest.(check (list (pair int int)))
+    "every channel on bus 0"
+    (List.init n_chans (fun c -> (c, 0)))
+    (Helpers.chan_assignments part)
 
 let test_copy_and_restore () =
   let _, part = fixture () in

@@ -28,6 +28,9 @@ let with_profiling f =
       Obs.Gcprof.reset ())
     f
 
+(* The merged row of the profiled locks named [name]. *)
+let lock_stat name = List.find (fun s -> s.Obs.Lockprof.s_name = name) (Obs.Lockprof.all ())
+
 (* --- Pool stats ---------------------------------------------------------- *)
 
 let test_pool_stats_lifecycle () =
@@ -35,26 +38,19 @@ let test_pool_stats_lifecycle () =
   (* Oversubscribed on purpose: the lifecycle assertions count worker
      domains, which the hardware cap would reduce on a small machine. *)
   let pool = Pool.create ~jobs:4 ~oversubscribe:true () in
-  let s = Pool.stats pool in
-  Alcotest.(check int) "jobs" 4 s.Pool.st_jobs;
-  Alcotest.(check int) "workers" 3 s.Pool.st_worker_domains;
-  Alcotest.(check int) "fresh: queued" 0 s.Pool.st_queued;
-  Alcotest.(check int) "fresh: submitted" 0 s.Pool.st_submitted;
-  Alcotest.(check int) "fresh: completed" 0 s.Pool.st_completed;
+  Alcotest.(check int) "jobs" 4 (Pool.jobs pool);
+  Alcotest.(check int) "domains" 4 (Pool.domains pool);
+  let g = Pool.global_stats () in
+  Alcotest.(check int) "fresh: live +1" (g0.Pool.g_pools_live + 1) g.Pool.g_pools_live;
+  Alcotest.(check int) "fresh: submitted" g0.Pool.g_tasks_submitted g.Pool.g_tasks_submitted;
   (* More domains than tasks: the extra workers must stay parked without
      disturbing the count or the order. *)
   Alcotest.(check (list int)) "jobs > tasks" [ 10; 20 ]
     (Pool.map pool (fun x -> 10 * x) [ 1; 2 ]);
   (* The empty task list settles immediately. *)
   Alcotest.(check (list int)) "empty task list" [] (Pool.map pool Fun.id []);
-  let s = Pool.stats pool in
-  Alcotest.(check int) "after: queued" 0 s.Pool.st_queued;
-  Alcotest.(check int) "after: submitted" 2 s.Pool.st_submitted;
-  Alcotest.(check int) "after: completed" 2 s.Pool.st_completed;
   Pool.shutdown pool;
   Pool.shutdown pool;
-  let s = Pool.stats pool in
-  Alcotest.(check int) "shutdown: workers" 0 s.Pool.st_worker_domains;
   let g1 = Pool.global_stats () in
   Alcotest.(check int) "global: pools +1" (g0.Pool.g_pools_created + 1)
     g1.Pool.g_pools_created;
@@ -67,12 +63,15 @@ let test_pool_stats_lifecycle () =
 
 let test_pool_stats_serial () =
   (* The jobs=1 inline path must feed the same counters. *)
+  let g0 = Pool.global_stats () in
   Pool.with_pool ~jobs:1 (fun pool ->
       ignore (Pool.map pool Fun.id [ 1; 2; 3 ]);
-      let s = Pool.stats pool in
-      Alcotest.(check int) "serial: submitted" 3 s.Pool.st_submitted;
-      Alcotest.(check int) "serial: completed" 3 s.Pool.st_completed;
-      Alcotest.(check int) "serial: workers" 0 s.Pool.st_worker_domains)
+      Alcotest.(check int) "serial: one domain" 1 (Pool.domains pool));
+  let g1 = Pool.global_stats () in
+  Alcotest.(check int) "serial: submitted +3" (g0.Pool.g_tasks_submitted + 3)
+    g1.Pool.g_tasks_submitted;
+  Alcotest.(check int) "serial: completed +3" (g0.Pool.g_tasks_completed + 3)
+    g1.Pool.g_tasks_completed
 
 (* --- Lockprof under contention ------------------------------------------- *)
 
@@ -108,7 +107,7 @@ let test_lockprof_contention () =
     body ();
     List.iter Domain.join spawned;
     Alcotest.(check int) "mutex still excludes" (domains * iters) !counter;
-    let s = Obs.Lockprof.stats lk in
+    let s = lock_stat "test.contended" in
     Alcotest.(check int) "every acquisition counted" (domains * iters)
       s.Obs.Lockprof.acquisitions;
     Alcotest.(check int) "wait recorded per acquisition" (domains * iters)
@@ -156,7 +155,7 @@ let test_lockprof_wait_excludes_park () =
   Condition.broadcast cond;
   Obs.Lockprof.unlock lk;
   Domain.join waiter;
-  let s = Obs.Lockprof.stats lk in
+  let s = lock_stat "test.parked" in
   Alcotest.(check bool) "hold segments closed around the park" true
     (s.Obs.Lockprof.hold_us.Obs.Histogram.count >= 3);
   Alcotest.(check bool)
@@ -223,9 +222,7 @@ let test_attribution_covers_wall () =
       ignore (Pool.map pool (fun _ -> spin_ms 5.0) (List.init 32 Fun.id)));
   let r = Obs.Attribution.report () in
   Alcotest.(check bool) "wall measured" true (r.Obs.Attribution.total_wall_us > 0.0);
-  Alcotest.(check int) "all categories present"
-    (List.length Obs.Attribution.categories)
-    (List.length r.Obs.Attribution.totals);
+  Alcotest.(check int) "all six categories present" 6 (List.length r.Obs.Attribution.totals);
   let task_run = List.assoc Obs.Attribution.Task_run r.Obs.Attribution.totals in
   Alcotest.(check bool) "task-run dominates" true
     (task_run > 0.5 *. r.Obs.Attribution.total_wall_us);
@@ -294,7 +291,10 @@ let test_profiler_differential () =
   (* The profiler leaves every switch off. *)
   Alcotest.(check bool) "registry off after run" false (Obs.Registry.on ());
   Alcotest.(check bool) "attribution off after run" false (Obs.Attribution.on ());
-  Alcotest.(check bool) "lockprof off after run" false (Obs.Lockprof.on ());
+  (let lk = Obs.Lockprof.create "test.after_run" in
+   Obs.Lockprof.with_lock lk ignore;
+   Obs.Lockprof.release lk;
+   Alcotest.(check int) "lockprof off after run" 0 (lock_stat "test.after_run").acquisitions);
   (* JSON surface sanity. *)
   let json = Obs.Json.to_string (Specsyn.Profiler.to_json t) in
   (match Obs.Json.parse json with

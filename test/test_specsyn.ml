@@ -61,6 +61,11 @@ let test_cost_deadline_violation () =
   let b2 = Specsyn.Cost.evaluate ~constraints:loose est in
   checkf "loose deadline costs nothing" 0.0 b2.Specsyn.Cost.time_violation
 
+(* The problem's cost of a partition, scored on a fresh estimator. *)
+let seed_cost (problem : Specsyn.Search.problem) part =
+  Specsyn.Cost.total ~weights:problem.weights ~constraints:problem.constraints
+    (Specsyn.Search.estimator problem.graph part)
+
 let solution_is_proper (sol : Specsyn.Search.solution) =
   Slif.Validate.is_proper sol.Specsyn.Search.part
 
@@ -80,9 +85,7 @@ let test_greedy_no_worse_than_seed () =
   let _, problem = problem_for (Specsyn.Alloc.proc_asic ()) in
   let s = Slif.Graph.slif problem.Specsyn.Search.graph in
   let seed = Specsyn.Search.seed_partition s in
-  let seed_cost =
-    Specsyn.Search.evaluate problem (Specsyn.Search.estimator problem.Specsyn.Search.graph seed)
-  in
+  let seed_cost = seed_cost problem seed in
   let sol = Specsyn.Greedy.run problem in
   Alcotest.(check bool) "greedy <= seed" true (sol.Specsyn.Search.cost <= seed_cost +. 1e-9);
   Alcotest.(check bool) "proper" true (solution_is_proper sol)
@@ -91,9 +94,7 @@ let test_group_migration_improves () =
   let _, problem = problem_for (Specsyn.Alloc.proc_asic ()) in
   let s = Slif.Graph.slif problem.Specsyn.Search.graph in
   let seed = Specsyn.Search.seed_partition s in
-  let seed_cost =
-    Specsyn.Search.evaluate problem (Specsyn.Search.estimator problem.Specsyn.Search.graph seed)
-  in
+  let seed_cost = seed_cost problem seed in
   let sol = Specsyn.Group_migration.run problem in
   Alcotest.(check bool) "gm <= seed" true (sol.Specsyn.Search.cost <= seed_cost +. 1e-9);
   Alcotest.(check bool) "proper" true (solution_is_proper sol);
@@ -111,9 +112,7 @@ let test_annealing_beats_or_ties_seed () =
   let _, problem = problem_for (Specsyn.Alloc.proc_asic ()) in
   let s = Slif.Graph.slif problem.Specsyn.Search.graph in
   let seed = Specsyn.Search.seed_partition s in
-  let seed_cost =
-    Specsyn.Search.evaluate problem (Specsyn.Search.estimator problem.Specsyn.Search.graph seed)
-  in
+  let seed_cost = seed_cost problem seed in
   let sol = Specsyn.Annealing.run ~params:{ Specsyn.Annealing.default_params with steps = 500 } problem in
   Alcotest.(check bool) "sa <= seed" true (sol.Specsyn.Search.cost <= seed_cost +. 1e-9)
 

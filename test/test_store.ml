@@ -22,6 +22,20 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
+(* A decision container's bytes, as [save_decision] writes them. *)
+let decision_blob ?note part =
+  let path = Filename.temp_file "slif_decision" ".slifstore" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Store.save_decision ~path ?note part;
+      In_channel.with_open_bin path In_channel.input_all)
+
+let contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
+  at 0
+
 let check_ok = function
   | Ok v -> v
   | Error err -> Alcotest.failf "unexpected store error: %s" (Store.error_message err)
@@ -87,17 +101,17 @@ let test_save_load_file () =
 
 let test_decision_roundtrip () =
   let s, part = Helpers.all_on_cpu (Lazy.force Helpers.tiny_slif) in
-  let blob = Store.decision_to_string ~note:"unit test" part in
+  let blob = decision_blob ~note:"unit test" part in
   let loaded, note = check_ok (Store.decision_of_string s blob) in
   Alcotest.(check (option string)) "note travels" (Some "unit test") note;
   Alcotest.(check bool) "node assignments replayed" true
-    (Slif.Partition.assignments part = Slif.Partition.assignments loaded);
+    (Helpers.assignments part = Helpers.assignments loaded);
   Alcotest.(check bool) "channel assignments replayed" true
-    (Slif.Partition.chan_assignments part = Slif.Partition.chan_assignments loaded)
+    (Helpers.chan_assignments part = Helpers.chan_assignments loaded)
 
 let test_decision_design_mismatch () =
   let _, part = Helpers.all_on_cpu (Lazy.force Helpers.tiny_slif) in
-  let blob = Store.decision_to_string part in
+  let blob = decision_blob part in
   let other, _ = Helpers.all_on_cpu (Lazy.force Helpers.fuzzy_slif) in
   match Store.decision_of_string other blob with
   | Error (Store.Decode _) -> ()
@@ -211,7 +225,7 @@ let test_fuzz_corruption () =
   let vol, part = Helpers.all_on_cpu (annotated_of (Specs.Registry.find_exn "vol")) in
   fuzz_blob
     ~decode:(fun text -> Result.map ignore (Store.decision_of_string vol text))
-    "vol decision" (Store.decision_to_string part) 42;
+    "vol decision" (decision_blob part) 42;
   Helpers.replay_corpus "store_corruption" (fun seed ->
       fuzz_blob "tiny" (Lazy.force tiny_blob) seed)
 
@@ -279,8 +293,6 @@ let test_varint_boundaries () =
 
 let test_crc_empty () =
   Alcotest.(check int32) "crc of empty is zero" 0l (Crc32.string "");
-  Alcotest.(check int32) "zero-length sub matches empty" (Crc32.string "")
-    (Crc32.sub "abcdef" ~pos:3 ~len:0);
   Alcotest.(check bool) "crc of a byte is not zero" true (Crc32.string "\x00" <> 0l)
 
 (* A hand-assembled v2 container whose single section has a zero-length
@@ -298,7 +310,7 @@ let test_v2_zero_length_section () =
       Buffer.add_char b (Char.chr ((v lsr (8 * i)) land 0xff))
     done
   in
-  Buffer.add_string b Store.magic;
+  Buffer.add_string b "SLIFSTOR";
   u32 Store.format_version_v2;
   let dir = Buffer.create 32 in
   let payload_off = 8 + 4 + 4 + 24 + 4 in
@@ -368,7 +380,7 @@ let test_v2_inspect () =
       Alcotest.(check int32)
         (s.Store.sec_tag ^ " offset/size frame the payload")
         s.Store.sec_crc
-        (Crc32.sub blob ~pos:s.Store.sec_offset ~len:s.Store.sec_size))
+        (Crc32.string (String.sub blob s.Store.sec_offset s.Store.sec_size)))
     info.Store.si_sections
 
 let test_v2_fuzz_corruption () =
@@ -404,7 +416,8 @@ let test_lazy_store () =
       Alcotest.(check int) "META channel count"
         (Array.length slif.Slif.Types.chans)
         m.Store.vm_chans;
-      Alcotest.(check string) "design" slif.Slif.Types.design_name (Lazy_store.design h);
+      Alcotest.(check string) "design" slif.Slif.Types.design_name
+        (Lazy_store.meta h).Store.vm_design;
       Alcotest.(check bool) "decoded-bytes estimate is positive" true
         (Lazy_store.decoded_bytes_estimate h > 0);
       Alcotest.(check bool) "not decoded yet" false (Lazy_store.decoded h);
@@ -593,7 +606,7 @@ let test_cache_hit_miss_rebuild () =
       Alcotest.(check int) "built exactly once" 1 !builds;
       Alcotest.(check bool) "cached graph identical" true (Slif.Types.equal slif1 slif2);
       (* Corrupt the entry: the next access rebuilds instead of trusting it. *)
-      let entry = Cache.entry_path ~dir ~key:(Cache.key ~source ()) in
+      let entry = Filename.concat dir (Sys.readdir dir).(0) in
       let oc = open_out_bin entry in
       output_string oc "garbage";
       close_out oc;
@@ -657,11 +670,7 @@ let test_lazy_store_truncated_under_mapping () =
       | Error (Store.Truncated _) -> ()
       | Ok _ -> Alcotest.fail "decoded a store truncated under its mapping"
       | Error err -> Alcotest.failf "wrong error: %s" (Store.error_message err));
-      Alcotest.(check bool) "the error is not memoized" false (Lazy_store.decoded h);
-      match Lazy_store.provenance h with
-      | Error (Store.Truncated _) -> ()
-      | Ok _ -> Alcotest.fail "read PROV of a store truncated under its mapping"
-      | Error err -> Alcotest.failf "wrong error: %s" (Store.error_message err))
+      Alcotest.(check bool) "the error is not memoized" false (Lazy_store.decoded h))
 
 (* A handle names the inode it opened, not the path: once [save_slif]
    renames a different graph over the path, or the path is unlinked, a
@@ -681,21 +690,19 @@ let test_lazy_store_replaced () =
       let h = check_ok (Lazy_store.open_file path) in
       let replacement = synth 2 in
       Store.save_slif ~path ~version:Store.format_version_v2
-        ~provenance:{ Store.no_provenance with pv_source_md5 = "replacement" }
+        ~provenance:{ Store.pv_source_md5 = "replacement"; pv_profile = None; pv_tech = "" }
         replacement;
       let refused what = function
         | Ok _ -> Alcotest.failf "%s read the replacement under the old directory" what
         | Error _ -> ()
       in
       refused "slif" (Lazy_store.slif h);
-      refused "provenance" (Lazy_store.provenance h);
       Alcotest.(check bool) "the error is not memoized" false (Lazy_store.decoded h);
       let fresh, _ = check_ok (Lazy_store.slif (check_ok (Lazy_store.open_file path))) in
       Alcotest.(check bool) "a reopened handle decodes the replacement" true
         (Slif.Types.equal replacement fresh);
       Sys.remove path;
-      refused "slif after unlink" (Lazy_store.slif h);
-      refused "provenance after unlink" (Lazy_store.provenance h))
+      refused "slif after unlink" (Lazy_store.slif h))
 
 (* Handles read with read(2) on a descriptor opened per operation, so
    neither an open handle nor a forced decode leaves one behind. *)
@@ -740,11 +747,93 @@ let test_crc_known_answers () =
   for pos = 0 to 64 do
     for len = 0 to 64 - pos do
       let expected = reference s ~pos ~len in
-      let got = Crc32.sub s ~pos ~len in
+      let got = Crc32.string (String.sub s pos len) in
       if got <> expected then
-        Alcotest.failf "Crc32.sub ~pos:%d ~len:%d = %08lx, bytewise %08lx" pos len got expected
+        Alcotest.failf "Crc32 of bytes %d..%d = %08lx, bytewise %08lx" pos (pos + len) got
+          expected
     done
   done
+
+(* --- Writes that tell the truth ---------------------------------------------
+
+   A store write that fails must say so: a buffered channel closed with
+   [close_out_noerr] once reported success for a flush that failed with
+   ENOSPC, and the rename then installed the short file over a good
+   store.  [/dev/full] fails every write with ENOSPC. *)
+let test_writer_reports_full_disk () =
+  if Sys.file_exists "/dev/full" then begin
+    let fd = Unix.openfile "/dev/full" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        match Store.write_fd ~file:"/dev/full" fd (Lazy.force tiny_blob) with
+        | () -> Alcotest.fail "a write to a full device reported success"
+        | exception Store.Store_error (Store.Io msg) ->
+            Alcotest.(check bool) ("the error names ENOSPC: " ^ msg) true
+              (contains msg "ENOSPC"))
+  end
+
+(* A failed cache write still serves the graph it built, counts
+   [store.cache_write_error] and leaves no temp file behind.  The entry
+   path is made a directory, so the writer's rename fails. *)
+let test_cache_write_error_serves_build () =
+  let dir = temp_dir "slif_cache_wfail" in
+  Slif_obs.Registry.reset ();
+  Slif_obs.Registry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Slif_obs.Registry.disable ();
+      Slif_obs.Registry.reset ();
+      rm_rf dir)
+    (fun () ->
+      let source = Specs.Spec_vol.text in
+      let build () = Ops.annotated source in
+      let first, _ = Cache.load_or_build ~dir ~source ~build () in
+      let entry = Filename.concat dir (Sys.readdir dir).(0) in
+      Sys.remove entry;
+      Unix.mkdir entry 0o755;
+      let slif, outcome = Cache.load_or_build ~dir ~source ~build () in
+      Alcotest.(check bool) "rebuilt" true (outcome = `Rebuilt);
+      Alcotest.(check bool) "the built graph is served" true (Slif.Types.equal first slif);
+      Alcotest.(check int) "write error counted" 1
+        (Slif_obs.Counter.get "store.cache_write_error");
+      Alcotest.(check (list string)) "no temp file left" [ Filename.basename entry ]
+        (Array.to_list (Sys.readdir dir)))
+
+(* Two domains of one process save the same key over and over: each
+   writer has its own temp file, so every load in between and after is
+   whole and bit-exact. *)
+let test_concurrent_saves_one_key () =
+  let dir = temp_dir "slif_store_race" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let path = Filename.concat dir "synth.slifstore" in
+      let slif =
+        Slif_synth.Synth.generate
+          (Slif_synth.Synth.default_params ~seed:1 ~nodes:200 Slif_synth.Synth.Mixed)
+      in
+      let expected = Store.slif_to_string slif in
+      let saver () =
+        let bad = ref 0 in
+        for _ = 1 to 200 do
+          Store.save_slif ~path slif;
+          match Store.read_file path with
+          | Ok text when text = expected -> ()
+          | Ok _ | Error _ -> incr bad
+        done;
+        !bad
+      in
+      let other = Domain.spawn saver in
+      let mine = saver () in
+      let bad = mine + Domain.join other in
+      Alcotest.(check int) "every load whole and bit-exact" 0 bad;
+      Alcotest.(check bool) "final load Ok" true
+        (match Store.load_slif ~path with
+        | Ok (loaded, _) -> Slif.Types.equal slif loaded
+        | Error _ -> false);
+      Alcotest.(check (list string)) "no temp file left" [ "synth.slifstore" ]
+        (Array.to_list (Sys.readdir dir)))
 
 let suite =
   [
@@ -788,4 +877,8 @@ let suite =
       test_lazy_store_replaced;
     Alcotest.test_case "lazy store holds no descriptor" `Quick test_lazy_store_no_fd_held;
     Alcotest.test_case "CRC known answers" `Quick test_crc_known_answers;
+    Alcotest.test_case "writer reports a full disk" `Quick test_writer_reports_full_disk;
+    Alcotest.test_case "failed cache write serves the build" `Quick
+      test_cache_write_error_serves_build;
+    Alcotest.test_case "two domains save one key" `Quick test_concurrent_saves_one_key;
   ]

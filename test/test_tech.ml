@@ -1,3 +1,14 @@
+(* Catalog entries by name. *)
+let proc name =
+  match Tech.Parts.find name with
+  | Some (Tech.Parts.Proc p) -> p
+  | _ -> Alcotest.failf "no processor %s" name
+
+let mem name =
+  match Tech.Parts.find name with
+  | Some (Tech.Parts.Mem m) -> m
+  | _ -> Alcotest.failf "no memory %s" name
+
 let body_of src stmts =
   ignore src;
   match
@@ -63,26 +74,26 @@ let test_census_branch_ops () =
 
 let test_proc_model_ict () =
   let c = census "for i in 1 to 100 loop l := l + 1; end loop;" in
-  let small = Tech.Proc_model.behavior_ict_us Tech.Parts.mcu8 c in
-  let big = Tech.Proc_model.behavior_ict_us Tech.Parts.cpu32 c in
+  let small = Tech.Proc_model.behavior_ict_us (proc "mcu8") c in
+  let big = Tech.Proc_model.behavior_ict_us (proc "cpu32") c in
   Alcotest.(check bool) "ict positive" true (small > 0.0);
   Alcotest.(check bool) "faster cpu has smaller ict" true (big < small)
 
 let test_proc_model_size () =
   let small = census "l := 1;" in
   let large = census "l := 1; l := 2; l := 3; l := l + l * 2;" in
-  let s1 = Tech.Proc_model.behavior_size_bytes Tech.Parts.cpu32 small in
-  let s2 = Tech.Proc_model.behavior_size_bytes Tech.Parts.cpu32 large in
+  let s1 = Tech.Proc_model.behavior_size_bytes (proc "cpu32") small in
+  let s2 = Tech.Proc_model.behavior_size_bytes (proc "cpu32") large in
   Alcotest.(check bool) "more code, more bytes" true (s2 > s1);
   Alcotest.(check bool) "overhead floor" true
-    (s1 >= float_of_int Tech.Parts.cpu32.Tech.Proc_model.code_overhead_bytes)
+    (s1 >= float_of_int (proc "cpu32").Tech.Proc_model.code_overhead_bytes)
 
 let test_proc_variable_size () =
   checkf "1024 bits on a 16-bit-word cpu32? (32-bit words, 4 bytes each)"
     128.0
-    (Tech.Proc_model.variable_size_bytes Tech.Parts.cpu32 ~storage_bits:1024);
+    (Tech.Proc_model.variable_size_bytes (proc "cpu32") ~storage_bits:1024);
   checkf "7 bits round up to one 8-bit word" 1.0
-    (Tech.Proc_model.variable_size_bytes Tech.Parts.mcu8 ~storage_bits:7)
+    (Tech.Proc_model.variable_size_bytes (proc "mcu8") ~storage_bits:7)
 
 let test_asic_allocate () =
   let c = census "l := l + 1;" in
@@ -101,7 +112,7 @@ let test_asic_ict_faster_than_cpu () =
   (* Datapath-heavy behavior: custom hardware beats the standard CPU, the
      shape behind Figure 3's 80us-vs-10us ict example. *)
   let c = census "for i in 1 to 100 loop l := l * 3 + l / 2; end loop;" in
-  let cpu = Tech.Proc_model.behavior_ict_us Tech.Parts.cpu32 c in
+  let cpu = Tech.Proc_model.behavior_ict_us (proc "cpu32") c in
   let asic = Tech.Asic_model.behavior_ict_us Tech.Parts.asic_gal c in
   Alcotest.(check bool) "asic faster" true (asic < cpu)
 
@@ -113,11 +124,11 @@ let test_asic_size_grows_with_registers () =
 
 let test_mem_model () =
   checkf "1024 bits = 64 sram16 words" 64.0
-    (Tech.Mem_model.variable_size_words Tech.Parts.sram16 ~storage_bits:1024);
+    (Tech.Mem_model.variable_size_words (mem "sram16") ~storage_bits:1024);
   checkf "17 bits = 2 words" 2.0
-    (Tech.Mem_model.variable_size_words Tech.Parts.sram16 ~storage_bits:17);
+    (Tech.Mem_model.variable_size_words (mem "sram16") ~storage_bits:17);
   Alcotest.(check bool) "access time positive" true
-    (Tech.Mem_model.variable_access_us Tech.Parts.sram16 > 0.0)
+    (Tech.Mem_model.variable_access_us (mem "sram16") > 0.0)
 
 let test_parts_find () =
   (match Tech.Parts.find "cpu32" with
@@ -129,27 +140,26 @@ let test_parts_find () =
   (match Tech.Parts.find "sram16" with
   | Some (Tech.Parts.Mem _) -> ()
   | _ -> Alcotest.fail "sram16 missing");
-  Alcotest.(check bool) "unknown" true (Tech.Parts.find "nonsense" = None);
-  Alcotest.(check bool) "bus catalog" true (Tech.Parts.find_bus "bus16" <> None)
+  Alcotest.(check bool) "unknown" true (Tech.Parts.find "nonsense" = None)
 
 let test_dsp_beats_cpu_on_mac_code () =
   (* The DSP's reason to exist: single-cycle multiply-accumulate. *)
   let c = census "for i in 1 to 64 loop l := l + l * 3; end loop;" in
-  let dsp = Tech.Proc_model.behavior_ict_us Tech.Parts.dsp16 c in
-  let cpu = Tech.Proc_model.behavior_ict_us Tech.Parts.cpu32 c in
+  let dsp = Tech.Proc_model.behavior_ict_us (proc "dsp16") c in
+  let cpu = Tech.Proc_model.behavior_ict_us (proc "cpu32") c in
   Alcotest.(check bool) "dsp faster on MAC loops" true (dsp < cpu);
   (* ...but not on division-heavy code. *)
   let d = census "for i in 1 to 64 loop l := l / 3; end loop;" in
   Alcotest.(check bool) "dsp slower on division" true
-    (Tech.Proc_model.behavior_ict_us Tech.Parts.dsp16 d
-    > Tech.Proc_model.behavior_ict_us Tech.Parts.cpu32 d)
+    (Tech.Proc_model.behavior_ict_us (proc "dsp16") d
+    > Tech.Proc_model.behavior_ict_us (proc "cpu32") d)
 
 let test_eeprom_slow_but_dense () =
   Alcotest.(check bool) "eeprom slower than sram" true
-    (Tech.Mem_model.variable_access_us Tech.Parts.eeprom8
-    > Tech.Mem_model.variable_access_us Tech.Parts.sram16);
+    (Tech.Mem_model.variable_access_us (mem "eeprom8")
+    > Tech.Mem_model.variable_access_us (mem "sram16"));
   Alcotest.(check (float 1e-9)) "8 bits = 1 word" 1.0
-    (Tech.Mem_model.variable_size_words Tech.Parts.eeprom8 ~storage_bits:8)
+    (Tech.Mem_model.variable_size_words (mem "eeprom8") ~storage_bits:8)
 
 let test_all_technologies_distinct_names () =
   let names = List.map Tech.Parts.technology_name Tech.Parts.all in

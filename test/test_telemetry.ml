@@ -36,11 +36,13 @@ let q count p50 =
 
 let gc_counts minor =
   {
-    Slif_obs.Gcprof.zero_counts with
-    minor_collections = minor;
+    Slif_obs.Gcprof.minor_collections = minor;
     major_collections = 2;
+    compactions = 0;
+    forced_major_collections = 0;
     minor_words = 1e6;
     promoted_words = 12345.;
+    major_words = 0.;
   }
 
 let sample : Telemetry.t =
@@ -214,7 +216,10 @@ let test_connection_flood () =
              Unix.connect fd (Unix.ADDR_UNIX sock)
            done
          with Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> ());
-        let excess = List.length !flood + 1 - Server.default_max_connections in
+        let max_connections =
+          Option.get (Server.default_config (Server.Unix_sock sock)).Server.max_connections
+        in
+        let excess = List.length !flood + 1 - max_connections in
         let rec settle tries =
           let n = int_at (stats_of client) [ "server"; "rejected_connections" ] in
           if n >= excess || tries = 0 then n
@@ -227,7 +232,7 @@ let test_connection_flood () =
         (match Client.request client (Json.Obj [ ("op", Json.String "health") ]) with
         | Ok health ->
             Alcotest.(check int) "health: accepted connections" (min (1 + List.length !flood)
-              Server.default_max_connections) (int_at health [ "inflight" ])
+              max_connections) (int_at health [ "inflight" ])
         | Error msg -> Alcotest.failf "health failed: %s" msg);
         if excess > 0 then begin
           (* The newest connection was refused: one typed line, then EOF. *)

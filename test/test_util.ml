@@ -28,19 +28,6 @@ let test_prng_invalid_bound () =
   Alcotest.check_raises "bound 0" (Invalid_argument "Prng.int: non-positive bound")
     (fun () -> ignore (Prng.int rng 0))
 
-let test_prng_split_independent () =
-  let a = Prng.create 11 in
-  let b = Prng.split a in
-  let xs = List.init 20 (fun _ -> Prng.int a 1000) in
-  let ys = List.init 20 (fun _ -> Prng.int b 1000) in
-  Alcotest.(check bool) "streams differ" true (xs <> ys)
-
-let test_prng_copy () =
-  let a = Prng.create 5 in
-  ignore (Prng.int a 10);
-  let b = Prng.copy a in
-  Alcotest.(check int) "copy continues identically" (Prng.int a 1000) (Prng.int b 1000)
-
 let test_table_render () =
   let t = Table.create ~header:[ "name"; "count" ] in
   Table.add_row t [ "alpha"; "1" ];
@@ -112,8 +99,6 @@ let suite =
     Alcotest.test_case "prng respects bounds" `Quick test_prng_bounds;
     Alcotest.test_case "prng varies" `Quick test_prng_varies;
     Alcotest.test_case "prng rejects bad bound" `Quick test_prng_invalid_bound;
-    Alcotest.test_case "prng split independence" `Quick test_prng_split_independent;
-    Alcotest.test_case "prng copy" `Quick test_prng_copy;
     Alcotest.test_case "table renders aligned" `Quick test_table_render;
     Alcotest.test_case "table rejects ragged rows" `Quick test_table_width_mismatch;
     Alcotest.test_case "sumtree root equals recursive sum" `Quick
