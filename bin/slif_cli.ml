@@ -646,7 +646,7 @@ let synth_cmd =
 (* --- serve ------------------------------------------------------------------ *)
 
 let serve_cmd =
-  let run obs socket port cache_dir lru lru_shards workers jobs max_requests slow_ms
+  let run obs socket port cache_dir lru workers jobs max_requests slow_ms
       max_batch_items max_outq_mb max_connections max_graph_mb retain_traces trace_dir
       event_log event_level sample =
     with_obs obs @@ fun () ->
@@ -658,7 +658,6 @@ let serve_cmd =
       | Some _, Some _ -> failf "give only one of --socket and --port"
     in
     if lru < 1 then failf "--lru must be at least 1";
-    if lru_shards < 1 then failf "--lru-shards must be at least 1";
     if workers < 1 then failf "--workers must be at least 1";
     if jobs < 1 then failf "--jobs must be at least 1";
     if sample < 1 then failf "--sample must be at least 1";
@@ -679,7 +678,6 @@ let serve_cmd =
         Slif_server.Server.addr;
         cache_dir;
         lru_capacity = lru;
-        lru_shards;
         workers;
         jobs;
         max_requests;
@@ -726,11 +724,6 @@ let serve_cmd =
   let lru =
     Arg.(value & opt int 8
          & info [ "lru" ] ~docv:"N" ~doc:"Keep at most $(docv) annotated graphs resident.")
-  in
-  let lru_shards =
-    Arg.(value & opt int 8
-         & info [ "lru-shards" ] ~docv:"N"
-             ~doc:"Split the resident set over $(docv) independently locked shards.")
   in
   let workers =
     Arg.(value & opt int 1
@@ -821,7 +814,7 @@ let serve_cmd =
        ~doc:"Serve load/estimate/partition/explore/stats/health/metrics queries over \
              a socket (newline-delimited JSON).")
     Term.(
-      const run $ obs_term $ socket $ port $ cache_dir_arg $ lru $ lru_shards $ workers
+      const run $ obs_term $ socket $ port $ cache_dir_arg $ lru $ workers
       $ jobs $ max_requests $ slow_ms $ max_batch_items $ max_outq_mb $ max_connections
       $ max_graph_mb $ retain_traces $ trace_dir $ event_log $ event_level $ sample)
 

@@ -2,7 +2,7 @@
 
     The daemon's multi-domain refactor needs counters that are keyed by
     a small dynamic dimension — requests per {e worker} domain, batch
-    items per {e op}, hits per LRU {e shard} — and exported as one
+    items per {e op} — and exported as one
     Prometheus family with a label per series.  {!Counter} only knows
     flat names; encoding the label into the name
     ([server.worker.requests.3]) would leak the cardinality into every
@@ -21,7 +21,7 @@
 
     Domain safety: each series value is a plain [int ref] mutated under
     the family's own mutex; {!incr} from any domain is exact (the
-    sharded-LRU hammer test counts on it).  Snapshots take the same
+    family's cross-domain test counts on it).  Snapshots take the same
     mutex, so a scrape never sees a torn series list. *)
 
 type t
@@ -35,7 +35,7 @@ val create : string -> label:string -> t
 val name : t -> string
 
 val label : t -> string
-(** The label key, e.g. ["worker"] or ["shard"]. *)
+(** The label key, e.g. ["worker"] or ["op"]. *)
 
 val incr : ?by:int -> t -> string -> unit
 (** [incr t v] adds [by] (default 1) to the series labeled [v],

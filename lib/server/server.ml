@@ -8,7 +8,6 @@ type config = {
   addr : addr;
   cache_dir : string option;
   lru_capacity : int;
-  lru_shards : int;
   workers : int;
   jobs : int;
   max_requests : int option;
@@ -40,7 +39,6 @@ let default_config addr =
     addr;
     cache_dir = None;
     lru_capacity = 8;
-    lru_shards = 8;
     workers = 1;
     jobs = 1;
     max_requests = None;
@@ -139,9 +137,21 @@ type retained = {
   rt_file : string option;
 }
 
+(* An LRU that several domains share: every call on [set] holds [lock].
+   The daemon has two — the resident set of annotated graphs, and the
+   open store-file handles.  [store_handle] takes the resident lock
+   inside the handle lock, never the reverse. *)
+type 'a locked = { set : 'a Lru.t; lock : Mutex.t }
+
+let locked ~capacity = { set = Lru.create ~capacity; lock = Mutex.create () }
+
+let with_lru l f =
+  Mutex.lock l.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock l.lock) (fun () -> f l.set)
+
 type state = {
   cfg : config;
-  lru : Slif.Types.t Lru.Sharded.t;
+  lru : Slif.Types.t locked;
   sh : shared;
   started_us : float;
   mutable served : int;
@@ -171,18 +181,17 @@ type stored =
   | Lazy of Slif_store.Lazy_store.t
   | Eager_v1 of Slif_store.Lazy_store.identity
 
-(* The execution environment workers see: configuration, the sharded
+(* The execution environment workers see: configuration, the
    resident set, and the open store-file handles — no acceptor-owned
    mutable accounting.  Handles are keyed by path and shared across
-   workers; a [Lazy_store.t] is domain-safe, so the cache's mutex only
+   workers; a [Lazy_store.t] is domain-safe, so the cache's lock only
    guards the cache itself.  The cache is a bounded LRU: a stream of
    distinct store paths evicts the least recently used handle instead
    of growing a table without limit. *)
 type exec_env = {
   x_cfg : config;
-  x_lru : Slif.Types.t Lru.Sharded.t;
-  x_stores : stored Lru.t;
-  x_stores_lock : Mutex.t;
+  x_lru : Slif.Types.t locked;
+  x_stores : stored locked;
 }
 
 (* Handles are metadata-sized (directory + META, no descriptor held), so
@@ -254,10 +263,7 @@ let stored_key path = "store:" ^ path
    path with no handle cached drops the decoded entry too: nothing
    vouches for it any more. *)
 let store_handle env path =
-  Mutex.lock env.x_stores_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock env.x_stores_lock)
-    (fun () ->
+  with_lru env.x_stores (fun stores ->
       let reopen () =
         let opened =
           match Slif_store.Lazy_store.open_file path with
@@ -268,21 +274,21 @@ let store_handle env path =
               | None -> Error (path ^ ": store file vanished while opening"))
           | Error err -> Error (Slif_store.Store.error_message err)
         in
-        Result.iter (Lru.add env.x_stores path) opened;
+        Result.iter (Lru.add stores path) opened;
         opened
       in
       let stale = function
         | Lazy h -> Slif_store.Lazy_store.stale h
         | Eager_v1 id -> Slif_store.Lazy_store.changed path id
       in
-      match Lru.find env.x_stores path with
+      match Lru.find stores path with
       | Some stored when not (stale stored) -> Ok stored
       | cached ->
           if Option.is_some cached then begin
             Obs.Counter.incr "server.store.reopen";
-            Lru.remove env.x_stores path
+            Lru.remove stores path
           end;
-          Lru.Sharded.remove env.x_lru (stored_key path);
+          with_lru env.x_lru (fun l -> Lru.remove l (stored_key path));
           reopen ())
 
 (* Admission control: decode nothing whose decoded form would not fit
@@ -302,18 +308,18 @@ let check_graph_budget env ~path ~bytes =
                mb ))
   | Some _ | None -> ()
 
-(* LRU shard ops as black-box instants: a retained trace shows whether
-   the request hit the resident set or paid a decode/rebuild. *)
-let lru_hit () =
-  Obs.Counter.incr "server.lru_hit";
-  Obs.Flight.record_event "server.lru.hit"
+(* A resident-set lookup, marked as a black-box instant: a retained
+   trace shows whether the request hit or paid a decode/rebuild. *)
+let find_resident env key =
+  let found = with_lru env.x_lru (fun l -> Lru.find l key) in
+  Obs.Flight.record_event
+    (if Option.is_some found then "server.lru.hit" else "server.lru.miss");
+  found
 
-let lru_miss () =
-  Obs.Counter.incr "server.lru_miss";
-  Obs.Flight.record_event "server.lru.miss"
+let add_resident env key slif = with_lru env.x_lru (fun l -> Lru.add l key slif)
 
 (* Resolve a request target to (content key, annotated SLIF), going
-   through the sharded LRU and, below it, the on-disk cache.  Two
+   through the resident set and, below it, the on-disk cache.  Two
    workers missing on the same key concurrently both build it; the
    second [add] refreshes the first — graphs are immutable, so the
    duplicate work is idempotent and briefly-doubled, never wrong. *)
@@ -330,12 +336,9 @@ let resolve env target profile =
           | Error _ as e -> e
           | Ok stored -> (
               let key = stored_key path in
-              match Lru.Sharded.find env.x_lru key with
-              | Some slif ->
-                  lru_hit ();
-                  Ok (key, slif)
+              match find_resident env key with
+              | Some slif -> Ok (key, slif)
               | None -> (
-                  lru_miss ();
                   match stored with
                   | Lazy h -> (
                       check_graph_budget env ~path
@@ -346,7 +349,7 @@ let resolve env target profile =
                       with
                       | Error err -> Error (Slif_store.Store.error_message err)
                       | Ok (slif, _prov) ->
-                          Lru.Sharded.add env.x_lru key slif;
+                          add_resident env key slif;
                           Ok (key, slif))
                   | Eager_v1 _ -> (
                       match Slif_store.Store.read_file path with
@@ -359,16 +362,12 @@ let resolve env target profile =
                           with
                           | Error err -> Error (Slif_store.Store.error_message err)
                           | Ok (slif, _prov) ->
-                              Lru.Sharded.add env.x_lru key slif;
+                              add_resident env key slif;
                               Ok (key, slif)))))))
   | Protocol.Key key -> (
-      match Lru.Sharded.find env.x_lru key with
-      | Some slif ->
-          lru_hit ();
-          Ok (key, slif)
-      | None ->
-          lru_miss ();
-          Error (Printf.sprintf "key %S is not resident (load it first)" key))
+      match find_resident env key with
+      | Some slif -> Ok (key, slif)
+      | None -> Error (Printf.sprintf "key %S is not resident (load it first)" key))
   | Protocol.Bundled _ | Protocol.Source _ -> (
       let source =
         match target with
@@ -380,18 +379,15 @@ let resolve env target profile =
       | Error _ as e -> e
       | Ok source -> (
           let key = Slif_store.Cache.key ~source ?profile () in
-          match Lru.Sharded.find env.x_lru key with
-          | Some slif ->
-              lru_hit ();
-              Ok (key, slif)
+          match find_resident env key with
+          | Some slif -> Ok (key, slif)
           | None ->
-              lru_miss ();
               let slif =
                 Obs.Span.with_ "server.annotate" (fun () ->
                     Ops.annotated ?cache_dir:env.x_cfg.cache_dir ?profile_text:profile
                       source)
               in
-              Lru.Sharded.add env.x_lru key slif;
+              add_resident env key slif;
               Ok (key, slif)))
 
 (* --- Telemetry snapshot -------------------------------------------------------- *)
@@ -433,8 +429,7 @@ let snapshot st =
     select_idle_s = st.select_idle_us /. 1e6;
     loop_iterations = st.loop_iters;
     ops;
-    lru_keys = Lru.Sharded.keys st.lru;
-    lru_shards = Lru.Sharded.shard_stats st.lru;
+    lru = with_lru st.lru Lru.stats;
     gc = Obs.Gcprof.counts ();
     gc_per_domain = Obs.Gcprof.per_domain ();
     heap_words = Obs.Gcprof.heap_words ();
@@ -445,8 +440,6 @@ let snapshot st =
     retained = st.retained_total;
     retained_live = Queue.length st.retained;
     dump_bytes = st.dump_bytes;
-    locks =
-      List.filter (fun (s : Obs.Lockprof.stat) -> s.acquisitions > 0) (Obs.Lockprof.all ());
     families =
       List.map
         (fun f -> (Obs.Family.name f, Obs.Family.label f, Obs.Family.snapshot f))
@@ -1183,7 +1176,7 @@ let run ?on_ready cfg =
   let st =
     {
       cfg;
-      lru = Lru.Sharded.create ~shards:cfg.lru_shards ~capacity:cfg.lru_capacity ();
+      lru = locked ~capacity:cfg.lru_capacity;
       sh;
       started_us = Obs.Clock.now_us ();
       served = 0;
@@ -1211,8 +1204,7 @@ let run ?on_ready cfg =
     {
       x_cfg = cfg;
       x_lru = st.lru;
-      x_stores = Lru.create ~capacity:store_handle_capacity;
-      x_stores_lock = Mutex.create ();
+      x_stores = locked ~capacity:store_handle_capacity;
     }
   in
   (* The worker fleet: an oversubscribed pool (condition-parked workers

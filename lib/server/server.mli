@@ -4,8 +4,8 @@
     accepts connections, frames newline-delimited JSON request lines and
     writes responses — and dispatches every framed line to a fixed pool
     of worker domains over a condition-parked job queue.  Workers
-    execute requests against the shared sharded {!Lru} (content-hash
-    keyed, one lock per shard) and push completions back through a queue
+    execute requests against one shared {!Lru} (content-hash keyed,
+    under one lock) and push completions back through a queue
     plus a self-pipe that wakes the acceptor's select.  Each connection
     carries sequence numbers and a reorder buffer, so responses hit the
     wire in request order no matter which worker finishes first; control
@@ -53,8 +53,7 @@ type addr =
 type config = {
   addr : addr;
   cache_dir : string option;  (** persist annotated graphs here too *)
-  lru_capacity : int;
-  lru_shards : int;  (** shards of the resident set (locks scale with this) *)
+  lru_capacity : int;  (** annotated graphs kept resident *)
   workers : int;  (** worker domains executing requests (min 1) *)
   jobs : int;  (** domain-pool width for [explore] requests without their own ["jobs"] *)
   max_requests : int option;  (** stop after this many requests (soak/smoke harnesses) *)
@@ -95,7 +94,7 @@ val default_max_outq_bytes : int
 (** 32 MB. *)
 
 val default_config : addr -> config
-(** lru_capacity 8 over 8 shards, 1 worker, jobs 1, no cache dir, no
+(** lru_capacity 8, 1 worker, jobs 1, no cache dir, no
     request limit, no slow-log, 64 MB line cap, 4096 batch items, 32 MB
     outq cap, 1000 connections, no graph budget,
     32 retained traces, no trace dir. *)

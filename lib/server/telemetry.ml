@@ -27,8 +27,7 @@ type t = {
   select_idle_s : float;
   loop_iterations : int;
   ops : op_stat list;
-  lru_keys : string list;
-  lru_shards : Lru.Sharded.shard_stat list;
+  lru : Lru.stats;
   gc : Obs.Gcprof.counts;
   gc_per_domain : (int * Obs.Gcprof.counts) list;
   heap_words : int;
@@ -39,20 +38,11 @@ type t = {
   retained : int;
   retained_live : int;
   dump_bytes : int;
-  locks : Obs.Lockprof.stat list;
   families : (string * string * (string * int) list) list;
   counters : (string * int) list;
   histograms : (string * Obs.Histogram.summary * Obs.Histogram.quantiles) list;
 }
 
-(* Totals derived from the per-shard lists, so they can never disagree
-   with the breakdowns rendered next to them.  The flight totals are
-   not: they keep the rings that later domains took over. *)
-let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
-let lru_size s = sum (fun (x : Lru.Sharded.shard_stat) -> x.sh_size) s.lru_shards
-let lru_capacity s = sum (fun (x : Lru.Sharded.shard_stat) -> x.sh_capacity) s.lru_shards
-let lru_hits s = sum (fun (x : Lru.Sharded.shard_stat) -> x.sh_hits) s.lru_shards
-let lru_misses s = sum (fun (x : Lru.Sharded.shard_stat) -> x.sh_misses) s.lru_shards
 let last_error_json s = match s.last_error with Some m -> J.String m | None -> J.Null
 
 (* --- JSON surfaces ----------------------------------------------------------- *)
@@ -99,16 +89,6 @@ let flight s =
     ]
 
 let stats s =
-  let shard (x : Lru.Sharded.shard_stat) =
-    J.Obj
-      [
-        ("shard", J.Int x.sh_index);
-        ("size", J.Int x.sh_size);
-        ("capacity", J.Int x.sh_capacity);
-        ("hits", J.Int x.sh_hits);
-        ("misses", J.Int x.sh_misses);
-      ]
-  in
   [
     ("uptime_s", J.Float s.uptime_s);
     ("requests", J.Int s.requests);
@@ -119,12 +99,11 @@ let stats s =
     ( "lru",
       J.Obj
         [
-          ("size", J.Int (lru_size s));
-          ("capacity", J.Int (lru_capacity s));
-          ("hits", J.Int (lru_hits s));
-          ("misses", J.Int (lru_misses s));
-          ("keys", J.List (List.map (fun k -> J.String k) s.lru_keys));
-          ("shards", J.List (List.map shard s.lru_shards));
+          ("size", J.Int s.lru.size);
+          ("capacity", J.Int s.lru.capacity);
+          ("hits", J.Int s.lru.hits);
+          ("misses", J.Int s.lru.misses);
+          ("keys", J.List (List.map (fun k -> J.String k) s.lru.keys));
         ] );
     ( "server",
       J.Obj
@@ -170,7 +149,7 @@ let health s =
     ("errors", J.Int s.errors);
     ("workers", J.Int s.workers);
     ("queue_depth", J.Int s.queue_depth);
-    ("lru", J.Obj [ ("size", J.Int (lru_size s)); ("capacity", J.Int (lru_capacity s)) ]);
+    ("lru", J.Obj [ ("size", J.Int s.lru.size); ("capacity", J.Int s.lru.capacity) ]);
     ( "gc",
       J.Obj
         [
@@ -207,20 +186,6 @@ let prometheus s =
       (fun r -> fi (pick r))
       s.rings
   in
-  let by_shard pick =
-    labeled "shard"
-      (fun (x : Lru.Sharded.shard_stat) -> string_of_int x.sh_index)
-      (fun x -> fi (pick x))
-      s.lru_shards
-  in
-  let by_lock pick = labeled "lock" (fun (l : Obs.Lockprof.stat) -> l.s_name) pick s.locks in
-  let lock_series pick =
-    List.map
-      (fun (l : Obs.Lockprof.stat) ->
-        let q, sum = pick l in
-        ([ ("lock", l.s_name) ], q, sum))
-      s.locks
-  in
   let per_op_series pick =
     List.filter_map
       (fun o -> Option.map (fun (q, sum) -> ([ ("op", o.op) ], q, sum)) (pick o))
@@ -232,8 +197,12 @@ let prometheus s =
     counter "slif_server_requests_total" "Requests served, by op."
       (by_op (fun o -> fi o.lifetime.q_count));
     counter "slif_server_errors_total" "Requests answered with an error." (int s.errors);
-    gauge "slif_server_lru_entries" "Annotated graphs resident in the LRU." (int (lru_size s));
-    gauge "slif_server_lru_capacity" "LRU capacity." (int (lru_capacity s));
+    gauge "slif_server_lru_entries" "Annotated graphs resident in the LRU." (int s.lru.size);
+    gauge "slif_server_lru_capacity" "LRU capacity." (int s.lru.capacity);
+    counter "slif_server_lru_hits_total" "Lookups that found their graph resident."
+      (int s.lru.hits);
+    counter "slif_server_lru_misses_total" "Lookups that found their graph absent."
+      (int s.lru.misses);
     summary "slif_server_request_duration_microseconds"
       "Lifetime per-op request latency (log-bucket quantiles)."
       (per_op_series (fun o -> Some (o.lifetime, o.sum_us)));
@@ -275,12 +244,6 @@ let prometheus s =
         "Slow/error traces tail-retained since startup." (int s.retained);
       counter "slif_flight_dump_bytes_total"
         "Bytes of flight-window dumps written (dump op and SIGQUIT)." (int s.dump_bytes);
-      gauge "slif_server_lru_shard_entries" "Resident graphs, by LRU shard."
-        (by_shard (fun x -> x.sh_size));
-      counter "slif_server_lru_shard_hits_total" "Cache hits, by LRU shard."
-        (by_shard (fun x -> x.sh_hits));
-      counter "slif_server_lru_shard_misses_total" "Cache misses, by LRU shard."
-        (by_shard (fun x -> x.sh_misses));
       counter "slif_server_select_idle_seconds_total"
         "Time the acceptor spent parked in select with nothing to do." (one s.select_idle_s);
       counter "slif_server_loop_iterations_total" "Acceptor-loop wake-ups."
@@ -309,20 +272,6 @@ let prometheus s =
       counter "slif_pool_tasks_completed_total" "Pool tasks that ran to completion."
         (int s.pool.g_tasks_completed);
     ]
-  (* Lock families only appear once a profiled lock recorded something. *)
-  @ (if s.locks = [] then []
-     else
-       [
-         counter "slif_lock_acquisitions_total" "Profiled-lock acquisitions, by lock."
-           (by_lock (fun l -> fi l.acquisitions));
-         counter "slif_lock_contended_total" "Acquisitions that had to wait, by lock."
-           (by_lock (fun l -> fi l.contended));
-         summary "slif_lock_wait_microseconds"
-           "Time spent waiting to acquire each profiled lock."
-           (lock_series (fun l -> (l.wait_quantiles, l.wait_us.sum)));
-         summary "slif_lock_hold_microseconds" "Time each profiled lock was held."
-           (lock_series (fun l -> (l.hold_quantiles, l.hold_us.sum)));
-       ])
   (* Labeled families and registry metrics export generically. *)
   @ List.filter_map
       (fun (name, label, series) ->

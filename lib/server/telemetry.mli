@@ -2,8 +2,8 @@
     for each surface that reports it.
 
     The acceptor samples its state once per control op into a {!t} —
-    one GC sample, one pass over the flight rings, the LRU shards and
-    the per-op latency table — and every surface is a projection of
+    one GC sample, one pass over the flight rings, one read of the
+    resident set and the per-op latency table — and every surface is a projection of
     that record: the [stats] and [health] replies, the [metrics]
     Prometheus exposition, and the SIGUSR1 dump.  A figure therefore
     reads the same on every surface it appears on, and a new metric is
@@ -36,8 +36,7 @@ type t = {
   select_idle_s : float;
   loop_iterations : int;
   ops : op_stat list;  (** ops served at least once, ascending name *)
-  lru_keys : string list;
-  lru_shards : Lru.Sharded.shard_stat list;  (** LRU totals are sums over these *)
+  lru : Lru.stats;  (** the resident set, read under its lock *)
   gc : Slif_obs.Gcprof.counts;
   gc_per_domain : (int * Slif_obs.Gcprof.counts) list;
   heap_words : int;
@@ -49,7 +48,6 @@ type t = {
   retained : int;  (** traces ever retained *)
   retained_live : int;
   dump_bytes : int;
-  locks : Slif_obs.Lockprof.stat list;  (** profiled locks that recorded something *)
   families : (string * string * (string * int) list) list;
       (** process-wide labeled families: name, label key, series *)
   counters : (string * int) list;  (** registry counters *)

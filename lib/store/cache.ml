@@ -26,6 +26,9 @@ let rec ensure_dir dir =
     ensure_dir (Filename.dirname dir);
     match Sys.mkdir dir 0o755 with
     | () -> ()
+    (* Another domain or process made it between our check and our
+       mkdir: the directory exists, which is all we wanted. *)
+    | exception Sys_error _ when Sys.file_exists dir && Sys.is_directory dir -> ()
     | exception Sys_error msg -> raise (Store.Store_error (Store.Io msg))
   end
 

@@ -1,14 +1,13 @@
-(* The multi-domain daemon battery: sharded-LRU semantics under
-   concurrent domains, the [batch] op's edges, response ordering under
-   out-of-order worker completion, slow-reader backpressure, drain on
-   shutdown, and — the centerpiece — a socket-level differential soak
-   proving the daemon's answers are byte-identical whether 1, 2 or 4
-   worker domains execute them. *)
+(* The multi-domain daemon battery: the resident set's capacity and
+   exact totals under concurrent domains, the [batch] op's edges,
+   response ordering under out-of-order worker completion, slow-reader
+   backpressure, drain on shutdown, and — the centerpiece — a
+   socket-level differential soak proving the daemon's answers are
+   byte-identical whether 1, 2 or 4 worker domains execute them. *)
 
 module Server = Slif_server.Server
 module Client = Slif_server.Client
 module Protocol = Slif_server.Protocol
-module Lru = Slif_server.Lru
 module Ops = Slif_server.Ops
 module Json = Slif_obs.Json
 
@@ -70,128 +69,87 @@ let test_family_exact_across_domains () =
   Alcotest.(check int) "contended series exact" (4 * per_domain)
     (family_get f "shared")
 
-(* --- Sharded LRU ------------------------------------------------------------ *)
+(* --- The resident set -------------------------------------------------------- *)
 
-let stat_sum f l = List.fold_left (fun acc s -> acc + f s) 0 (Lru.Sharded.shard_stats l)
-let size = stat_sum (fun s -> s.Lru.Sharded.sh_size)
+let stats_lru client =
+  match Json.member "lru" (request_exn client [ ("op", Json.String "stats") ]) with
+  | Some lru -> lru
+  | None -> Alcotest.fail "stats has no lru block"
 
-(* The shard a key lands in, read off a fresh cache's per-shard sizes. *)
-let shard_of ~shards key =
-  let l = Lru.Sharded.create ~shards ~capacity:shards () in
-  Lru.Sharded.add l key ();
-  (List.find (fun s -> s.Lru.Sharded.sh_size = 1) (Lru.Sharded.shard_stats l)).sh_index
+let lru_int lru field =
+  match Json.member field lru with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.failf "lru.%s missing" field
 
-let test_sharded_routing_deterministic () =
-  let l = Lru.Sharded.create ~shards:8 ~capacity:16 () in
-  let keys = List.init 64 (fun i -> Printf.sprintf "key-%d" i) in
-  let first = List.map (shard_of ~shards:8) keys in
-  List.iteri
-    (fun i k ->
-      Alcotest.(check int) "routing stable" (List.nth first i) (shard_of ~shards:8 k);
-      Alcotest.(check bool) "routing in range" true
-        (let s = shard_of ~shards:8 k in
-         s >= 0 && s < 8))
-    keys;
-  Alcotest.(check int) "shards" 8 (List.length (Lru.Sharded.shard_stats l));
-  Alcotest.(check int) "capacity rounded over shards" 16
-    (stat_sum (fun s -> s.Lru.Sharded.sh_capacity) l)
+(* One bundled spec with a distinct trailing comment each: [n] sources,
+   [n] content keys. *)
+let variant_sources n =
+  let vol = (Specs.Registry.find_exn "vol").source in
+  List.init n (fun i -> Printf.sprintf "%s\n-- variant %d\n" vol i)
 
-(* Eviction happens within the key's shard only: filling one shard far
-   past its share never evicts another shard's resident entry. *)
-let test_sharded_no_cross_shard_eviction () =
-  let l = Lru.Sharded.create ~shards:4 ~capacity:4 () in
-  (* Find a witness key, then flood keys routed to *other* shards. *)
-  let witness = "witness" in
-  let ws = shard_of ~shards:4 witness in
-  Lru.Sharded.add l witness 42;
-  let flood =
-    List.filter
-      (fun k -> shard_of ~shards:4 k <> ws)
-      (List.init 200 (fun i -> Printf.sprintf "flood-%d" i))
-  in
-  List.iteri (fun i k -> Lru.Sharded.add l k i) flood;
-  Alcotest.(check (option int)) "witness survived other shards' evictions"
-    (Some 42) (Lru.Sharded.find l witness);
-  (* And the shard never grows past its per-shard share. *)
-  List.iter
-    (fun (s : Lru.Sharded.shard_stat) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "shard %d within capacity" s.sh_index)
-        true (s.sh_size <= s.sh_capacity))
-    (Lru.Sharded.shard_stats l)
+let estimate_source client source =
+  ignore
+    (request_exn client [ ("op", Json.String "estimate"); ("source", Json.String source) ])
 
-let test_sharded_touch_and_reinsert () =
-  (* One shard makes the sharded wrapper's recency identical to the
-     plain cache's — touch on hit, refresh on re-add. *)
-  let l = Lru.Sharded.create ~shards:1 ~capacity:2 () in
-  Lru.Sharded.add l "a" 1;
-  Lru.Sharded.add l "b" 2;
-  ignore (Lru.Sharded.find l "a");
-  Lru.Sharded.add l "c" 3;
-  Alcotest.(check (option int)) "b evicted (a touched)" None (Lru.Sharded.find l "b");
-  Alcotest.(check (option int)) "a kept" (Some 1) (Lru.Sharded.find l "a");
-  Lru.Sharded.add l "a" 9;
-  Alcotest.(check (option int)) "re-insert replaces" (Some 9) (Lru.Sharded.find l "a");
-  Alcotest.(check int) "no duplicate" 2 (size l)
+(* [--lru N] keeps N graphs: eight distinct sources fill an eight-graph
+   resident set, and a second pass finds every one of them. *)
+let test_lru_keeps_capacity_graphs () =
+  with_server
+    ~config:(fun c -> { c with Server.workers = 2; lru_capacity = 8 })
+    (fun _port client ->
+      let sources = variant_sources 8 in
+      List.iter (estimate_source client) sources;
+      List.iter (estimate_source client) sources;
+      let lru = stats_lru client in
+      Alcotest.(check (list (pair string int)))
+        "lru after two passes"
+        [ ("size", 8); ("capacity", 8); ("hits", 8); ("misses", 8) ]
+        (List.map (fun f -> (f, lru_int lru f)) [ "size"; "capacity"; "hits"; "misses" ]));
+  with_server
+    ~config:(fun c -> { c with Server.workers = 2; lru_capacity = 3 })
+    (fun _port client ->
+      List.iter (estimate_source client) (variant_sources 4);
+      let lru = stats_lru client in
+      Alcotest.(check (pair int int))
+        "size and capacity at --lru 3" (3, 3)
+        (lru_int lru "size", lru_int lru "capacity"))
 
-let test_sharded_capacity_one () =
-  let l = Lru.Sharded.create ~shards:1 ~capacity:1 () in
-  Lru.Sharded.add l "a" 1;
-  Lru.Sharded.add l "b" 2;
-  Alcotest.(check (option int)) "a evicted" None (Lru.Sharded.find l "a");
-  Alcotest.(check (option int)) "b resident" (Some 2) (Lru.Sharded.find l "b");
-  Alcotest.(check int) "size one" 1 (size l)
-
-let test_sharded_rejects_bad_args () =
-  (match Lru.Sharded.create ~shards:0 ~capacity:4 () with
-  | _ -> Alcotest.fail "shards 0 accepted"
-  | exception Invalid_argument _ -> ());
-  match Lru.Sharded.create ~shards:4 ~capacity:0 () with
-  | _ -> Alcotest.fail "capacity 0 accepted"
-  | exception Invalid_argument _ -> ()
-
-(* Eight domains hammer one cache with private key sets sized under the
-   per-shard capacity, so nothing ever evicts: every first find is a
-   miss, every subsequent one a hit, and the shard-lock-guarded counters
-   must come out exact no matter how the domains interleave. *)
-let test_sharded_concurrent_hammer () =
-  let domains = 8 and keys_per_domain = 16 and rounds = 50 in
-  let l =
-    Lru.Sharded.create ~shards:8 ~capacity:(domains * keys_per_domain * 8) ()
-  in
-  let hits = stat_sum (fun s -> s.Lru.Sharded.sh_hits)
-  and misses = stat_sum (fun s -> s.Lru.Sharded.sh_misses) in
-  let h0 = hits l and m0 = misses l in
-  let worker d () =
-    let keys =
-      Array.init keys_per_domain (fun k -> Printf.sprintf "d%d-k%d" d k)
-    in
-    let bad = ref 0 in
-    Array.iteri
-      (fun i k ->
-        (match Lru.Sharded.find l k with Some _ -> incr bad | None -> ());
-        Lru.Sharded.add l k (d * 1000 + i))
-      keys;
-    for _ = 1 to rounds do
-      Array.iteri
-        (fun i k ->
-          match Lru.Sharded.find l k with
-          | Some v when v = (d * 1000 + i) -> ()
-          | Some _ | None -> incr bad)
-        keys
-    done;
-    !bad
-  in
-  let doms = List.init domains (fun d -> Domain.spawn (worker d)) in
-  let bad = List.fold_left (fun acc d -> acc + Domain.join d) 0 doms in
-  Alcotest.(check int) "every lookup saw its own domain's value" 0 bad;
-  Alcotest.(check int) "misses exact" (domains * keys_per_domain)
-    (misses l - m0);
-  Alcotest.(check int) "hits exact"
-    (domains * keys_per_domain * rounds)
-    (hits l - h0);
-  Alcotest.(check int) "nothing evicted" (domains * keys_per_domain)
-    (size l)
+(* Eight worker domains serve eight client domains' lookups by key, all
+   through the one resident lock: every lookup is counted exactly once,
+   however the domains interleave. *)
+let test_lru_concurrent_hammer () =
+  let domains = 8 and rounds = 25 in
+  with_server
+    ~config:(fun c -> { c with Server.workers = domains })
+    (fun port client ->
+      let load spec =
+        match
+          Json.member "key"
+            (request_exn client [ ("op", Json.String "load"); ("spec", Json.String spec) ])
+        with
+        | Some (Json.String k) -> k
+        | _ -> Alcotest.fail "load response has no key"
+      in
+      let keys = Array.of_list (List.map load spec_names) in
+      let driver d () =
+        let lines =
+          List.init rounds (fun r ->
+              Printf.sprintf {|{"op":"load","key":%S}|} keys.((d + r) mod Array.length keys))
+        in
+        let c = Client.connect_tcp ~timeout_ms:120_000 port in
+        let responses = Client.pipeline_raw c lines in
+        Client.close c;
+        List.length (List.filter (fun r -> not (contains r {|"ok":true|})) responses)
+      in
+      let doms = List.init domains (fun d -> Domain.spawn (driver d)) in
+      let bad = List.fold_left (fun acc d -> acc + Domain.join d) 0 doms in
+      Alcotest.(check int) "every lookup found its graph" 0 bad;
+      let lru = stats_lru client in
+      let n = Array.length keys in
+      Alcotest.(check (list (pair string int)))
+        "exact totals"
+        [ ("hits", domains * rounds); ("misses", n); ("size", n) ]
+        (List.map (fun f -> (f, lru_int lru f)) [ "hits"; "misses"; "size" ]))
 
 (* --- Batch edges ------------------------------------------------------------ *)
 
@@ -381,7 +339,7 @@ let soak_lines conn_id rounds =
 
 let soak_transcript ~workers ~conns ~rounds =
   with_server
-    ~config:(fun c -> { c with Server.workers; lru_capacity = 8; lru_shards = 4 })
+    ~config:(fun c -> { c with Server.workers; lru_capacity = 8 })
     (fun port _client ->
       let driver_count = 4 in
       let per_driver = conns / driver_count in
@@ -571,9 +529,9 @@ let test_sigusr1_under_workers () =
 
 (* --- Telemetry surfaces ------------------------------------------------------ *)
 
-let test_stats_and_metrics_expose_workers_and_shards () =
+let test_stats_and_metrics_expose_workers_and_lru () =
   with_server
-    ~config:(fun c -> { c with Server.workers = 2; lru_shards = 4 })
+    ~config:(fun c -> { c with Server.workers = 2 })
     (fun _port client ->
       let spec = List.hd spec_names in
       for _ = 1 to 4 do
@@ -596,16 +554,12 @@ let test_stats_and_metrics_expose_workers_and_shards () =
           Alcotest.(check int) "one series per worker" 2 (List.length series)
       | _ -> Alcotest.fail "server.per_worker missing");
       (match Json.member "lru" stats with
-      | Some lru -> (
-          (match Json.member "shards" lru with
-          | Some (Json.List shards) ->
-              Alcotest.(check int) "one stat per shard" 4 (List.length shards)
-          | _ -> Alcotest.fail "lru.shards missing");
-          match (Json.member "hits" lru, Json.member "misses" lru) with
-          | Some (Json.Int h), Some (Json.Int m) ->
-              Alcotest.(check bool) "hits counted" true (h >= 3);
-              Alcotest.(check bool) "misses counted" true (m >= 1)
-          | _ -> Alcotest.fail "lru hit/miss totals missing")
+      | Some lru ->
+          Alcotest.(check bool)
+            "no per-shard breakdown" true
+            (Json.member "shards" lru = None);
+          Alcotest.(check (pair int int)) "one miss, then hits" (4, 1)
+            (lru_int lru "hits", lru_int lru "misses")
       | None -> Alcotest.fail "stats has no lru block");
       let metrics =
         match
@@ -621,7 +575,8 @@ let test_stats_and_metrics_expose_workers_and_shards () =
         [
           "slif_server_workers";
           "slif_server_queue_depth";
-          "slif_server_lru_shard_hits_total";
+          "slif_server_lru_hits_total";
+          "slif_server_lru_misses_total";
           "slif_server_worker_requests_total";
           "slif_server_batch_items_total";
         ])
@@ -631,17 +586,11 @@ let suite =
     Alcotest.test_case "family counters" `Quick test_family_counters;
     Alcotest.test_case "family exact across domains" `Slow
       test_family_exact_across_domains;
-    Alcotest.test_case "sharded lru: deterministic routing" `Quick
-      test_sharded_routing_deterministic;
-    Alcotest.test_case "sharded lru: no cross-shard eviction" `Quick
-      test_sharded_no_cross_shard_eviction;
-    Alcotest.test_case "sharded lru: touch and re-insert" `Quick
-      test_sharded_touch_and_reinsert;
-    Alcotest.test_case "sharded lru: capacity one" `Quick test_sharded_capacity_one;
-    Alcotest.test_case "sharded lru: rejects bad args" `Quick
-      test_sharded_rejects_bad_args;
-    Alcotest.test_case "sharded lru: 8-domain hammer, exact counters" `Slow
-      test_sharded_concurrent_hammer;
+    Alcotest.test_case "lru: --lru N keeps N graphs" `Slow test_lru_keeps_capacity_graphs;
+    Alcotest.test_case "lru: 8-domain hammer, exact counters" `Slow
+      test_lru_concurrent_hammer;
+    Alcotest.test_case "stats/metrics expose worker and shared lru families" `Slow
+      test_stats_and_metrics_expose_workers_and_lru;
     Alcotest.test_case "batch: empty" `Slow test_batch_empty;
     Alcotest.test_case "batch: order and per-item isolation" `Slow
       test_batch_order_and_isolation;
@@ -650,19 +599,17 @@ let suite =
     Alcotest.test_case "batch: item cap" `Slow test_batch_cap;
     Alcotest.test_case "batch: differential vs serial Ops" `Slow
       test_batch_differential;
+    Alcotest.test_case "backpressure disconnects slow readers" `Slow
+      test_backpressure_disconnects_slow_reader;
+    Alcotest.test_case "connection limit refuses extras" `Slow test_connection_limit;
+    Alcotest.test_case "shutdown drains in-flight requests" `Slow
+      test_shutdown_drains_inflight;
     Alcotest.test_case "pipeline order under 4 workers" `Slow
       test_pipeline_order_with_workers;
     Alcotest.test_case "differential soak: workers 1/2/4 byte-identical" `Slow
       test_differential_soak;
     Alcotest.test_case "soak reference matches Ops bytes" `Slow
       test_soak_reference_matches_ops;
-    Alcotest.test_case "backpressure disconnects slow readers" `Slow
-      test_backpressure_disconnects_slow_reader;
-    Alcotest.test_case "connection limit refuses extras" `Slow test_connection_limit;
-    Alcotest.test_case "shutdown drains in-flight requests" `Slow
-      test_shutdown_drains_inflight;
     Alcotest.test_case "SIGUSR1 dump under worker split" `Slow
       test_sigusr1_under_workers;
-    Alcotest.test_case "stats/metrics expose worker and shard families" `Slow
-      test_stats_and_metrics_expose_workers_and_shards;
   ]

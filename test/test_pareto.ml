@@ -7,6 +7,26 @@ let graph_of_fuzzy =
      in
      Slif.Graph.make s)
 
+let graph_of_ether =
+  lazy
+    (let slif = Slif_server.Ops.annotated (Specs.Registry.find_exn "ether").source in
+     Slif.Graph.make (Specsyn.Alloc.apply slif (Specsyn.Alloc.proc_asic ())))
+
+(* A front point as [slif partition --pareto] prints it:
+   worst exectime (us) / hw gates / sw bytes / time weight. *)
+let row (p : Specsyn.Pareto.point) =
+  Printf.sprintf "%.1f/%.0f/%.0f/%.1f" p.worst_exectime_us p.hw_gates p.sw_bytes p.weight_time
+
+(* ether's front at the default sweep, the one EXPERIMENTS.md quotes. *)
+let ether_front =
+  [
+    "910.4/110846/7568/8.0";
+    "912.8/44158/8680/16.0";
+    "948.3/42340/8972/2.0";
+    "1021.2/37328/9212/4.0";
+    "2534.5/31364/9308/0.1";
+  ]
+
 let mk_point t hw =
   {
     Specsyn.Pareto.part = Specsyn.Search.seed_partition (Slif.Graph.slif (Lazy.force graph_of_fuzzy));
@@ -45,9 +65,8 @@ let test_score_measures () =
   Alcotest.(check (float 1e-9)) "no hw gates on seed" 0.0 p.Specsyn.Pareto.hw_gates;
   Alcotest.(check bool) "software has bytes" true (p.Specsyn.Pareto.sw_bytes > 0.0)
 
-let test_sweep_produces_trade_off () =
-  let graph = Lazy.force graph_of_fuzzy in
-  let front = Specsyn.Pareto.sweep ~steps_per_point:150 graph in
+let sweep_trade_off (graph, steps_per_point, expected) =
+  let front = Specsyn.Pareto.sweep ?steps_per_point (Lazy.force graph) in
   Alcotest.(check bool) "non-empty front" true (front <> []);
   (* Non-dominated and sorted: times strictly increase while gates
      strictly decrease along the front. *)
@@ -65,7 +84,14 @@ let test_sweep_produces_trade_off () =
     (fun p ->
       Alcotest.(check bool) "every front point is a proper partition" true
         (Slif.Validate.is_proper p.Specsyn.Pareto.part))
-    front
+    front;
+  Option.iter
+    (fun rows -> Alcotest.(check (list string)) "front points" rows (List.map row front))
+    expected
+
+let test_sweep_produces_trade_off () =
+  List.iter sweep_trade_off
+    [ (graph_of_fuzzy, Some 150, None); (graph_of_ether, None, Some ether_front) ]
 
 let test_sweep_deterministic () =
   let graph = Lazy.force graph_of_fuzzy in

@@ -9,41 +9,34 @@ module Lru = Slif_server.Lru
 module Ops = Slif_server.Ops
 module Json = Slif_obs.Json
 
-(* A one-shard cache: the plain LRU behind one lock, observed through
-   the daemon's own surfaces (resident keys and per-shard stats). *)
-module One = struct
-  let create ~capacity = Lru.Sharded.create ~shards:1 ~capacity ()
-  let add = Lru.Sharded.add
-  let find = Lru.Sharded.find
-  let keys = Lru.Sharded.keys
-
-  let size l =
-    List.fold_left
-      (fun acc (s : Lru.Sharded.shard_stat) -> acc + s.sh_size)
-      0 (Lru.Sharded.shard_stats l)
-end
+(* The plain cache, observed through the [stats] record the daemon's
+   surfaces render. *)
+let lru_keys l = (Lru.stats l).Lru.keys
+let lru_size l = (Lru.stats l).Lru.size
 
 (* --- LRU ------------------------------------------------------------------- *)
 
 let test_lru_basics () =
-  let l = One.create ~capacity:2 in
-  One.add l "a" 1;
-  One.add l "b" 2;
-  Alcotest.(check (option int)) "find a" (Some 1) (One.find l "a");
+  let l = Lru.create ~capacity:2 in
+  Lru.add l "a" 1;
+  Lru.add l "b" 2;
+  Alcotest.(check (option int)) "find a" (Some 1) (Lru.find l "a");
   (* "a" is now most recent, so adding "c" evicts "b". *)
-  One.add l "c" 3;
-  Alcotest.(check (option int)) "b evicted" None (One.find l "b");
-  Alcotest.(check (option int)) "a kept" (Some 1) (One.find l "a");
-  Alcotest.(check (option int)) "c kept" (Some 3) (One.find l "c");
-  Alcotest.(check int) "size" 2 (One.size l);
-  Alcotest.(check (list string)) "keys MRU-first" [ "c"; "a" ] (One.keys l)
+  Lru.add l "c" 3;
+  Alcotest.(check (option int)) "b evicted" None (Lru.find l "b");
+  Alcotest.(check (option int)) "a kept" (Some 1) (Lru.find l "a");
+  Alcotest.(check (option int)) "c kept" (Some 3) (Lru.find l "c");
+  Alcotest.(check int) "size" 2 (lru_size l);
+  Alcotest.(check (list string)) "keys MRU-first" [ "c"; "a" ] (lru_keys l);
+  let st = Lru.stats l in
+  Alcotest.(check (pair int int)) "each find counted once" (3, 1) (st.hits, st.misses)
 
 let test_lru_replace () =
-  let l = One.create ~capacity:2 in
-  One.add l "a" 1;
-  One.add l "a" 2;
-  Alcotest.(check (option int)) "replaced" (Some 2) (One.find l "a");
-  Alcotest.(check int) "no duplicate" 1 (One.size l)
+  let l = Lru.create ~capacity:2 in
+  Lru.add l "a" 1;
+  Lru.add l "a" 2;
+  Alcotest.(check (option int)) "replaced" (Some 2) (Lru.find l "a");
+  Alcotest.(check int) "no duplicate" 1 (lru_size l)
 
 let test_lru_bad_capacity () =
   match Lru.create ~capacity:0 with
@@ -352,34 +345,34 @@ let test_cli_daemon_smoke () =
 (* --- LRU eviction order under touch / re-insert ----------------------------- *)
 
 let test_lru_touch_reinsert_order () =
-  let l = One.create ~capacity:3 in
-  One.add l "a" 1;
-  One.add l "b" 2;
-  One.add l "c" 3;
+  let l = Lru.create ~capacity:3 in
+  Lru.add l "a" 1;
+  Lru.add l "b" 2;
+  Lru.add l "c" 3;
   (* Touch a then b: c is now the oldest. *)
-  ignore (One.find l "a");
-  ignore (One.find l "b");
-  One.add l "d" 4;
-  Alcotest.(check (option int)) "c evicted" None (One.find l "c");
-  Alcotest.(check (list string)) "order after touches" [ "d"; "b"; "a" ] (One.keys l);
+  ignore (Lru.find l "a");
+  ignore (Lru.find l "b");
+  Lru.add l "d" 4;
+  Alcotest.(check (option int)) "c evicted" None (Lru.find l "c");
+  Alcotest.(check (list string)) "order after touches" [ "d"; "b"; "a" ] (lru_keys l);
   (* Re-inserting an existing key refreshes it without growing. *)
-  One.add l "a" 10;
-  Alcotest.(check (list string)) "re-insert is a touch" [ "a"; "d"; "b" ] (One.keys l);
-  One.add l "e" 5;
-  Alcotest.(check (option int)) "b evicted next" None (One.find l "b");
-  Alcotest.(check (option int)) "re-inserted value kept" (Some 10) (One.find l "a");
-  Alcotest.(check int) "size capped" 3 (One.size l)
+  Lru.add l "a" 10;
+  Alcotest.(check (list string)) "re-insert is a touch" [ "a"; "d"; "b" ] (lru_keys l);
+  Lru.add l "e" 5;
+  Alcotest.(check (option int)) "b evicted next" None (Lru.find l "b");
+  Alcotest.(check (option int)) "re-inserted value kept" (Some 10) (Lru.find l "a");
+  Alcotest.(check int) "size capped" 3 (lru_size l)
 
 let test_lru_capacity_one () =
-  let l = One.create ~capacity:1 in
-  One.add l "a" 1;
-  Alcotest.(check (option int)) "sole entry" (Some 1) (One.find l "a");
-  One.add l "b" 2;
-  Alcotest.(check (option int)) "previous evicted" None (One.find l "a");
-  Alcotest.(check (option int)) "newcomer resident" (Some 2) (One.find l "b");
-  One.add l "b" 3;
-  Alcotest.(check (option int)) "replace in place" (Some 3) (One.find l "b");
-  Alcotest.(check int) "never grows" 1 (One.size l)
+  let l = Lru.create ~capacity:1 in
+  Lru.add l "a" 1;
+  Alcotest.(check (option int)) "sole entry" (Some 1) (Lru.find l "a");
+  Lru.add l "b" 2;
+  Alcotest.(check (option int)) "previous evicted" None (Lru.find l "a");
+  Alcotest.(check (option int)) "newcomer resident" (Some 2) (Lru.find l "b");
+  Lru.add l "b" 3;
+  Alcotest.(check (option int)) "replace in place" (Some 3) (Lru.find l "b");
+  Alcotest.(check int) "never grows" 1 (lru_size l)
 
 (* --- health / metrics ops ---------------------------------------------------- *)
 

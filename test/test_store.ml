@@ -835,6 +835,27 @@ let test_concurrent_saves_one_key () =
       Alcotest.(check (list string)) "no temp file left" [ "synth.slifstore" ]
         (Array.to_list (Sys.readdir dir)))
 
+(* Two domains make the same fresh cache directories: whichever loses a
+   [mkdir] race finds the directory made and goes on, so no load fails. *)
+let test_concurrent_cache_dirs () =
+  let root = temp_dir "slif_cache_dirs" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf root)
+    (fun () ->
+      let slif = Lazy.force Helpers.tiny_slif in
+      let dirs = Array.init 200 (fun i -> Filename.concat root (Printf.sprintf "d%03d" i)) in
+      let loader () =
+        Array.fold_left
+          (fun failed dir ->
+            match Cache.load_or_build ~dir ~source:"x" ~build:(fun () -> slif) () with
+            | _ -> failed
+            | exception Store.Store_error _ -> failed + 1)
+          0 dirs
+      in
+      let other = Domain.spawn loader in
+      let mine = loader () in
+      Alcotest.(check int) "every load Ok" 0 (mine + Domain.join other))
+
 let suite =
   [
     Alcotest.test_case "round-trip structural (all specs)" `Quick test_roundtrip_structural;
@@ -881,4 +902,5 @@ let suite =
     Alcotest.test_case "failed cache write serves the build" `Quick
       test_cache_write_error_serves_build;
     Alcotest.test_case "two domains save one key" `Quick test_concurrent_saves_one_key;
+    Alcotest.test_case "two domains make one cache dir" `Quick test_concurrent_cache_dirs;
   ]

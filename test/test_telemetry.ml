@@ -69,12 +69,7 @@ let sample : Telemetry.t =
         { op = "load"; lifetime = q 3 900.; sum_us = 2900.; recent = Some (q 3 850.) };
         { op = "malformed"; lifetime = q 2 5.; sum_us = 10.; recent = None };
       ];
-    lru_keys = [ "k1"; "k2" ];
-    lru_shards =
-      [
-        { Lru.Sharded.sh_index = 0; sh_size = 1; sh_capacity = 2; sh_hits = 6; sh_misses = 1 };
-        { sh_index = 1; sh_size = 1; sh_capacity = 2; sh_hits = 4; sh_misses = 2 };
-      ];
+    lru = { Lru.size = 2; capacity = 4; hits = 10; misses = 3; keys = [ "k1"; "k2" ] };
     gc = gc_counts 30;
     gc_per_domain = [ (0, gc_counts 20); (1, gc_counts 10) ];
     heap_words = 4096;
@@ -90,7 +85,6 @@ let sample : Telemetry.t =
     retained = 2;
     retained_live = 2;
     dump_bytes = 0;
-    locks = [];
     families = [ ("server.batch.items", "op", [ ("estimate", 6) ]) ];
     counters = [];
     histograms = [];
@@ -140,8 +134,8 @@ let test_renderers_agree () =
     @ List.map
         (fun k -> ([ "pool"; k ], [ "pool"; k ]))
         [ "pools_created"; "pools_live"; "tasks_submitted"; "tasks_completed" ]);
-  (* LRU and flight totals are the sums of their breakdowns. *)
   Alcotest.(check string) "lru hits" "10" (Json.to_string (at stats [ "lru"; "hits" ]));
+  Alcotest.(check string) "lru misses" "3" (Json.to_string (at stats [ "lru"; "misses" ]));
   Alcotest.(check string) "flight records" "5010"
     (Json.to_string (at stats [ "flight"; "records" ]));
   (* The Prometheus per-op counts are the stats by_op counts. *)
@@ -160,6 +154,10 @@ let test_renderers_agree () =
   Alcotest.(check (list (pair string int)))
     "request_duration_microseconds_count{op} = by_op" by_op
     (by_op_samples text "slif_server_request_duration_microseconds_count");
+  Alcotest.(check bool) "lru hit counter from stats" true
+    (contains text "slif_server_lru_hits_total 10\n");
+  Alcotest.(check bool) "lru miss counter from stats" true
+    (contains text "slif_server_lru_misses_total 3\n");
   Alcotest.(check bool) "worker series from per_worker" true
     (contains text {|slif_server_worker_requests_total{worker="1"} 11|});
   (* The dump is the stats reply between the markers. *)
