@@ -103,16 +103,6 @@ let wait t cond =
     if Atomic.get enabled then t.acquired_at <- t1
   end
 
-let with_lock t f =
-  lock t;
-  match f () with
-  | v ->
-      unlock t;
-      v
-  | exception e ->
-      unlock t;
-      raise e
-
 type stat = {
   s_name : string;
   acquisitions : int;

@@ -46,9 +46,6 @@ val lock : t -> unit
 
 val unlock : t -> unit
 
-val with_lock : t -> (unit -> 'a) -> 'a
-(** [lock], run, [unlock] — even on exceptions. *)
-
 val set_enabled : bool -> unit
 (** Master switch for every profiled lock (independent of the span
     registry's switch). *)

@@ -27,14 +27,6 @@ let algo_of_string = function
   | "cluster" | "clustering" -> Ok (Specsyn.Explore.Clustering 4)
   | s -> Error (Printf.sprintf "unknown algorithm %S" s)
 
-let run_algo algo problem =
-  match algo with
-  | Specsyn.Explore.Random restarts -> Specsyn.Random_part.run ~restarts problem
-  | Specsyn.Explore.Greedy -> Specsyn.Greedy.run problem
-  | Specsyn.Explore.Group_migration -> Specsyn.Group_migration.run problem
-  | Specsyn.Explore.Annealing params -> Specsyn.Annealing.run ~params problem
-  | Specsyn.Explore.Clustering k -> Specsyn.Cluster.run ~k problem
-
 let parse_deadline spec =
   match String.split_on_char '=' spec with
   | [ name; us ] -> (
@@ -102,7 +94,7 @@ let partition_output ~algo ~constraints slif =
   let s = apply_proc_asic slif in
   let graph = Slif.Graph.make s in
   let problem = Specsyn.Search.problem ~constraints graph in
-  let solution = run_algo algo problem in
+  let solution = Specsyn.Explore.solve algo problem in
   let est = Specsyn.Search.estimator graph solution.Specsyn.Search.part in
   let header =
     Printf.sprintf "algorithm=%s cost=%.4f partitions-evaluated=%d\n"

@@ -108,20 +108,25 @@ type completion = {
    (condition-parked workers), the completion queue, and the self-pipe
    that wakes the acceptor's select when a completion lands. *)
 type shared = {
-  jq_lock : Obs.Lockprof.t;
+  jq_lock : Mutex.t;
   jq_cond : Condition.t;
   jq : job Queue.t;
   mutable jq_stop : bool;
-  cq_lock : Obs.Lockprof.t;
+  cq_lock : Mutex.t;
   cq : completion Queue.t;
   wake_w : Unix.file_descr;
 }
 
-(* Per-op latency telemetry: a lifetime log-bucket histogram and a
-   sliding window of recent requests.  Always on (the cost per request
-   is two bucket increments), independent of the registry switch, so
-   [metrics] and [stats] answer even when span recording is off. *)
-type op_lat = { lt : Obs.Histogram.t; win : Obs.Histogram.window }
+(* Per-op telemetry: a lifetime log-bucket latency histogram, a sliding
+   window of recent requests, and the op's batch items.  Always on (the
+   cost per request is two bucket increments), independent of the
+   registry switch, so [metrics] and [stats] answer even when span
+   recording is off.  Only the acceptor touches it. *)
+type op_lat = {
+  lt : Obs.Histogram.t;
+  win : Obs.Histogram.window;
+  mutable batch_items : int;
+}
 
 (* One tail-retained trace: the span tree of a request that finished
    slow or failing, reconstructed from the flight window at completion
@@ -168,6 +173,10 @@ type state = {
   lat : (string, op_lat) Hashtbl.t;
   mutable select_idle_us : float;  (** time parked in [select] with nothing to do *)
   mutable loop_iters : int;
+  mutable accept_errors : int;  (** [accept] calls that failed *)
+  mutable accept_resume_us : float;
+      (** out of descriptors: the listening socket stays out of [select]
+          until this instant, or until a connection closes *)
   retained : retained Queue.t;  (** oldest first, bounded by [cfg.retain_traces] *)
   mutable retained_total : int;  (** traces ever retained (evictions included) *)
   mutable dump_bytes : int;  (** bytes of flight dumps written ([dump] op + SIGQUIT) *)
@@ -209,22 +218,15 @@ let known_ops =
   [ "load"; "estimate"; "partition"; "explore"; "batch"; "stats"; "health";
     "metrics"; "dump"; "traces"; "shutdown"; "malformed" ]
 
-(* Batch items by op, process-wide; a request line's op count is its
-   lifetime latency histogram's count. *)
-let batch_family () = Obs.Family.create "server.batch.items" ~label:"op"
-
 let lat_for st op =
   match Hashtbl.find_opt st.lat op with
   | Some l -> l
   | None ->
-      let l = { lt = Obs.Histogram.create (); win = Obs.Histogram.window () } in
+      let l =
+        { lt = Obs.Histogram.create (); win = Obs.Histogram.window (); batch_items = 0 }
+      in
       Hashtbl.add st.lat op l;
       l
-
-let record_latency st op dur_us =
-  let l = lat_for st op in
-  Obs.Histogram.record l.lt dur_us;
-  Obs.Histogram.window_record l.win dur_us
 
 let note_error st msg =
   st.errors <- st.errors + 1;
@@ -233,14 +235,14 @@ let note_error st msg =
 
 (* Acceptor-side accounting for one executed request or batch item. *)
 let account st (a : acct) =
-  if a.a_wire then st.served <- st.served + 1
-  else Obs.Family.incr (batch_family ()) a.a_op;
+  let l = lat_for st a.a_op in
+  if a.a_wire then st.served <- st.served + 1 else l.batch_items <- l.batch_items + 1;
   Obs.Counter.incr ("server.request." ^ a.a_op);
-  record_latency st a.a_op a.a_dur_us;
+  Obs.Histogram.record l.lt a.a_dur_us;
+  Obs.Histogram.window_record l.win a.a_dur_us;
   match a.a_err with Some msg -> note_error st msg | None -> ()
 
-let queue_depth st =
-  Obs.Lockprof.with_lock st.sh.jq_lock (fun () -> Queue.length st.sh.jq)
+let queue_depth st = Mutex.protect st.sh.jq_lock (fun () -> Queue.length st.sh.jq)
 
 (* --- Target resolution ----------------------------------------------------- *)
 
@@ -406,6 +408,7 @@ let snapshot st =
             lifetime = Obs.Histogram.quantile_summary l.lt;
             sum_us = Obs.Histogram.sum l.lt;
             recent = Obs.Histogram.window_quantiles l.win;
+            batch_items = l.batch_items;
           }
           :: acc)
       st.lat []
@@ -428,6 +431,7 @@ let snapshot st =
     queue_wait_sum_us = Obs.Histogram.sum st.queue_wait;
     select_idle_s = st.select_idle_us /. 1e6;
     loop_iterations = st.loop_iters;
+    accept_errors = st.accept_errors;
     ops;
     lru = with_lru st.lru Lru.stats;
     gc = Obs.Gcprof.counts ();
@@ -440,10 +444,6 @@ let snapshot st =
     retained = st.retained_total;
     retained_live = Queue.length st.retained;
     dump_bytes = st.dump_bytes;
-    families =
-      List.map
-        (fun f -> (Obs.Family.name f, Obs.Family.label f, Obs.Family.snapshot f))
-        (Obs.Family.all ());
     counters = Obs.Counter.snapshot ();
     histograms = Obs.Histogram.snapshot_full ();
   }
@@ -763,14 +763,14 @@ let wake sh =
    completion. *)
 let worker_loop sh env w =
   let rec go () =
-    Obs.Lockprof.lock sh.jq_lock;
+    Mutex.lock sh.jq_lock;
     while Queue.is_empty sh.jq && not sh.jq_stop do
-      Obs.Lockprof.wait sh.jq_lock sh.jq_cond
+      Condition.wait sh.jq_cond sh.jq_lock
     done;
-    if Queue.is_empty sh.jq then Obs.Lockprof.unlock sh.jq_lock
+    if Queue.is_empty sh.jq then Mutex.unlock sh.jq_lock
     else begin
       let job = Queue.pop sh.jq in
-      Obs.Lockprof.unlock sh.jq_lock;
+      Mutex.unlock sh.jq_lock;
       (* The queue wait as a span on the worker's lane, parented under
          the root the acceptor minted — the first cross-domain edge of
          the request tree. *)
@@ -798,7 +798,7 @@ let worker_loop sh env w =
         | Resp (_, []) | Control _ -> ());
         out
       in
-      Obs.Lockprof.with_lock sh.cq_lock (fun () ->
+      Mutex.protect sh.cq_lock (fun () ->
           Queue.add
             {
               cp_cid = job.jb_cid;
@@ -908,8 +908,14 @@ let accept listen_fd =
   | Unix.ADDR_UNIX _ -> ());
   (fd, peer)
 
+(* How long the listening socket sits out [select] after [accept] ran
+   out of descriptors, unless a connection closes first. *)
+let accept_backoff_us = 100_000.0
+
 let close_conn st conns c =
   (try Unix.close c.fd with Unix.Unix_error _ -> ());
+  (* A freed descriptor is what an accept that ran out of them waits for. *)
+  st.accept_resume_us <- 0.0;
   let before = List.length !conns in
   conns := List.filter (fun c' -> c'.fd != c.fd) !conns;
   st.inflight <- st.inflight - (before - List.length !conns)
@@ -977,10 +983,9 @@ let dispatch st c line =
     { jb_cid = c.cid; jb_seq = seq; jb_tid = tid; jb_root = root; jb_line = line;
       jb_enq_ns = enq_ns }
   in
-  Obs.Lockprof.lock st.sh.jq_lock;
-  Queue.add job st.sh.jq;
-  Condition.signal st.sh.jq_cond;
-  Obs.Lockprof.unlock st.sh.jq_lock
+  Mutex.protect st.sh.jq_lock (fun () ->
+      Queue.add job st.sh.jq;
+      Condition.signal st.sh.jq_cond)
 
 (* Frame complete lines out of the connection's read buffer and hand
    them to the workers. *)
@@ -1053,7 +1058,7 @@ let try_write st conns c =
    the connection's wire position. *)
 let drain_completions st conns =
   let comps =
-    Obs.Lockprof.with_lock st.sh.cq_lock (fun () ->
+    Mutex.protect st.sh.cq_lock (fun () ->
         let l = List.of_seq (Queue.to_seq st.sh.cq) in
         Queue.clear st.sh.cq;
         l)
@@ -1164,11 +1169,11 @@ let run ?on_ready cfg =
   Unix.set_nonblock wake_w;
   let sh =
     {
-      jq_lock = Obs.Lockprof.create ~category:Obs.Attribution.Queue_wait "server.jobq";
+      jq_lock = Mutex.create ();
       jq_cond = Condition.create ();
       jq = Queue.create ();
       jq_stop = false;
-      cq_lock = Obs.Lockprof.create "server.compq";
+      cq_lock = Mutex.create ();
       cq = Queue.create ();
       wake_w;
     }
@@ -1193,6 +1198,8 @@ let run ?on_ready cfg =
       lat = Hashtbl.create 8;
       select_idle_us = 0.0;
       loop_iters = 0;
+      accept_errors = 0;
+      accept_resume_us = 0.0;
       retained = Queue.create ();
       retained_total = 0;
       dump_bytes = 0;
@@ -1207,17 +1214,9 @@ let run ?on_ready cfg =
       x_stores = locked ~capacity:store_handle_capacity;
     }
   in
-  (* The worker fleet: an oversubscribed pool (condition-parked workers
-     do not compute, so the hardware-domain cap does not apply) driven
-     by one spawned domain whose [Pool.map] call carries every worker
-     loop until shutdown. *)
-  let pool = Slif_util.Pool.create ~name:"server" ~jobs:workers ~oversubscribe:true () in
-  let driver =
-    Domain.spawn (fun () ->
-        ignore
-          (Slif_util.Pool.map pool (fun w -> worker_loop sh env w)
-             (List.init workers Fun.id)))
-  in
+  (* The worker fleet: one domain per worker, parked on the job queue
+     until shutdown. *)
+  let fleet = List.init workers (fun w -> Domain.spawn (fun () -> worker_loop sh env w)) in
   (match on_ready with Some f -> f (Unix.getsockname listen_fd) | None -> ());
   Obs.Event.emit "server.start"
     ~fields:
@@ -1246,15 +1245,14 @@ let run ?on_ready cfg =
       write_flight_dump st ~reason:"SIGQUIT"
     end;
     drain_completions st conns;
+    let backoff_s = (st.accept_resume_us -. Obs.Clock.now_us ()) /. 1e6 in
     let reads =
-      wake_r
-      ::
-      (if st.stop then []
-       else
-         listen_fd
-         :: List.filter_map
-              (fun c -> if c.close_after_flush then None else Some c.fd)
-              !conns)
+      if st.stop then [ wake_r ]
+      else
+        let conn_reads =
+          List.filter_map (fun c -> if c.close_after_flush then None else Some c.fd) !conns
+        in
+        if backoff_s > 0.0 then wake_r :: conn_reads else wake_r :: listen_fd :: conn_reads
     in
     let writes =
       List.filter_map
@@ -1263,8 +1261,9 @@ let run ?on_ready cfg =
     in
     st.loop_iters <- st.loop_iters + 1;
     let sel_t0 = Obs.Clock.now_us () in
+    let timeout = if backoff_s > 0.0 then Float.min backoff_s 0.2 else 0.2 in
     let sel =
-      match Unix.select reads writes [] 0.2 with
+      match Unix.select reads writes [] timeout with
       | r -> Some r
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
     in
@@ -1322,7 +1321,14 @@ let run ?on_ready cfg =
                 }
               in
               conns := c :: !conns
-          | exception Unix.Unix_error _ -> ()
+          | exception Unix.Unix_error (err, _, _) ->
+              (* Out of descriptors, the pending connection stays queued
+                 and the listening socket stays readable, so polling it
+                 again at once would spin: it sits out [select] for a
+                 back-off or until a connection closes. *)
+              st.accept_errors <- st.accept_errors + 1;
+              if err = Unix.EMFILE || err = Unix.ENFILE then
+                st.accept_resume_us <- Obs.Clock.now_us () +. accept_backoff_us
         end;
         List.iter
           (fun c -> if List.memq c.fd readable then try_read st conns c)
@@ -1335,12 +1341,11 @@ let run ?on_ready cfg =
      write_flight_dump st ~reason:(Printexc.to_string e);
      raise e);
   drain_completions st conns;
-  (* Stop the workers: flag, wake everyone, let the pool wind down. *)
-  Obs.Lockprof.with_lock sh.jq_lock (fun () ->
+  (* Stop the workers: flag, wake everyone, join them. *)
+  Mutex.protect sh.jq_lock (fun () ->
       sh.jq_stop <- true;
       Condition.broadcast sh.jq_cond);
-  Domain.join driver;
-  Slif_util.Pool.shutdown pool;
+  List.iter Domain.join fleet;
   Obs.Event.emit "server.stop"
     ~fields:
       [ ("requests", Obs.Json.Int st.served); ("errors", Obs.Json.Int st.errors) ];

@@ -7,6 +7,7 @@ type op_stat = {
   lifetime : Obs.Histogram.quantiles;
   sum_us : float;
   recent : Obs.Histogram.quantiles option;
+  batch_items : int;
 }
 
 type t = {
@@ -26,6 +27,7 @@ type t = {
   queue_wait_sum_us : float;
   select_idle_s : float;
   loop_iterations : int;
+  accept_errors : int;
   ops : op_stat list;
   lru : Lru.stats;
   gc : Obs.Gcprof.counts;
@@ -38,7 +40,6 @@ type t = {
   retained : int;
   retained_live : int;
   dump_bytes : int;
-  families : (string * string * (string * int) list) list;
   counters : (string * int) list;
   histograms : (string * Obs.Histogram.summary * Obs.Histogram.quantiles) list;
 }
@@ -119,6 +120,7 @@ let stats s =
           ("outq_overflows", J.Int s.outq_overflows);
           ("dropped_responses", J.Int s.dropped_responses);
           ("rejected_connections", J.Int s.rejected_connections);
+          ("accept_errors", J.Int s.accept_errors);
         ] );
     (* The sliding window — what the daemon is doing now. *)
     ( "latency_us",
@@ -224,7 +226,17 @@ let prometheus s =
       "Responses discarded because their connection was gone." (int s.dropped_responses);
     counter "slif_server_rejected_connections_total"
       "Connections refused over the connection limit." (int s.rejected_connections);
+    counter "slif_server_accept_errors_total"
+      "Failed accepts of a pending connection (out of descriptors, say)."
+      (int s.accept_errors);
   ]
+  @ (match List.filter (fun o -> o.batch_items > 0) s.ops with
+    | [] -> []
+    | batched ->
+        [
+          counter "slif_server_batch_items_total" "Batch items executed, by op."
+            (labeled "op" (fun o -> o.op) (fun o -> fi o.batch_items) batched);
+        ])
   @ (if s.queue_wait.q_count = 0 then []
      else
        [
@@ -272,17 +284,7 @@ let prometheus s =
       counter "slif_pool_tasks_completed_total" "Pool tasks that ran to completion."
         (int s.pool.g_tasks_completed);
     ]
-  (* Labeled families and registry metrics export generically. *)
-  @ List.filter_map
-      (fun (name, label, series) ->
-        if series = [] then None
-        else
-          Some
-            (counter
-               ("slif_" ^ P.sanitize_name name ^ "_total")
-               (Printf.sprintf "Family %s, by %s." name label)
-               (labeled label fst (fun (_, n) -> fi n) series)))
-      s.families
+  (* Registry metrics export generically. *)
   @ List.map
       (fun (name, v) ->
         counter

@@ -16,6 +16,7 @@ type op_stat = {
       (** log-bucket quantiles since startup; [q_count] is the op's request count *)
   sum_us : float;  (** lifetime latency sum *)
   recent : Slif_obs.Histogram.quantiles option;  (** exact, over the sliding window *)
+  batch_items : int;  (** items of this op executed inside [batch] requests *)
 }
 
 type t = {
@@ -35,6 +36,7 @@ type t = {
   queue_wait_sum_us : float;
   select_idle_s : float;
   loop_iterations : int;
+  accept_errors : int;  (** [accept] calls that failed, out of descriptors or otherwise *)
   ops : op_stat list;  (** ops served at least once, ascending name *)
   lru : Lru.stats;  (** the resident set, read under its lock *)
   gc : Slif_obs.Gcprof.counts;
@@ -48,8 +50,6 @@ type t = {
   retained : int;  (** traces ever retained *)
   retained_live : int;
   dump_bytes : int;
-  families : (string * string * (string * int) list) list;
-      (** process-wide labeled families: name, label key, series *)
   counters : (string * int) list;  (** registry counters *)
   histograms : (string * Slif_obs.Histogram.summary * Slif_obs.Histogram.quantiles) list;
 }

@@ -1,6 +1,8 @@
-type params = { w_comm : float; w_shared : float; balance_limit : float }
-
-let default_params = { w_comm = 1.0; w_shared = 0.2; balance_limit = 0.6 }
+(* Closeness weights: direct communication, a shared accessor; and the
+   soft cap on a merged cluster's share of the total size, in (0,1]. *)
+let w_comm = 1.0
+let w_shared = 0.2
+let balance_limit = 0.6
 
 let size_proxy (node : Slif.Types.node) =
   match node.n_size with [] -> 1.0 | (_, v) :: _ -> max 1.0 v
@@ -27,14 +29,14 @@ let shares_accessor graph a b =
   in
   List.exists (fun s -> List.mem s (srcs b)) (srcs a)
 
-let closeness ?(params = default_params) graph a b =
+let closeness graph a b =
   if a = b then 0.0
   else
-    let comm = params.w_comm *. traffic graph a b in
-    let shared = if shares_accessor graph a b then params.w_shared else 0.0 in
+    let comm = w_comm *. traffic graph a b in
+    let shared = if shares_accessor graph a b then w_shared else 0.0 in
     comm +. shared
 
-let clusters ?(params = default_params) graph ~k =
+let clusters graph ~k =
   if k < 1 then invalid_arg "Cluster.clusters: k must be positive";
   let s = Slif.Graph.slif graph in
   let n = Array.length s.Slif.Types.nodes in
@@ -50,7 +52,7 @@ let clusters ?(params = default_params) graph ~k =
   let close = Array.make_matrix n n 0.0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let c = closeness ~params graph i j in
+      let c = closeness graph i j in
       close.(i).(j) <- c;
       close.(j).(i) <- c
     done
@@ -65,7 +67,7 @@ let clusters ?(params = default_params) graph ~k =
         for j = i + 1 to n - 1 do
           if find j = j && close.(i).(j) > 0.0 then begin
             let merged_share = (cluster_size.(i) +. cluster_size.(j)) /. total_size in
-            if merged_share <= params.balance_limit || !n_clusters <= k + 1 then
+            if merged_share <= balance_limit || !n_clusters <= k + 1 then
               match !best with
               | Some (_, _, c) when c >= close.(i).(j) -> ()
               | _ -> best := Some (i, j, close.(i).(j))
@@ -94,12 +96,12 @@ let clusters ?(params = default_params) graph ~k =
   Hashtbl.fold (fun _ members acc -> members :: acc) buckets []
   |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
 
-let run ?(params = default_params) ?replica ~k (problem : Search.problem) =
+let run ?replica ~k (problem : Search.problem) =
   Slif_obs.Span.with_ "search.clustering" ~args:[ ("k", string_of_int k) ]
   @@ fun () ->
   let graph = problem.Search.graph in
   let s = Slif.Graph.slif graph in
-  let groups = clusters ~params graph ~k in
+  let groups = clusters graph ~k in
   let part = Search.seed_partition s in
   (* Assign clusters largest-first onto the processor with the least
      accumulated size (memories only take all-variable clusters). *)

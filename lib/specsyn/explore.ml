@@ -20,6 +20,14 @@ type entry = {
   partitions_per_s : float;
 }
 
+let solve ?replica algo problem =
+  match algo with
+  | Random restarts -> Random_part.run ~restarts problem
+  | Greedy -> Greedy.run ?replica problem
+  | Group_migration -> Group_migration.run ?replica problem
+  | Annealing params -> Annealing.run ?replica ~params problem
+  | Clustering k -> Cluster.run ?replica ~k problem
+
 let default_algos =
   [ Random 50; Greedy; Group_migration; Annealing Annealing.default_params; Clustering 4 ]
 
@@ -93,7 +101,7 @@ let run ?(jobs = 1) ?chunk ?constraints ?weights ?(algos = default_algos)
            later work item of that allocation — replacing today's
            rebuild-per-task (and the engine-clone-per-task design
            before it) with one [Engine.acquire] per candidate. *)
-        let ctxs = Slif_util.Pool.local pool (fun () -> Hashtbl.create 8) in
+        let ctxs = Slif_util.Pool.local (fun () -> Hashtbl.create 8) in
         let ctx_for ai =
           let tbl = Slif_util.Pool.get ctxs in
           match Hashtbl.find_opt tbl ai with
@@ -111,25 +119,13 @@ let run ?(jobs = 1) ?chunk ?constraints ?weights ?(algos = default_algos)
           let ai, algo = pairs.(w.w_pair) in
           let ctx = ctx_for ai in
           let problem = ctx.c_problem and replica = ctx.c_eng in
-          let solve () =
-            match (algo, w.w_slice) with
-            | Random _, Some (start, len) ->
-                Random_part.run_range ~replica ~seed:1 ~start ~len problem
-            | Random restarts, None -> Random_part.run ~restarts problem
-            | Greedy, _ -> Greedy.run ~replica problem
-            | Group_migration, _ -> Group_migration.run ~replica problem
-            | Annealing params, _ -> Annealing.run ~replica ~params problem
-            | Clustering k, _ -> Cluster.run ~replica ~k problem
-          in
-          let solve () =
-            Slif_obs.Span.with_ "explore.entry"
-              ~args:
-                [
-                  ("alloc", alloc_arr.(ai).Alloc.alloc_name); ("algo", algo_name algo);
-                ]
-              solve
-          in
-          Slif_obs.Clock.time solve
+          Slif_obs.Clock.time @@ fun () ->
+          Slif_obs.Span.with_ "explore.entry"
+            ~args:[ ("alloc", alloc_arr.(ai).Alloc.alloc_name); ("algo", algo_name algo) ]
+          @@ fun () ->
+          match w.w_slice with
+          | Some (start, len) -> Random_part.run_range ~replica ~seed:1 ~start ~len problem
+          | None -> solve ~replica algo problem
         in
         Slif_util.Pool.map pool solve_work works)
   in

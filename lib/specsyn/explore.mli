@@ -14,6 +14,14 @@ type algo =
 
 val algo_name : algo -> string
 
+val solve : ?replica:Engine.t -> algo -> Search.problem -> Search.solution
+(** [solve algo problem] runs one algorithm on the calling domain — the
+    one dispatch from {!algo} to a partitioner, shared by {!run}'s work
+    items and the single-query front ends.  [replica] is the calling
+    domain's engine ({!Engine.start}), bitwise the same scoring as a
+    fresh build; [Random n] ignores it and scores each restart on a
+    fresh engine ({!Random_part.run}). *)
+
 type entry = {
   alloc : Alloc.t;
   algo : algo;
@@ -36,9 +44,10 @@ val run :
     cost (cheapest first), stably over (alloc, algo) submission order.
 
     [jobs] (default 1) runs the work on a {!Slif_util.Pool} of that many
-    domains.  The schedulable unit is an (alloc x algo) combination,
-    except multi-restart algorithms ([Random n]), whose restarts are
-    sliced into contiguous chunks of [chunk] (default: the
+    domains — the one code path that spreads search work over domains.
+    The schedulable unit is an (alloc x algo) combination, run by
+    {!solve}, except [Random n], whose restarts are sliced into
+    contiguous {!Random_part.run_range} chunks of [chunk] (default: the
     {!Slif_util.Pool.default_chunk} heuristic over [jobs]) so they
     load-balance instead of arriving as one monolithic task.  Raises
     [Invalid_argument] when [chunk < 1].

@@ -1,9 +1,10 @@
-let run ?(max_passes = 8) ?initial ?replica (problem : Search.problem) =
+(* Passes stop after this many even while they still improve. *)
+let max_passes = 8
+
+let run ?replica (problem : Search.problem) =
   Slif_obs.Span.with_ "search.group_migration" @@ fun () ->
   let s = Slif.Graph.slif problem.graph in
-  let part =
-    match initial with Some p -> Slif.Partition.copy p | None -> Search.seed_partition s
-  in
+  let part = Search.seed_partition s in
   let eng = Engine.start ?replica problem part in
   let n = Array.length s.nodes in
   let current_cost = ref (Engine.cost eng) in

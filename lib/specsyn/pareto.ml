@@ -109,7 +109,7 @@ let sweep ?(jobs = 1) ?(constraints = Cost.no_constraints) ?(steps_per_point = 4
   let candidates =
     Slif_util.Pool.with_pool ~jobs (fun pool ->
         let replica =
-          Slif_util.Pool.local pool (fun () ->
+          Slif_util.Pool.local (fun () ->
               Engine.of_problem problem (Search.seed_partition s))
         in
         let chunk =

@@ -38,10 +38,7 @@ let run_range ?replica ?(seed = 1) ~start ~len (problem : Search.problem) =
   let s = Slif.Graph.slif problem.Search.graph in
   Search.best_range ~start ~len (eval_one ?replica ~seed problem s)
 
-let run ?pool ?(seed = 1) ?chunk ~restarts (problem : Search.problem) =
-  if restarts <= 0 then invalid_arg "Random_part.run: restarts must be positive";
+let run ?(seed = 1) ~restarts (problem : Search.problem) =
   Slif_obs.Span.with_ "search.random"
     ~args:[ ("restarts", string_of_int restarts) ]
-  @@ fun () ->
-  Search.restarts ?pool ?chunk restarts (fun (start, len) ->
-      run_range ~seed ~start ~len problem)
+  @@ fun () -> run_range ~seed ~start:0 ~len:restarts problem

@@ -8,9 +8,9 @@
     Restart [k] draws from the private stream
     [Slif_util.Prng.derive ~root:seed k] (no state is shared between
     restarts), and ties select the lowest restart index
-    ({!Search.better}), so the result is a pure function of
-    [(seed, restarts)] — identical with or without a pool, at any [jobs]
-    and any [chunk]. *)
+    ({!Search.best}), so the result is a pure function of
+    [(seed, restarts)], and any slicing of the restart range folds to
+    the same answer. *)
 
 val run_range :
   ?replica:Engine.t ->
@@ -30,20 +30,9 @@ val run_range :
     rescoring — bitwise {!Engine.create}'s — instead of a full engine
     build.  Raises [Invalid_argument] on an empty or negative range. *)
 
-val run :
-  ?pool:Slif_util.Pool.t ->
-  ?seed:int ->
-  ?chunk:int ->
-  restarts:int ->
-  Search.problem ->
-  Search.solution
+val run : ?seed:int -> restarts:int -> Search.problem -> Search.solution
 (** [run ~restarts problem] evaluates [restarts] independent random
-    partitions ([seed] defaults to 1) and returns the cheapest, each
-    restart on a fresh engine.
-
-    {!Search.restarts} drives the sweep: contiguous index chunks of size
-    [chunk] (default: {!Slif_util.Pool.default_chunk} over the pool's
-    jobs), each a {!run_range}, so a pooled sweep enqueues a few coarse
-    tasks instead of one tiny task per restart.  The earliest strict
-    minimum wins within and across chunks, so the answer is
-    byte-identical for every [chunk] and [jobs]. *)
+    partitions ([seed] defaults to 1) on the calling domain and returns
+    the cheapest, each restart on a fresh engine: one {!run_range} over
+    [0 .. restarts - 1].  Raises [Invalid_argument] when
+    [restarts <= 0]. *)

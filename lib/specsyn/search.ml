@@ -26,17 +26,6 @@ let best_range ~start ~len f =
   done;
   !acc
 
-let restarts ?pool ?chunk n run_range =
-  let jobs = match pool with Some p -> Slif_util.Pool.jobs p | None -> 1 in
-  let chunk =
-    match chunk with Some c -> c | None -> Slif_util.Pool.default_chunk ~jobs n
-  in
-  let pieces = Slif_util.Pool.chunks ~chunk n in
-  best
-    (match pool with
-    | Some pool -> Slif_util.Pool.map pool run_range pieces
-    | None -> List.map run_range pieces)
-
 let all_comps (s : Slif.Types.t) =
   Array.to_list (Array.mapi (fun i _ -> Slif.Partition.Cproc i) s.procs)
   @ Array.to_list (Array.mapi (fun i _ -> Slif.Partition.Cmem i) s.mems)

@@ -26,15 +26,6 @@ val best_range : start:int -> len:int -> (int -> solution) -> solution
 (** [best_range ~start ~len f] folds the same winner rule over
     [f start .. f (start + len - 1)] as each restart finishes; [len >= 1]. *)
 
-val restarts :
-  ?pool:Slif_util.Pool.t -> ?chunk:int -> int -> (int * int -> solution) -> solution
-(** [restarts n run_range], the one chunked restart driver: slices
-    [0 .. n-1] into runs of [chunk] indices (default
-    {!Slif_util.Pool.default_chunk} over the pool's jobs), maps
-    [run_range (start, len)] over them on [pool] (or in order on the
-    calling domain) and returns their {!best}.  Raises
-    [Invalid_argument] when [n <= 0] or [chunk < 1]. *)
-
 val comps_for_node : Slif.Types.t -> Slif.Types.node -> Slif.Partition.comp list
 (** Feasible components: behaviors go to processors only; variables to
     processors or memories (paper, Section 2.2). *)

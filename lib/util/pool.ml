@@ -21,11 +21,6 @@ type t = {
   mutable stop : bool;
   mutable workers : unit Domain.t list;
   mutable completed : int;       (* tasks whose thunk settled; under [lock] *)
-  (* Domain-local slot machinery (cold paths, own plain mutex so the
-     profiled queue lock never sees it). *)
-  aux_mu : Mutex.t;
-  mutable cleanups : (int -> unit) list;  (* newest first; arg = domain id *)
-  mutable teardown_exn : exn option;      (* first teardown failure, raised by [shutdown] *)
 }
 
 (* Process-wide totals for the daemon's metrics: pools are transient
@@ -52,25 +47,6 @@ let global_stats () =
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-(* Run every registered domain-local teardown for the calling domain.
-   A raising teardown must not abandon the remaining slots or wedge
-   [shutdown]'s joins, so failures are recorded (first one wins — the
-   registration order is deterministic) and re-raised later from
-   [shutdown] on the submitting domain. *)
-let run_cleanups pool =
-  let dom = (Domain.self () :> int) in
-  Mutex.lock pool.aux_mu;
-  let fs = List.rev pool.cleanups in
-  Mutex.unlock pool.aux_mu;
-  List.iter
-    (fun f ->
-      try f dom
-      with e ->
-        Mutex.lock pool.aux_mu;
-        if pool.teardown_exn = None then pool.teardown_exn <- Some e;
-        Mutex.unlock pool.aux_mu)
-    fs
-
 let rec worker_loop pool =
   Slif_obs.Lockprof.lock pool.lock;
   while Queue.is_empty pool.queue && not pool.stop do
@@ -86,21 +62,17 @@ let rec worker_loop pool =
   end
 
 (* Workers report their whole loop lifetime as wall time when they join,
-   so an attribution report taken after [shutdown] has the full
-   denominator for every worker domain.  Domain-local slots are torn
-   down on the worker itself, after its last task and before it exits —
-   the other half of the init-on-first-use lifecycle. *)
+   so an attribution report taken after the pool shuts down has the
+   full denominator for every worker domain. *)
 let worker_main pool () =
   let t0 = Slif_obs.Clock.now_us () in
   Fun.protect
-    ~finally:(fun () ->
-      run_cleanups pool;
-      Slif_obs.Attribution.add_wall (Slif_obs.Clock.now_us () -. t0))
+    ~finally:(fun () -> Slif_obs.Attribution.add_wall (Slif_obs.Clock.now_us () -. t0))
     (fun () -> worker_loop pool)
 
-let create ?name ?jobs ?(oversubscribe = false) () =
+let create ?jobs ~oversubscribe () =
   let n_jobs = match jobs with Some j -> j | None -> default_jobs () in
-  if n_jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
+  if n_jobs < 1 then invalid_arg "Pool.with_pool: jobs must be >= 1";
   (* Domains beyond the hardware's parallelism cannot run concurrently;
      they only multiply stop-the-world GC barriers and scheduling
      latency (the measured A8 inversion).  The requested [n_jobs] keeps
@@ -118,21 +90,11 @@ let create ?name ?jobs ?(oversubscribe = false) () =
       n_jobs;
       n_domains;
       queue = Queue.create ();
-      lock =
-        (* A named pool (the daemon's long-lived worker pool, say) gets
-           its own Lockprof series, so its queue contention is not
-           pooled with every transient sweep pool's. *)
-        Slif_obs.Lockprof.create ~category:Slif_obs.Attribution.Queue_wait
-          (match name with
-          | Some n -> "pool.queue:" ^ n
-          | None -> "pool.queue");
+      lock = Slif_obs.Lockprof.create ~category:Slif_obs.Attribution.Queue_wait "pool.queue";
       work = Condition.create ();
       stop = false;
       workers = [];
       completed = 0;
-      aux_mu = Mutex.create ();
-      cleanups = [];
-      teardown_exn = None;
     }
   in
   Atomic.incr g_pools_created;
@@ -145,40 +107,26 @@ let domains t = t.n_domains
 
 let shutdown t =
   Slif_obs.Lockprof.lock t.lock;
-  let was_stopped = t.stop in
   t.stop <- true;
   Condition.broadcast t.work;
   Slif_obs.Lockprof.unlock t.lock;
-  let workers = t.workers in
-  t.workers <- [];
-  List.iter Domain.join workers;
-  if not was_stopped then begin
-    Atomic.decr g_pools_live;
-    (* The lock's counts join its name's row; a pool per sweep must not
-       leave a lock record behind per sweep. *)
-    Slif_obs.Lockprof.release t.lock;
-    (* The submitting domain participates in the work, so it may hold
-       initialized slots too. *)
-    run_cleanups t;
-    Mutex.lock t.aux_mu;
-    let e = t.teardown_exn in
-    t.teardown_exn <- None;
-    Mutex.unlock t.aux_mu;
-    match e with None -> () | Some e -> raise e
-  end
+  List.iter Domain.join t.workers;
+  Atomic.decr g_pools_live;
+  (* The lock's counts join its name's row; a pool per sweep must not
+     leave a lock record behind per sweep. *)
+  Slif_obs.Lockprof.release t.lock
 
-let with_pool ?name ?jobs ?oversubscribe f =
-  let pool = create ?name ?jobs ?oversubscribe () in
+let with_pool ?jobs ?(oversubscribe = false) f =
+  let pool = create ?jobs ~oversubscribe () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
 (* --- Domain-local slots ---------------------------------------------------
 
    One value per domain that participates in the pool's work, created
    lazily on the domain that will use it (so an [init] that resolves
-   DLS-backed observability handles resolves them on the right domain)
-   and torn down when the worker exits or the pool shuts down.  This is
-   the carrier of the share-nothing architecture: an exploration sweep
-   keeps one engine replica per domain in a slot, and no task ever
+   DLS-backed observability handles resolves them on the right domain).
+   This is the carrier of the share-nothing architecture: an exploration
+   sweep keeps one engine replica per domain in a slot, and no task ever
    touches another domain's replica.
 
    Only the table structure is locked; each domain reads and writes its
@@ -192,22 +140,7 @@ type 'a local = {
   l_tbl : (int, 'a) Hashtbl.t;  (* domain id -> slot *)
 }
 
-let local pool ?teardown init =
-  let l = { l_init = init; l_mu = Mutex.create (); l_tbl = Hashtbl.create 8 } in
-  (match teardown with
-  | None -> ()
-  | Some td ->
-      let cleanup dom =
-        Mutex.lock l.l_mu;
-        let v = Hashtbl.find_opt l.l_tbl dom in
-        Hashtbl.remove l.l_tbl dom;
-        Mutex.unlock l.l_mu;
-        match v with None -> () | Some v -> td v
-      in
-      Mutex.lock pool.aux_mu;
-      pool.cleanups <- cleanup :: pool.cleanups;
-      Mutex.unlock pool.aux_mu);
-  l
+let local init = { l_init = init; l_mu = Mutex.create (); l_tbl = Hashtbl.create 8 }
 
 let get (l : 'a local) =
   let dom = (Domain.self () :> int) in

@@ -2,8 +2,12 @@
 
     Design-space exploration scores thousands of independent (allocation x
     algorithm x seed) combinations; on OCaml 5 each combination can run on
-    its own domain with zero new dependencies.  The pool is built from
-    stdlib [Domain] + [Mutex]/[Condition] only and is engineered for
+    its own domain with zero new dependencies.  A pool lives for one sweep
+    ({!with_pool}): [Specsyn.Explore.run]'s work list (the one restart
+    driver), the Pareto sweep, synthetic-graph generation and the CLI's
+    table fan-out.  The daemon's request workers are plain domains, not
+    pool tasks, so {!global_stats} counts sweeps only.  The pool is built
+    from stdlib [Domain] + [Mutex]/[Condition] only and is engineered for
     reproducibility first:
 
     - {!map} returns results in submission order, so the output of a sweep
@@ -43,9 +47,10 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what the CLI's [-j] defaults
     to. *)
 
-val create : ?name:string -> ?jobs:int -> ?oversubscribe:bool -> unit -> t
-(** [create ~jobs ()] builds a pool of logical parallelism [jobs]
-    (default {!default_jobs}), spawning at most
+val with_pool : ?jobs:int -> ?oversubscribe:bool -> (t -> 'a) -> 'a
+(** [with_pool ~jobs f] builds a pool of logical parallelism [jobs]
+    (default {!default_jobs}), runs [f] on it and joins its worker
+    domains — even when [f] raises.  The pool spawns at most
     [Domain.recommended_domain_count () - 1] worker domains: domains
     beyond the hardware's parallelism cannot run concurrently and only
     multiply stop-the-world GC barriers (the measured cause of parallel
@@ -54,13 +59,9 @@ val create : ?name:string -> ?jobs:int -> ?oversubscribe:bool -> unit -> t
     chunk heuristics, {!jobs} — so results are a function of the
     requested [-j] alone, independent of the machine the sweep ran on.
     [oversubscribe] (default false) lifts the cap and spawns [jobs - 1]
-    domains unconditionally — for contention experiments that want the
-    pathology back, and for pools whose tasks park on conditions rather
-    than compute (the daemon's worker pool).  [name] gives the pool's
-    queue lock its own {!Slif_obs.Lockprof} series
-    (["pool.queue:<name>"]), so a long-lived pool's contention is not
-    aggregated with every transient sweep pool's.
-    Raises [Invalid_argument] when [jobs < 1]. *)
+    domains unconditionally — a test seam: the contention and
+    cross-domain tests need more domains than a 2-vCPU host
+    recommends.  Raises [Invalid_argument] when [jobs < 1]. *)
 
 val jobs : t -> int
 (** The logical parallelism the pool was created with (including the
@@ -70,14 +71,6 @@ val domains : t -> int
 (** Domains actually executing tasks (including the submitter):
     [min jobs (recommended_domain_count)] unless the pool was created
     with [~oversubscribe:true]. *)
-
-val shutdown : t -> unit
-(** Join all worker domains, release the queue lock's
-    {!Slif_obs.Lockprof} record (its counts stay in the name's row) and
-    tear down the submitting domain's {!local} slots.  Idempotent; the
-    pool must be idle.  If any slot teardown raised (on any domain), the
-    first such exception — in registration order, so deterministic — is
-    re-raised here after every domain has joined. *)
 
 type global_stats = {
   g_pools_created : int;
@@ -90,9 +83,6 @@ val global_stats : unit -> global_stats
 (** Process-wide totals across every pool that ever existed — what the
     daemon's metrics scrape exports, since pools are transient. *)
 
-val with_pool : ?name:string -> ?jobs:int -> ?oversubscribe:bool -> (t -> 'a) -> 'a
-(** [create], run the function, [shutdown] — even on exceptions. *)
-
 (* --- Domain-local slots -------------------------------------------------- *)
 
 type 'a local
@@ -100,17 +90,14 @@ type 'a local
     work — the carrier of share-nothing sweep state (an engine replica
     per domain, say).  No slot is ever visible to two domains. *)
 
-val local : t -> ?teardown:('a -> unit) -> (unit -> 'a) -> 'a local
-(** [local pool ~teardown init] declares a slot family on the pool.
-    [init] runs on first {!get} {e on the requesting domain} (so
-    domain-affine resources — DLS-backed counter handles, estimator
-    scratch — land on the domain that will use them); [teardown] runs on
-    that same domain when its worker exits, or at {!shutdown} for the
-    submitting domain.  An [init] that raises stores nothing: the
-    exception propagates to the calling task (surfacing deterministically
-    through {!map}'s lowest-index rule) and the next {!get} retries.
-    A raising [teardown] is caught, never wedges a worker join, and is
-    re-raised from {!shutdown}. *)
+val local : (unit -> 'a) -> 'a local
+(** [local init] declares a slot family.  [init] runs on first {!get}
+    {e on the requesting domain} (so domain-affine resources —
+    DLS-backed counter handles, estimator scratch — land on the domain
+    that will use them).  An [init] that raises stores nothing: the
+    exception propagates to the calling task (surfacing
+    deterministically through {!map}'s lowest-index rule) and the next
+    {!get} retries. *)
 
 val get : 'a local -> 'a
 (** The calling domain's slot, initializing it on first use.  Meant to be

@@ -23,52 +23,6 @@ let spec_names =
   List.filteri (fun i _ -> i < 3)
     (List.map (fun (s : Specs.Registry.spec) -> s.spec_name) Specs.Registry.all)
 
-(* --- Obs.Family ------------------------------------------------------------- *)
-
-(* One series' value as the exporters read it; zero when never fired. *)
-let family_get f v = Option.value ~default:0 (List.assoc_opt v (Slif_obs.Family.snapshot f))
-
-let test_family_counters () =
-  let f = Slif_obs.Family.create "test.family.battery" ~label:"who" in
-  let before = family_get f "a" in
-  Slif_obs.Family.incr f "a";
-  Slif_obs.Family.incr f "a" ~by:2;
-  Slif_obs.Family.incr f "b";
-  Alcotest.(check int) "series a" (before + 3) (family_get f "a");
-  Alcotest.(check int) "absent series reads zero" 0
-    (family_get f "never-fired");
-  (* Re-creating the same name returns the same family... *)
-  let f' = Slif_obs.Family.create "test.family.battery" ~label:"who" in
-  Slif_obs.Family.incr f' "a";
-  Alcotest.(check int) "idempotent create shares series" (before + 4)
-    (family_get f "a");
-  (* ...but never with a different label dimension. *)
-  match Slif_obs.Family.create "test.family.battery" ~label:"other" with
-  | _ -> Alcotest.fail "label mismatch accepted"
-  | exception Invalid_argument _ -> ()
-
-let test_family_exact_across_domains () =
-  let f = Slif_obs.Family.create "test.family.hammer" ~label:"d" in
-  let per_domain = 2_000 in
-  let doms =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for _ = 1 to per_domain do
-              Slif_obs.Family.incr f (string_of_int d);
-              Slif_obs.Family.incr f "shared"
-            done))
-  in
-  List.iter Domain.join doms;
-  List.iter
-    (fun d ->
-      Alcotest.(check int)
-        (Printf.sprintf "domain %d series exact" d)
-        per_domain
-        (family_get f (string_of_int d)))
-    [ 0; 1; 2; 3 ];
-  Alcotest.(check int) "contended series exact" (4 * per_domain)
-    (family_get f "shared")
-
 (* --- The resident set -------------------------------------------------------- *)
 
 let stats_lru client =
@@ -578,19 +532,59 @@ let test_stats_and_metrics_expose_workers_and_lru () =
           "slif_server_lru_hits_total";
           "slif_server_lru_misses_total";
           "slif_server_worker_requests_total";
-          "slif_server_batch_items_total";
-        ])
+        ];
+      (* The one batch carried one estimate item; the four wire
+         estimates are not batch items. *)
+      Alcotest.(check bool) "batch items by op, exact" true
+        (contains metrics ({|slif_server_batch_items_total{op="estimate"} 1|} ^ "\n")))
+
+(* [pool.*] counts sweep pools only: the worker fleet is plain domains,
+   so estimates leave every pool figure where it was, and one explore at
+   [jobs:2] adds exactly one pool, which is gone when the reply lands. *)
+let test_pool_counts_sweeps_only () =
+  let fields = [ "pools_created"; "pools_live"; "tasks_submitted"; "tasks_completed" ] in
+  let pool_of client =
+    match Json.member "pool" (request_exn client [ ("op", Json.String "stats") ]) with
+    | Some p ->
+        List.map
+          (fun f ->
+            match Json.member f p with
+            | Some (Json.Int n) -> n
+            | _ -> Alcotest.failf "pool.%s missing" f)
+          fields
+    | None -> Alcotest.fail "stats has no pool block"
+  in
+  let g = Slif_util.Pool.global_stats () in
+  let before =
+    [ g.g_pools_created; g.g_pools_live; g.g_tasks_submitted; g.g_tasks_completed ]
+  in
+  with_server
+    ~config:(fun c -> { c with Server.workers = 3 })
+    (fun _port client ->
+      let spec = List.hd spec_names in
+      for _ = 1 to 6 do
+        ignore
+          (request_exn client [ ("op", Json.String "estimate"); ("spec", Json.String spec) ])
+      done;
+      Alcotest.(check (list int)) "estimates move no pool figure" before (pool_of client);
+      ignore
+        (request_exn client
+           [ ("op", Json.String "explore"); ("spec", Json.String spec); ("jobs", Json.Int 2) ]);
+      match pool_of client with
+      | [ created; live; submitted; completed ] ->
+          Alcotest.(check int) "one explore, one pool" (List.hd before + 1) created;
+          Alcotest.(check int) "no pool left live" 0 live;
+          Alcotest.(check int) "every submitted task completed" submitted completed
+      | _ -> Alcotest.fail "pool block has the wrong shape")
 
 let suite =
   [
-    Alcotest.test_case "family counters" `Quick test_family_counters;
-    Alcotest.test_case "family exact across domains" `Slow
-      test_family_exact_across_domains;
     Alcotest.test_case "lru: --lru N keeps N graphs" `Slow test_lru_keeps_capacity_graphs;
     Alcotest.test_case "lru: 8-domain hammer, exact counters" `Slow
       test_lru_concurrent_hammer;
     Alcotest.test_case "stats/metrics expose worker and shared lru families" `Slow
       test_stats_and_metrics_expose_workers_and_lru;
+    Alcotest.test_case "pool.* counts sweeps only" `Slow test_pool_counts_sweeps_only;
     Alcotest.test_case "batch: empty" `Slow test_batch_empty;
     Alcotest.test_case "batch: order and per-item isolation" `Slow
       test_batch_order_and_isolation;
@@ -604,12 +598,12 @@ let suite =
     Alcotest.test_case "connection limit refuses extras" `Slow test_connection_limit;
     Alcotest.test_case "shutdown drains in-flight requests" `Slow
       test_shutdown_drains_inflight;
+    Alcotest.test_case "SIGUSR1 dump under worker split" `Slow
+      test_sigusr1_under_workers;
     Alcotest.test_case "pipeline order under 4 workers" `Slow
       test_pipeline_order_with_workers;
     Alcotest.test_case "differential soak: workers 1/2/4 byte-identical" `Slow
       test_differential_soak;
     Alcotest.test_case "soak reference matches Ops bytes" `Slow
       test_soak_reference_matches_ops;
-    Alcotest.test_case "SIGUSR1 dump under worker split" `Slow
-      test_sigusr1_under_workers;
   ]

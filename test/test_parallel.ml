@@ -30,8 +30,8 @@ let test_pool_single_job () =
         (Pool.map pool (fun x -> 2 * x) [ 1; 2; 3 ]))
 
 let test_pool_rejects_bad_jobs () =
-  Alcotest.check_raises "jobs 0" (Invalid_argument "Pool.create: jobs must be >= 1")
-    (fun () -> ignore (Pool.create ~jobs:0 ()))
+  Alcotest.check_raises "jobs 0" (Invalid_argument "Pool.with_pool: jobs must be >= 1")
+    (fun () -> Pool.with_pool ~jobs:0 ignore)
 
 let test_pool_exception_deterministic () =
   (* Several tasks fail; the lowest submission index must win no matter
@@ -215,18 +215,12 @@ let test_pool_chunks () =
 (* --- Domain-local slot lifecycle ------------------------------------------ *)
 
 (* Init runs lazily on the domain that uses the slot (at most once per
-   domain), every initialized slot is torn down exactly once by pool
-   shutdown, and each [get] returns the calling domain's own value. *)
+   domain), and each [get] returns the calling domain's own value. *)
 let test_pool_local_lifecycle () =
-  let inits = Atomic.make 0 and teardowns = Atomic.make 0 in
-  let foreign_teardowns = Atomic.make 0 in
+  let inits = Atomic.make 0 in
   Pool.with_pool ~jobs:4 ~oversubscribe:true (fun pool ->
       let slot =
-        Pool.local pool
-          ~teardown:(fun dom ->
-            Atomic.incr teardowns;
-            if dom <> (Domain.self () :> int) then Atomic.incr foreign_teardowns)
-          (fun () ->
+        Pool.local (fun () ->
             Atomic.incr inits;
             (Domain.self () :> int))
       in
@@ -242,41 +236,18 @@ let test_pool_local_lifecycle () =
         pairs;
       let distinct = List.length (List.sort_uniq compare (List.map fst pairs)) in
       Alcotest.(check int) "one init per participating domain" distinct
-        (Atomic.get inits));
-  Alcotest.(check int) "no teardown on a foreign domain" 0 (Atomic.get foreign_teardowns);
-  Alcotest.(check int) "every initialized slot torn down" (Atomic.get inits)
-    (Atomic.get teardowns)
+        (Atomic.get inits))
 
 let test_pool_local_init_raises () =
   (* A raising init stores nothing: it surfaces as the task's failure
      (lowest submission index wins, like any task exception) and the
      pool still shuts down cleanly. *)
   Pool.with_pool ~jobs:2 ~oversubscribe:true (fun pool ->
-      let slot = Pool.local pool (fun () -> failwith "init boom") in
+      let slot = Pool.local (fun () -> failwith "init boom") in
       Alcotest.check_raises "init failure surfaces" (Failure "init boom") (fun () ->
           ignore (Pool.map pool (fun _ -> ignore (Pool.get slot)) [ 1; 2; 3 ]));
       Alcotest.(check (list int)) "pool still works" [ 10 ]
         (Pool.map pool (fun x -> 10 * x) [ 1 ]))
-
-let test_pool_local_teardown_raises () =
-  (* A raising teardown must not wedge the joins; the first failure is
-     re-raised from [shutdown] after every worker has exited. *)
-  let torn = Atomic.make 0 in
-  let pool = Pool.create ~jobs:3 ~oversubscribe:true () in
-  let slot =
-    Pool.local pool
-      ~teardown:(fun _ ->
-        Atomic.incr torn;
-        failwith "teardown boom")
-      (fun () -> (Domain.self () :> int))
-  in
-  let inits =
-    List.length
-      (List.sort_uniq compare (Pool.map pool (fun _ -> Pool.get slot) (List.init 32 Fun.id)))
-  in
-  Alcotest.check_raises "shutdown re-raises the teardown failure"
-    (Failure "teardown boom") (fun () -> Pool.shutdown pool);
-  Alcotest.(check int) "every slot's teardown still ran" inits (Atomic.get torn)
 
 (* --- Partition-level comparison ------------------------------------------ *)
 
@@ -323,46 +294,17 @@ let test_pareto_differential () =
       check_same_partition "pareto point" x.part y.part)
     a b
 
-(* --- Multi-restart searches ---------------------------------------------- *)
-
-let test_annealing_restarts_differential () =
-  let problem = Lazy.force fuzzy_problem in
-  let params = { Specsyn.Annealing.default_params with steps = 150 } in
-  let serial = Specsyn.Annealing.run ~restarts:4 ~params problem in
-  let parallel =
-    Pool.with_pool ~jobs:jobs_par (fun pool ->
-        Specsyn.Annealing.run ~pool ~restarts:4 ~params problem)
-  in
-  Alcotest.(check (float 1e-9))
-    "cost" serial.Specsyn.Search.cost parallel.Specsyn.Search.cost;
-  Alcotest.(check int)
-    "evaluated" serial.Specsyn.Search.evaluated parallel.Specsyn.Search.evaluated;
-  check_same_partition "annealing best" serial.Specsyn.Search.part
-    parallel.Specsyn.Search.part
-
-let test_random_part_differential () =
-  let problem = Lazy.force fuzzy_problem in
-  let serial = Specsyn.Random_part.run ~seed:5 ~restarts:32 problem in
-  let parallel =
-    Pool.with_pool ~jobs:jobs_par (fun pool ->
-        Specsyn.Random_part.run ~pool ~seed:5 ~restarts:32 problem)
-  in
-  Alcotest.(check (float 1e-9))
-    "cost" serial.Specsyn.Search.cost parallel.Specsyn.Search.cost;
-  Alcotest.(check int)
-    "evaluated" serial.Specsyn.Search.evaluated parallel.Specsyn.Search.evaluated;
-  check_same_partition "random best" serial.Specsyn.Search.part
-    parallel.Specsyn.Search.part
-
 (* --- Chunk and jobs invariance of the restart sweeps ------------------------ *)
 
 let check_same_bits label a b =
   Alcotest.(check int64) label (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* Every restart sweep goes through one chunk driver and one winner
-   fold, so neither the chunk size nor the job count may show: same cost
-   bits, same [evaluated], same partitions for chunk 1, 3 and the whole
-   range, each at one job and at [jobs_par]. *)
+(* [Explore.run] slices a [Random n] algorithm into [run_range] work
+   items and folds their winners with [Search.best]; that is sound only
+   if every slicing of the restart range folds to [Random_part.run]'s
+   answer: same cost bits, same [evaluated], same partition for chunk 1,
+   3 and the whole range.  The Pareto sweep chunks its points the same
+   way, at one job and at [jobs_par]. *)
 let test_restart_sweeps_chunk_invariant () =
   let tie a b = Specsyn.Search.best [ a; b ] in
   let fuzzy = Lazy.force fuzzy_problem in
@@ -375,25 +317,23 @@ let test_restart_sweeps_chunk_invariant () =
   Alcotest.check_raises "explore rejects chunk 0"
     (Invalid_argument "Explore.run: chunk must be >= 1") (fun () ->
       ignore (Specsyn.Explore.run ~chunk:0 (Lazy.force Helpers.fuzzy_slif)));
+  let reference = Specsyn.Random_part.run ~seed:5 ~restarts:32 fuzzy in
+  List.iter
+    (fun chunk ->
+      let label = Printf.sprintf "random chunk %d" chunk in
+      let sol =
+        Specsyn.Search.best
+          (List.map
+             (fun (start, len) -> Specsyn.Random_part.run_range ~seed:5 ~start ~len fuzzy)
+             (Pool.chunks ~chunk 32))
+      in
+      check_same_bits (label ^ ": cost") reference.Specsyn.Search.cost sol.cost;
+      Alcotest.(check int) (label ^ ": evaluated") reference.evaluated sol.evaluated;
+      check_same_partition label reference.part sol.part)
+    [ 1; 3; 32 ];
   let configs n =
     List.concat_map (fun chunk -> [ (chunk, 1); (chunk, jobs_par) ]) [ 1; 3; n ]
   in
-  let check_solutions label n run =
-    let reference = run None None in
-    List.iter
-      (fun (chunk, jobs) ->
-        let label = Printf.sprintf "%s chunk %d jobs %d" label chunk jobs in
-        let sol = Pool.with_pool ~jobs (fun pool -> run (Some pool) (Some chunk)) in
-        check_same_bits (label ^ ": cost") reference.Specsyn.Search.cost sol.cost;
-        Alcotest.(check int) (label ^ ": evaluated") reference.evaluated sol.evaluated;
-        check_same_partition label reference.part sol.part)
-      (configs n)
-  in
-  check_solutions "random" 32 (fun pool chunk ->
-      Specsyn.Random_part.run ?pool ?chunk ~seed:5 ~restarts:32 fuzzy);
-  let params = { Specsyn.Annealing.default_params with steps = 150 } in
-  check_solutions "annealing" 5 (fun pool chunk ->
-      Specsyn.Annealing.run ?pool ?chunk ~restarts:5 ~params fuzzy);
   let graph = fuzzy.Specsyn.Search.graph in
   let weights_time = [ 0.1; 0.3; 1.0; 2.0; 4.0; 8.0; 16.0 ] in
   let sweep ?jobs ?chunk () =
@@ -550,17 +490,11 @@ let suite =
       test_pool_local_lifecycle;
     Alcotest.test_case "local slots: raising init surfaces as task failure" `Quick
       test_pool_local_init_raises;
-    Alcotest.test_case "local slots: raising teardown re-raised from shutdown" `Quick
-      test_pool_local_teardown_raises;
     Alcotest.test_case "explore -j4 == -j1 on bundled specs" `Quick test_explore_bundled;
     Alcotest.test_case "explore chunk size never shows in the report" `Quick
       test_explore_chunk_differential;
     Alcotest.test_case "explore -j4 == -j1 on fuzzed designs" `Quick test_explore_fuzzed;
     Alcotest.test_case "pareto front is jobs-invariant" `Quick test_pareto_differential;
-    Alcotest.test_case "annealing restarts pool == serial" `Quick
-      test_annealing_restarts_differential;
-    Alcotest.test_case "random restarts pool == serial" `Quick
-      test_random_part_differential;
     Alcotest.test_case "engine acquire rescoring is bit-exact" `Quick
       test_engine_acquire_bit_exact;
     Alcotest.test_case "replica memos are domain-private" `Quick

@@ -37,25 +37,24 @@ let test_pool_stats_lifecycle () =
   let g0 = Pool.global_stats () in
   (* Oversubscribed on purpose: the lifecycle assertions count worker
      domains, which the hardware cap would reduce on a small machine. *)
-  let pool = Pool.create ~jobs:4 ~oversubscribe:true () in
-  Alcotest.(check int) "jobs" 4 (Pool.jobs pool);
-  Alcotest.(check int) "domains" 4 (Pool.domains pool);
-  let g = Pool.global_stats () in
-  Alcotest.(check int) "fresh: live +1" (g0.Pool.g_pools_live + 1) g.Pool.g_pools_live;
-  Alcotest.(check int) "fresh: submitted" g0.Pool.g_tasks_submitted g.Pool.g_tasks_submitted;
-  (* More domains than tasks: the extra workers must stay parked without
-     disturbing the count or the order. *)
-  Alcotest.(check (list int)) "jobs > tasks" [ 10; 20 ]
-    (Pool.map pool (fun x -> 10 * x) [ 1; 2 ]);
-  (* The empty task list settles immediately. *)
-  Alcotest.(check (list int)) "empty task list" [] (Pool.map pool Fun.id []);
-  Pool.shutdown pool;
-  Pool.shutdown pool;
+  Pool.with_pool ~jobs:4 ~oversubscribe:true (fun pool ->
+      Alcotest.(check int) "jobs" 4 (Pool.jobs pool);
+      Alcotest.(check int) "domains" 4 (Pool.domains pool);
+      let g = Pool.global_stats () in
+      Alcotest.(check int) "fresh: live +1" (g0.Pool.g_pools_live + 1) g.Pool.g_pools_live;
+      Alcotest.(check int) "fresh: submitted" g0.Pool.g_tasks_submitted
+        g.Pool.g_tasks_submitted;
+      (* More domains than tasks: the extra workers must stay parked
+         without disturbing the count or the order. *)
+      Alcotest.(check (list int)) "jobs > tasks" [ 10; 20 ]
+        (Pool.map pool (fun x -> 10 * x) [ 1; 2 ]);
+      (* The empty task list settles immediately. *)
+      Alcotest.(check (list int)) "empty task list" [] (Pool.map pool Fun.id []));
   let g1 = Pool.global_stats () in
   Alcotest.(check int) "global: pools +1" (g0.Pool.g_pools_created + 1)
     g1.Pool.g_pools_created;
-  Alcotest.(check int) "global: live unchanged (idempotent shutdown)"
-    g0.Pool.g_pools_live g1.Pool.g_pools_live;
+  Alcotest.(check int) "global: live back after shutdown" g0.Pool.g_pools_live
+    g1.Pool.g_pools_live;
   Alcotest.(check int) "global: submitted +2" (g0.Pool.g_tasks_submitted + 2)
     g1.Pool.g_tasks_submitted;
   Alcotest.(check int) "global: completed +2" (g0.Pool.g_tasks_completed + 2)
@@ -96,11 +95,12 @@ let test_lockprof_contention () =
         Domain.cpu_relax ()
       done;
       for _ = 1 to iters do
-        Obs.Lockprof.with_lock lk (fun () ->
-            incr counter;
-            for i = 1 to 50 do
-              sink := !sink + i
-            done)
+        Obs.Lockprof.lock lk;
+        incr counter;
+        for i = 1 to 50 do
+          sink := !sink + i
+        done;
+        Obs.Lockprof.unlock lk
       done
     in
     let spawned = List.init (domains - 1) (fun _ -> Domain.spawn body) in
@@ -292,7 +292,8 @@ let test_profiler_differential () =
   Alcotest.(check bool) "registry off after run" false (Obs.Registry.on ());
   Alcotest.(check bool) "attribution off after run" false (Obs.Attribution.on ());
   (let lk = Obs.Lockprof.create "test.after_run" in
-   Obs.Lockprof.with_lock lk ignore;
+   Obs.Lockprof.lock lk;
+   Obs.Lockprof.unlock lk;
    Obs.Lockprof.release lk;
    Alcotest.(check int) "lockprof off after run" 0 (lock_stat "test.after_run").acquisitions);
   (* JSON surface sanity. *)

@@ -63,11 +63,24 @@ let sample : Telemetry.t =
     queue_wait_sum_us = 210.;
     select_idle_s = 1.25;
     loop_iterations = 99;
+    accept_errors = 7;
     ops =
       [
-        { op = "estimate"; lifetime = q 12 80.; sum_us = 1100.; recent = Some (q 12 75.) };
-        { op = "load"; lifetime = q 3 900.; sum_us = 2900.; recent = Some (q 3 850.) };
-        { op = "malformed"; lifetime = q 2 5.; sum_us = 10.; recent = None };
+        {
+          op = "estimate";
+          lifetime = q 12 80.;
+          sum_us = 1100.;
+          recent = Some (q 12 75.);
+          batch_items = 6;
+        };
+        {
+          op = "load";
+          lifetime = q 3 900.;
+          sum_us = 2900.;
+          recent = Some (q 3 850.);
+          batch_items = 0;
+        };
+        { op = "malformed"; lifetime = q 2 5.; sum_us = 10.; recent = None; batch_items = 0 };
       ];
     lru = { Lru.size = 2; capacity = 4; hits = 10; misses = 3; keys = [ "k1"; "k2" ] };
     gc = gc_counts 30;
@@ -85,7 +98,6 @@ let sample : Telemetry.t =
     retained = 2;
     retained_live = 2;
     dump_bytes = 0;
-    families = [ ("server.batch.items", "op", [ ("estimate", 6) ]) ];
     counters = [];
     histograms = [];
   }
@@ -160,6 +172,13 @@ let test_renderers_agree () =
     (contains text "slif_server_lru_misses_total 3\n");
   Alcotest.(check bool) "worker series from per_worker" true
     (contains text {|slif_server_worker_requests_total{worker="1"} 11|});
+  Alcotest.(check (list (pair string int)))
+    "batch_items_total{op}: ops with batch items only" [ ("estimate", 6) ]
+    (by_op_samples text "slif_server_batch_items_total");
+  Alcotest.(check string) "accept errors in stats" "7"
+    (Json.to_string (at stats [ "server"; "accept_errors" ]));
+  Alcotest.(check bool) "accept error counter from stats" true
+    (contains text "slif_server_accept_errors_total 7\n");
   (* The dump is the stats reply between the markers. *)
   Alcotest.(check string) "dump"
     ("--- slif serve telemetry ---\n"
@@ -240,6 +259,81 @@ let test_connection_flood () =
           Alcotest.(check bool) "typed refusal" true (contains line {|"kind":"connection_limit"|})
         end)
 
+(* A daemon out of descriptors must not spin on its listening socket:
+   under [ulimit -n 24] (the child's own limit), 40 connections overrun
+   it.  Failed accepts are counted, the acceptor's loop stays near idle
+   for a second of saturation, a connected client keeps its answers,
+   and every waiting client is served as the earlier ones close. *)
+let test_accept_backs_off_out_of_fds () =
+  if Sys.file_exists cli then begin
+    let out_r, out_w = Unix.pipe () in
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Unix.create_process "/bin/sh"
+        [| "/bin/sh"; "-c"; {|ulimit -n 24; exec "$0" serve --port 0|}; cli |]
+        Unix.stdin out_w null
+    in
+    Unix.close out_w;
+    Unix.close null;
+    let ready = Unix.in_channel_of_descr out_r in
+    let waiting = ref [] in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !waiting;
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid);
+        close_in ready)
+    @@ fun () ->
+    let port = Scanf.sscanf (input_line ready) "listening on 127.0.0.1:%d" Fun.id in
+    let client = Client.connect_tcp ~timeout_ms:30_000 port in
+    Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+    ignore (stats_of client);
+    let request = {|{"op":"health"}|} ^ "\n" in
+    for _ = 1 to 40 do
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      waiting := !waiting @ [ fd ];
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      ignore (Unix.write_substring fd request 0 (String.length request))
+    done;
+    let loop_turns () =
+      match Client.request client (Json.Obj [ ("op", Json.String "metrics") ]) with
+      | Ok json ->
+          let text = match Json.member "output" json with Some (Json.String t) -> t | _ -> "" in
+          List.fold_left
+            (fun acc line ->
+              match Scanf.sscanf line "slif_server_loop_iterations_total %f" Fun.id with
+              | v -> int_of_float v
+              | exception (Scanf.Scan_failure _ | End_of_file | Failure _) -> acc)
+            (-1) (String.split_on_char '\n' text)
+      | Error msg -> Alcotest.failf "metrics failed: %s" msg
+    in
+    Unix.sleepf 0.2;
+    let t0 = loop_turns () in
+    Unix.sleepf 1.0;
+    let t1 = loop_turns () in
+    let s1 = stats_of client in
+    let turns = t1 - t0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "acceptor idles while saturated (%d turns in 1 s)" turns)
+      true (turns <= 100);
+    Alcotest.(check bool) "failed accepts counted" true
+      (int_at s1 [ "server"; "accept_errors" ] > 0);
+    (* Each waiting client gets its answer once the ones before it close. *)
+    let buf = Bytes.create 4096 in
+    List.iteri
+      (fun i fd ->
+        let n = try Unix.read fd buf 0 4096 with Unix.Unix_error _ -> 0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "client %d answered" i)
+          true
+          (contains (Bytes.sub_string buf 0 n) {|"ok":true|});
+        Unix.close fd;
+        waiting := List.tl !waiting)
+      !waiting;
+    ignore (Client.request_raw client {|{"op":"shutdown"}|})
+  end
+
 (* [slif stats --watch] renders every refresh from one [stats] reply. *)
 let test_cli_stats_one_request_per_refresh () =
   if Sys.file_exists cli then
@@ -272,4 +366,6 @@ let suite =
       test_connection_flood;
     Alcotest.test_case "slif stats: one request per refresh" `Slow
       test_cli_stats_one_request_per_refresh;
+    Alcotest.test_case "accept backs off when out of descriptors" `Slow
+      test_accept_backs_off_out_of_fds;
   ]
